@@ -22,7 +22,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .engine import Action, ActionKind, Observation
+from .engine import Action, ActionKind, Observation, same_stream_shuffle
 from .scenario import AccessLevel, Address, Scenario
 
 AGENT_KINDS = ("careful", "standard", "aggressive")
@@ -397,7 +397,7 @@ class AggressiveAgent(ScriptedAgent):
 
     def _new_sweep(self) -> None:
         order = list(self.knowledge.addresses)
-        self.rng.shuffle(order)
+        same_stream_shuffle(order, self.rng)
         self.sweep = deque(order)
 
     def observe(self, action: Action, obs: Observation) -> None:

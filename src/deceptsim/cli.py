@@ -38,7 +38,7 @@ from .experiment import (
     run_sweep,
     scenario_params,
 )
-from .scenario import GeneratorParams, generate_scenario
+from .scenario import GeneratorParams, check_type, generate_scenario
 
 MANIFEST_PREFIX = "# deceptsim-manifest: "
 WORKERS_ENV_VAR = "DECEPTSIM_WORKERS"
@@ -306,6 +306,22 @@ def _validate_sweep(config: SweepConfig) -> None:
         raise ConfigError(str(exc)) from exc
 
 
+def _checked_run(cell: Cell, fixed: GeneratorParams, master_seed,
+                 repetition) -> tuple[Cell, GeneratorParams, int, int]:
+    """One episode's resolved settings, or a ConfigError naming the bad field."""
+    if cell.agent not in AGENT_KINDS:
+        raise ConfigError(
+            f"agent: unknown agent kind {cell.agent!r}; expected one of: {', '.join(AGENT_KINDS)}"
+        )
+    try:
+        check_type("master_seed", master_seed, "int")
+        check_type("repetition", repetition, "int")
+        scenario_params(fixed, cell).validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return cell, fixed, master_seed, repetition
+
+
 def resolve_sweep(entries: dict[str, str], args) -> tuple[SweepConfig, object]:
     lists, fixed_fields, scalars = _split_entries(entries)
     flag_lists = {
@@ -374,20 +390,12 @@ def resolve_single_episode(entries: dict[str, str], args) -> tuple[Cell, Generat
         agent = args.agent
     if agent is None:
         raise ConfigError("agent: required (use --agent or the agents config key)")
-    if agent not in AGENT_KINDS:
-        raise ConfigError(
-            f"agent: unknown agent kind {agent!r}; expected one of: {', '.join(AGENT_KINDS)}"
-        )
     cell = Cell(agent=agent, **cell_values)
     master_seed = scalars.get("master_seed", 0)
     if args.master_seed is not None:
         master_seed = args.master_seed
     repetition = args.repetition if args.repetition is not None else 0
-    try:
-        scenario_params(fixed, cell).validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cell, fixed, master_seed, repetition
+    return _checked_run(cell, fixed, master_seed, repetition)
 
 
 def resolve_workers(flag_value, config_value) -> int:
@@ -403,7 +411,7 @@ def resolve_workers(flag_value, config_value) -> int:
                 raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from exc
     if value is None:
         return 1
-    if not isinstance(value, int) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError(f"workers must be a positive integer, got {value!r}")
     return value
 
@@ -541,9 +549,10 @@ def _cell_from_run_config(config: dict) -> tuple[Cell, GeneratorParams, int, int
             agent=config["agent"],
         )
         fixed = GeneratorParams(**config["fixed"])
-        return cell, fixed, config["master_seed"], config["repetition"]
+        master_seed, repetition = config["master_seed"], config["repetition"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"manifest config is incomplete: {exc}") from exc
+    return _checked_run(cell, fixed, master_seed, repetition)
 
 
 def cmd_run(args) -> int:

@@ -7,6 +7,13 @@ terminal outcomes (win, honeypot loss, timeout).
 
 State transitions mutate the passed-in ``NetworkState``; ``step`` also
 returns it so call sites can chain functionally if they prefer.
+
+The terminal check runs only when its answer can have changed: after an
+action gains access, and once the step limit is reached. Replies are
+immutable ``Observation`` values and are shared: the failure replies and the
+access-gained replies are module constants, a host's scan replies are built
+once per scenario, and the subnet-scan reply is kept until the next address
+mutation.
 """
 
 from __future__ import annotations
@@ -86,13 +93,14 @@ class Action:
         return cls(ActionKind.WIRETAP, target)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """The engine's truthful reply to one action.
 
     ``connection_failed`` is set when the targeted address hosts an empty
     filler; it is the only signal from which an agent can infer that
-    addresses have mutated.
+    addresses have mutated. Replies are immutable because the engine hands
+    the same object to every step that earns the same answer.
     """
 
     success: bool
@@ -103,6 +111,22 @@ class Observation:
     vulns: frozenset[int] | None = None
     processes: frozenset[int] | None = None
     access_gained: AccessLevel | None = None
+
+
+_FAILURE = Observation(success=False)
+_CONNECTION_FAILED = Observation(success=False, connection_failed=True)
+_SUCCESS = Observation(success=True)
+_ACCESS_GAINED = {
+    level: Observation(success=True, access_gained=level)
+    for level in (AccessLevel.USER, AccessLevel.ROOT)
+}
+# The host configuration field each host scan reports.
+_SCAN_FIELDS = {
+    ActionKind.SERVICE_SCAN: "services",
+    ActionKind.OS_SCAN: "os",
+    ActionKind.VULN_SCAN: "vulns",
+    ActionKind.PROCESS_SCAN: "processes",
+}
 
 
 class OutcomeKind(str, Enum):
@@ -131,10 +155,14 @@ class NetworkState:
     cost_since_mutation: float = 0.0
     steps_taken: int = 0
     outcome: EpisodeOutcome | None = None
+    # The subnet-scan reply for the current address map; None until the
+    # first subnet scan after a mutation.
+    subnet_reply: Observation | None = field(default=None, repr=False, compare=False)
 
 
 def new_network_state(scenario: Scenario, rng: random.Random) -> NetworkState:
-    address_map = dict(scenario.initial_address_map)
+    # Keyed in host-id order, which mutate_addresses relies on.
+    address_map = dict(sorted(scenario.initial_address_map.items()))
     return NetworkState(
         scenario=scenario,
         address_map=address_map,
@@ -146,8 +174,13 @@ def new_network_state(scenario: Scenario, rng: random.Random) -> NetworkState:
 def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState]:
     """Execute one action: account cost, apply semantics, check terminals.
 
+    ``check_termination`` runs only when the action gained access or the
+    step limit is reached; no other step can end the episode, because the
+    outcome depends on nothing but access levels and the step count.
     The mutation clock is evaluated last and only on non-terminal states, so
     a win or loss on the mutation boundary is never masked by the mutation.
+    The returned observation is an immutable reply that may be shared with
+    other steps and episodes.
     """
     if state.outcome is not None:
         raise EpisodeTerminatedError(
@@ -164,16 +197,14 @@ def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState
 
     obs = _apply(state, action)
 
-    outcome = check_termination(state)
-    if outcome is not None:
-        state.outcome = outcome
+    params = state.scenario.params
+    if obs.access_gained is not None or state.steps_taken >= params.step_limit:
+        state.outcome = check_termination(state)
+        if state.outcome is not None:
+            return obs, state
 
-    movement_time = state.scenario.params.movement_time
-    if (
-        state.outcome is None
-        and movement_time is not None
-        and state.cost_since_mutation >= movement_time
-    ):
+    movement_time = params.movement_time
+    if movement_time is not None and state.cost_since_mutation >= movement_time:
         mutate_addresses(state, state.rng)
         state.cost_since_mutation = 0
     return obs, state
@@ -183,53 +214,55 @@ def _apply(state: NetworkState, action: Action) -> Observation:
     scenario = state.scenario
     kind = action.kind
     if kind is ActionKind.SUBNET_SCAN:
-        discovered = sorted(state.address_map[h] for h in scenario.non_empty_ids)
-        return Observation(success=True, discovered_addresses=tuple(discovered))
+        if state.subnet_reply is None:
+            discovered = sorted(state.address_map[h] for h in scenario.non_empty_ids)
+            state.subnet_reply = Observation(success=True, discovered_addresses=tuple(discovered))
+        return state.subnet_reply
 
     host_id = state.addr_to_host[action.target]
     host = scenario.hosts[host_id]
     if host.kind is HostKind.EMPTY:
-        return Observation(success=False, connection_failed=True)
+        return _CONNECTION_FAILED
 
-    if kind is ActionKind.SERVICE_SCAN:
-        return Observation(success=True, services=host.services)
-    if kind is ActionKind.OS_SCAN:
-        return Observation(success=True, os=host.os)
-    if kind is ActionKind.VULN_SCAN:
-        return Observation(success=True, vulns=host.vulns)
-    if kind is ActionKind.PROCESS_SCAN:
-        return Observation(success=True, processes=host.processes)
+    if kind in _SCAN_FIELDS:
+        replies = scenario.scan_replies
+        key = (host_id, kind)
+        reply = replies.get(key)
+        if reply is None:
+            name = _SCAN_FIELDS[kind]
+            reply = replies[key] = Observation(success=True, **{name: getattr(host, name)})
+        return reply
 
     if kind is ActionKind.EXPLOIT:
         if not 0 <= action.exploit_id < len(scenario.exploits):
             raise InvalidActionError(f"unknown exploit id {action.exploit_id}")
         exploit = scenario.exploits[action.exploit_id]
         if not exploit.matches(host.services, host.vulns, host.os):
-            return Observation(success=False)
+            return _FAILURE
         if state.rng.random() >= exploit.prob:
-            return Observation(success=False)
+            return _FAILURE
         gained = max(state.access.get(host_id, AccessLevel.NONE), exploit.grants)
         state.access[host_id] = gained
-        return Observation(success=True, access_gained=gained)
+        return _ACCESS_GAINED[gained]
 
     if kind is ActionKind.PRIVESC:
         if not 0 <= action.privesc_id < len(scenario.privescs):
             raise InvalidActionError(f"unknown privesc id {action.privesc_id}")
         privesc = scenario.privescs[action.privesc_id]
         if state.access.get(host_id, AccessLevel.NONE) < AccessLevel.USER:
-            return Observation(success=False)
+            return _FAILURE
         if privesc.required_process not in host.processes:
-            return Observation(success=False)
+            return _FAILURE
         if state.rng.random() >= privesc.prob:
-            return Observation(success=False)
+            return _FAILURE
         state.access[host_id] = AccessLevel.ROOT
-        return Observation(success=True, access_gained=AccessLevel.ROOT)
+        return _ACCESS_GAINED[AccessLevel.ROOT]
 
     if kind is ActionKind.WIRETAP:
         # Credentials are not modelled: wiretapping costs a step and succeeds
         # at root access, changing nothing else.
         has_root = state.access.get(host_id, AccessLevel.NONE) is AccessLevel.ROOT
-        return Observation(success=has_root)
+        return _SUCCESS if has_root else _FAILURE
 
     raise InvalidActionError(f"unknown action kind {kind!r}")
 
@@ -241,12 +274,36 @@ def mutate_addresses(state: NetworkState, rng: random.Random) -> NetworkState:
     subnet. Access levels and host configurations are untouched; only the
     hosts' addresses (and the attacker's stale knowledge of them) change.
     """
-    addresses = [state.address_map[host_id] for host_id in range(len(state.scenario.hosts))]
-    rng.shuffle(addresses)
-    for host_id, address in enumerate(addresses):
-        state.address_map[host_id] = address
-    state.addr_to_host = {address: host_id for host_id, address in state.address_map.items()}
+    addresses = list(state.address_map.values())
+    same_stream_shuffle(addresses, rng)
+    state.address_map = dict(enumerate(addresses))
+    state.addr_to_host = dict(zip(addresses, range(len(addresses))))
+    state.subnet_reply = None
     return state
+
+
+def same_stream_shuffle(items: list, rng: random.Random) -> None:
+    """Shuffle ``items`` in place, drawing from ``rng`` exactly what
+    ``rng.shuffle(items)`` draws, so it leaves the same list and the same
+    generator state.
+
+    This is CPython's ``random.shuffle`` (3.10 to 3.13) with its per-index
+    ``_randbelow`` call inlined: for ``i`` from ``len - 1`` down to 1, ``j``
+    is a ``getrandbits(k)`` rejection draw below ``i + 1``, where ``k`` is
+    the bit length of ``i + 1``. ``k`` is computed once per run of indices
+    that share it. The tests check the helper against ``random.Random.shuffle``.
+    """
+    getrandbits = rng.getrandbits
+    n = len(items)
+    while n > 1:
+        k = n.bit_length()
+        low = 1 << (k - 1)  # the smallest count with bit length k
+        for i in range(n - 1, low - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            items[i], items[j] = items[j], items[i]
+        n = low - 1
 
 
 def check_termination(state: NetworkState) -> EpisodeOutcome | None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .agents import AGENT_KINDS, make_agent
 from .engine import new_network_state, step as engine_step
-from .scenario import GeneratorParams, Scenario, generate_scenario
+from .scenario import GeneratorParams, Scenario, check_type, generate_scenario
 
 DEFAULT_NUM_HONEYPOTS = (0, 2, 4, 6, 9, 10)
 DEFAULT_MOVEMENT_TIMES = (None, 25, 50, 75, 100)
@@ -66,8 +66,19 @@ class SweepConfig:
     fixed: GeneratorParams = GeneratorParams()
 
     def validate(self) -> None:
+        check_type("repetitions", self.repetitions, "int")
+        check_type("master_seed", self.master_seed, "int")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be at least 1, got {self.repetitions}")
+        for name, item_type in (
+            ("num_honeypots", "int"),
+            ("movement_time", "int | None"),
+            ("num_hosts", "int"),
+            ("one_goal", "bool"),
+            ("seeds", "int"),
+        ):
+            for value in getattr(self, name):
+                check_type(name, value, item_type)
         for name in ("num_honeypots", "movement_time", "num_hosts", "one_goal", "seeds", "agents"):
             if not getattr(self, name):
                 raise ValueError(f"swept value list {name} must not be empty")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum, IntEnum
 from functools import cached_property
 
@@ -29,6 +29,28 @@ class ParameterError(ValueError):
 
 class CapacityError(ValueError):
     """Host counts exceed the target subnet's address capacity."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What each field annotation admits, and how errors describe it. Python
+# counts booleans as integers, so the numeric checks reject them explicitly.
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "int | None": (lambda value: value is None or _is_int(value), "an integer or none"),
+    "float": (lambda value: _is_int(value) or isinstance(value, float), "a number"),
+    "bool": (lambda value: isinstance(value, bool), "true or false"),
+}
+
+
+def check_type(name: str, value, annotation: str) -> None:
+    """Raise ParameterError unless ``value`` is of the type ``annotation``
+    (a key of _FIELD_TYPES) names."""
+    accepts, description = _FIELD_TYPES[annotation]
+    if not accepts(value):
+        raise ParameterError(f"{name}: expected {description}, got {value!r}")
 
 
 class AccessLevel(IntEnum):
@@ -83,6 +105,8 @@ class GeneratorParams:
         return self.num_addresses - 1
 
     def validate(self) -> None:
+        for spec in fields(self):
+            check_type(spec.name, getattr(self, spec.name), spec.type)
         counts = {
             "num_hosts": self.num_hosts,
             "num_honeypots": self.num_honeypots,
@@ -198,6 +222,13 @@ class Scenario:
     @cached_property
     def non_empty_ids(self) -> tuple[int, ...]:
         return tuple(h.id for h in self.hosts if h.kind is not HostKind.EMPTY)
+
+    @cached_property
+    def scan_replies(self) -> dict:
+        """The engine's immutable scan replies, keyed by (host id, scan
+        kind) and filled as hosts are scanned. A reply depends only on the
+        host, so every episode on this world shares them."""
+        return {}
 
 
 def generate_scenario(params: GeneratorParams) -> Scenario:

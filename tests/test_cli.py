@@ -205,6 +205,58 @@ def test_sweep_unknown_config_key_exits_1(tmp_path, capsys):
     assert "num_wormholes" in capsys.readouterr().err
 
 
+SMALL_SWEEP_CONFIG = (
+    "num_honeypots_options = 0\n"
+    "movement_time_options = none\n"
+    "num_hosts_options = 10\n"
+    "one_goal_options = false\n"
+    "seed_options = 1234\n"
+    "agents = standard\n"
+    "repetitions = 1\n"
+)
+
+
+@pytest.mark.parametrize("line, field", [
+    ("num_sensitive = 2.5", "num_sensitive"),
+    ("seed_options = abc", "seeds"),
+    ("step_limit = 1.5", "step_limit"),
+    ("movement_time_options = 2.5", "movement_time"),
+    ("num_hosts_options = true", "num_hosts"),
+    ("one_goal_options = 1", "one_goal"),
+    ("repetitions = true", "repetitions"),
+    ("master_seed = 1.5", "master_seed"),
+    ("workers = true", "workers"),
+    ("exploit_probs = true", "exploit_prob"),
+    ("uniform = 1", "uniform"),
+])
+def test_sweep_mistyped_config_value_exits_1(tmp_path, capsys, line, field):
+    # The small grid keeps a wrongly accepted value from running long; the
+    # bad line comes last, so it replaces any key of that grid.
+    config = tmp_path / "grid.cfg"
+    config.write_text(SMALL_SWEEP_CONFIG + line + "\n")
+    out = tmp_path / "r.csv"
+    assert run_cli("sweep", "--config", str(config), "--out", str(out)) == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("good, bad, field", [
+    ('"num_sensitive":3', '"num_sensitive":2.5', "num_sensitive"),
+    ('"agent":"standard"', '"agent":"bogus"', "agent"),
+    ('"master_seed":0', '"master_seed":"abc"', "master_seed"),
+    ('"repetition":0', '"repetition":true', "repetition"),
+])
+def test_run_from_manifest_with_bad_value_exits_1(tmp_path, capsys, good, bad, field):
+    trace = tmp_path / "trace.jsonl"
+    assert run_cli("run", "--agent", "standard", "--trace", str(trace)) == 0
+    manifest, rest = trace.read_text().split("\n", 1)
+    assert good in manifest
+    trace.write_text(manifest.replace(good, bad) + "\n" + rest)
+    capsys.readouterr()
+    assert run_cli("run", "--from-manifest", str(trace)) == 1
+    assert field in capsys.readouterr().err
+
+
 def test_sweep_oversized_network_exits_1(tmp_path, capsys):
     assert run_cli("sweep", "--out", str(tmp_path / "r.csv"),
                    "--hosts", "300", "--agents", "standard") == 1
