@@ -7,115 +7,16 @@ estimate attacker win probability.
 
 __version__ = "0.1.0"
 
-from .agents import (
-    AGENT_KINDS,
-    AggressiveAgent,
-    CarefulAgent,
-    HostBelief,
-    Knowledge,
-    ScriptedAgent,
-    StandardAgent,
-    make_agent,
-)
-from .engine import (
-    Action,
-    ActionKind,
-    EpisodeOutcome,
-    EpisodeTerminatedError,
-    InvalidActionError,
-    NetworkState,
-    Observation,
-    OutcomeKind,
-    check_termination,
-    episode_score,
-    mutate_addresses,
-    new_network_state,
-    step,
-)
-from .experiment import (
-    CELL_FIELDS,
-    DERIVED_FIELDS,
-    AggregateStats,
-    Cell,
-    EpisodeRecord,
-    SweepConfig,
-    SweepError,
-    aggregate,
-    derive_episode_seed,
-    run_episode,
-    run_sweep,
-    scenario_params,
-)
-from .scenario import (
-    ATTACKER_SUBNET,
-    TARGET_SUBNET,
-    AccessLevel,
-    Address,
-    CapacityError,
-    ExploitDef,
-    GeneratorParams,
-    HostKind,
-    HostSpec,
-    ParameterError,
-    PrivEscDef,
-    Scenario,
-    generate_scenario,
-    scenario_from_dict,
-    scenario_from_json,
-    scenario_to_dict,
-    scenario_to_json,
-)
+from .experiment import EpisodeRecord, SweepConfig, aggregate, run_episode, run_sweep
+from .scenario import GeneratorParams, generate_scenario
 
 __all__ = [
-    "AGENT_KINDS",
-    "ATTACKER_SUBNET",
-    "CELL_FIELDS",
-    "DERIVED_FIELDS",
-    "TARGET_SUBNET",
-    "AccessLevel",
-    "Action",
-    "ActionKind",
-    "Address",
-    "AggregateStats",
-    "AggressiveAgent",
-    "CapacityError",
-    "CarefulAgent",
-    "Cell",
-    "EpisodeOutcome",
     "EpisodeRecord",
-    "EpisodeTerminatedError",
-    "ExploitDef",
     "GeneratorParams",
-    "HostBelief",
-    "HostKind",
-    "HostSpec",
-    "InvalidActionError",
-    "Knowledge",
-    "NetworkState",
-    "Observation",
-    "OutcomeKind",
-    "ParameterError",
-    "PrivEscDef",
-    "Scenario",
-    "ScriptedAgent",
-    "StandardAgent",
     "SweepConfig",
-    "SweepError",
     "aggregate",
-    "check_termination",
-    "derive_episode_seed",
-    "episode_score",
     "generate_scenario",
-    "make_agent",
-    "mutate_addresses",
-    "new_network_state",
     "run_episode",
     "run_sweep",
-    "scenario_from_dict",
-    "scenario_from_json",
-    "scenario_params",
-    "scenario_to_dict",
-    "scenario_to_json",
-    "step",
     "__version__",
 ]

@@ -22,17 +22,10 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .engine import Action, ActionKind, Observation, same_stream_shuffle
+from .engine import SCAN_FIELDS, Action, ActionKind, Observation, same_stream_shuffle
 from .scenario import AccessLevel, Address, Scenario
 
 AGENT_KINDS = ("careful", "standard", "aggressive")
-
-_SCAN_REPLIES = (
-    ActionKind.SERVICE_SCAN,
-    ActionKind.OS_SCAN,
-    ActionKind.VULN_SCAN,
-    ActionKind.PROCESS_SCAN,
-)
 
 
 @dataclass
@@ -55,7 +48,10 @@ class Knowledge:
     failed: set[tuple[Address, ActionKind, int]] = field(default_factory=set)
 
     def belief(self, address: Address) -> HostBelief:
-        return self.beliefs.setdefault(address, HostBelief())
+        belief = self.beliefs.get(address)
+        if belief is None:
+            belief = self.beliefs[address] = HostBelief()
+        return belief
 
     def clear(self) -> None:
         self.addresses.clear()
@@ -64,7 +60,9 @@ class Knowledge:
 
 
 class ScriptedAgent:
-    """Shared toolkit access, belief bookkeeping, and attack selection."""
+    """Shared toolkit access, belief bookkeeping, mutation detection, and
+    attack selection. Subclasses supply ``next_action`` and the hooks that
+    ``observe`` calls."""
 
     kind = "scripted"
 
@@ -73,34 +71,54 @@ class ScriptedAgent:
         self.privescs = scenario.privescs
         self.rng = rng
         self.knowledge = Knowledge()
+        self.need_subnet = True
         self.resets = 0  # completed knowledge wipes after detected mutations
 
     def next_action(self) -> Action:
         raise NotImplementedError
 
     def observe(self, action: Action, obs: Observation) -> None:
+        """Fold one reply into the knowledge. A subnet scan listing a new
+        address set, a connection failure, or a host scan contradicting an
+        earlier one reveals a mutation and wipes the knowledge; any other
+        reply goes to ``_observe_attack``."""
+        kind = action.kind
+        knowledge = self.knowledge
+        if kind is ActionKind.SUBNET_SCAN:
+            discovered = list(obs.discovered_addresses)
+            if knowledge.addresses and set(discovered) != set(knowledge.addresses):
+                self._mtd_reset()
+            knowledge.addresses = discovered
+            self.need_subnet = False
+            self._after_subnet_scan()
+            return
+        if obs.connection_failed:
+            self._mtd_reset()
+            return
+        name = SCAN_FIELDS.get(kind)
+        if name is None:
+            self._observe_attack(action, obs)
+            return
+        belief = knowledge.belief(action.target)
+        believed, seen = getattr(belief, name), getattr(obs, name)
+        if believed is not None and believed != seen:
+            self._mtd_reset()
+        else:
+            setattr(belief, name, seen)
+
+    def _after_subnet_scan(self) -> None:
+        """Hook: the address list has just been (re)discovered."""
+
+    def _observe_attack(self, action: Action, obs: Observation) -> None:
+        """Hook: the reply to an exploit, privilege escalation or wiretap."""
         raise NotImplementedError
 
-    def _scan_mismatch(self, belief: HostBelief, kind: ActionKind, obs: Observation) -> bool:
-        if kind is ActionKind.SERVICE_SCAN:
-            return belief.services is not None and belief.services != obs.services
-        if kind is ActionKind.OS_SCAN:
-            return belief.os is not None and belief.os != obs.os
-        if kind is ActionKind.VULN_SCAN:
-            return belief.vulns is not None and belief.vulns != obs.vulns
-        if kind is ActionKind.PROCESS_SCAN:
-            return belief.processes is not None and belief.processes != obs.processes
-        return False
-
-    def _ingest_scan(self, belief: HostBelief, kind: ActionKind, obs: Observation) -> None:
-        if kind is ActionKind.SERVICE_SCAN:
-            belief.services = obs.services
-        elif kind is ActionKind.OS_SCAN:
-            belief.os = obs.os
-        elif kind is ActionKind.VULN_SCAN:
-            belief.vulns = obs.vulns
-        elif kind is ActionKind.PROCESS_SCAN:
-            belief.processes = obs.processes
+    def _mtd_reset(self) -> None:
+        """Forget everything learned at the old addresses; subclasses extend
+        it to drop their plans too."""
+        self.resets += 1
+        self.knowledge.clear()
+        self.need_subnet = True
 
     def _best_exploit(self, address: Address):
         """Untried exploit matching the believed configuration; root-granting
@@ -162,7 +180,6 @@ class CarefulAgent(ScriptedAgent):
 
     def __init__(self, scenario: Scenario, rng: random.Random):
         super().__init__(scenario, rng)
-        self.need_subnet = True
         self.scanning = True
         self.scan_queue: deque[tuple[ActionKind, Address]] = deque()
         self.pending: deque[Action] = deque()
@@ -207,35 +224,15 @@ class CarefulAgent(ScriptedAgent):
             return None
         return options[self.rng.randrange(len(options))]
 
-    def observe(self, action: Action, obs: Observation) -> None:
-        kind = action.kind
-        if kind is ActionKind.SUBNET_SCAN:
-            discovered = list(obs.discovered_addresses)
-            if self.knowledge.addresses and set(discovered) != set(self.knowledge.addresses):
-                self._mtd_reset()
-            self.knowledge.addresses = discovered
-            self.need_subnet = False
-            self.scanning = True
-            self.scan_queue = deque(
-                (scan_kind, address)
-                for address in discovered
-                for scan_kind in self.SCAN_KINDS
-            )
-            return
-        if obs.connection_failed:
-            self._mtd_reset()
-            self.need_subnet = True
-            self.scanning = True
-            return
-        if kind in _SCAN_REPLIES:
-            belief = self.knowledge.belief(action.target)
-            if self._scan_mismatch(belief, kind, obs):
-                self._mtd_reset()
-                self.need_subnet = True
-                self.scanning = True
-                return
-            self._ingest_scan(belief, kind, obs)
-            return
+    def _after_subnet_scan(self) -> None:
+        self.scanning = True
+        self.scan_queue = deque(
+            (scan_kind, address)
+            for address in self.knowledge.addresses
+            for scan_kind in self.SCAN_KINDS
+        )
+
+    def _observe_attack(self, action: Action, obs: Observation) -> None:
         gained = self._record_attack_reply(action, obs)
         if gained is AccessLevel.ROOT:
             self.pending.append(Action.wiretap(action.target))
@@ -244,8 +241,9 @@ class CarefulAgent(ScriptedAgent):
         # wiretap replies carry no knowledge
 
     def _mtd_reset(self) -> None:
-        self.resets += 1
-        self.knowledge.clear()
+        # With nothing known, next_action finds no attack and restarts the
+        # scan phase from a subnet scan.
+        super()._mtd_reset()
         self.scan_queue.clear()
         self.pending.clear()
 
@@ -265,7 +263,6 @@ class StandardAgent(ScriptedAgent):
 
     def __init__(self, scenario: Scenario, rng: random.Random):
         super().__init__(scenario, rng)
-        self.need_subnet = True
         self.focus: Address | None = None
         self.scan_queue: deque[ActionKind] = deque()
         self.pending: deque[Action] = deque()
@@ -308,28 +305,8 @@ class StandardAgent(ScriptedAgent):
             self.exhausted.add(self.focus)
             self.focus = None
 
-    def observe(self, action: Action, obs: Observation) -> None:
-        kind = action.kind
-        if kind is ActionKind.SUBNET_SCAN:
-            discovered = list(obs.discovered_addresses)
-            if self.knowledge.addresses and set(discovered) != set(self.knowledge.addresses):
-                self._mtd_reset()
-            self.knowledge.addresses = discovered
-            self.need_subnet = False
-            return
-        if obs.connection_failed:
-            self._mtd_reset()
-            self.need_subnet = True
-            return
-        if kind in _SCAN_REPLIES:
-            belief = self.knowledge.belief(action.target)
-            if self._scan_mismatch(belief, kind, obs):
-                self._mtd_reset()
-                self.need_subnet = True
-                return
-            self._ingest_scan(belief, kind, obs)
-            return
-        if kind is ActionKind.WIRETAP:
+    def _observe_attack(self, action: Action, obs: Observation) -> None:
+        if action.kind is ActionKind.WIRETAP:
             self.focus = None
             return
         gained = self._record_attack_reply(action, obs)
@@ -339,8 +316,7 @@ class StandardAgent(ScriptedAgent):
             self.focus = None  # success: move to a new host, come back later
 
     def _mtd_reset(self) -> None:
-        self.resets += 1
-        self.knowledge.clear()
+        super()._mtd_reset()
         self.exhausted.clear()
         self.scan_queue.clear()
         self.pending.clear()
@@ -357,7 +333,6 @@ class AggressiveAgent(ScriptedAgent):
 
     def __init__(self, scenario: Scenario, rng: random.Random):
         super().__init__(scenario, rng)
-        self.need_subnet = True
         self.catalog = [(ActionKind.EXPLOIT, e.id) for e in self.exploits]
         self.catalog += [(ActionKind.PRIVESC, p.id) for p in self.privescs]
         self.current: tuple[ActionKind, int] | None = None
@@ -400,25 +375,14 @@ class AggressiveAgent(ScriptedAgent):
         same_stream_shuffle(order, self.rng)
         self.sweep = deque(order)
 
-    def observe(self, action: Action, obs: Observation) -> None:
-        kind = action.kind
-        if kind is ActionKind.SUBNET_SCAN:
-            discovered = list(obs.discovered_addresses)
-            if self.knowledge.addresses and set(discovered) != set(self.knowledge.addresses):
-                self._mtd_reset()
-            self.knowledge.addresses = discovered
-            self.need_subnet = False
-            if self.current is not None:
-                self._new_sweep()
-            return
-        if obs.connection_failed:
-            self._mtd_reset()
-            self.need_subnet = True
-            return
-        if kind is ActionKind.WIRETAP:
+    def _after_subnet_scan(self) -> None:
+        if self.current is not None:
+            self._new_sweep()
+
+    def _observe_attack(self, action: Action, obs: Observation) -> None:
+        if action.kind is ActionKind.WIRETAP:
             self.pending_wiretap = None
-            return
-        if obs.success:
+        elif obs.success:
             self.pending_wiretap = action.target
             self.current = None
             self.sweep.clear()
@@ -427,8 +391,7 @@ class AggressiveAgent(ScriptedAgent):
 
     def _mtd_reset(self) -> None:
         # The chosen action survives; the sweep restarts over fresh addresses.
-        self.resets += 1
-        self.knowledge.clear()
+        super()._mtd_reset()
         self.sweep.clear()
         self.pending_wiretap = None
 

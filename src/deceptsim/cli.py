@@ -44,7 +44,7 @@ MANIFEST_PREFIX = "# deceptsim-manifest: "
 WORKERS_ENV_VAR = "DECEPTSIM_WORKERS"
 TIMESTAMP_ENV_VAR = "SOURCE_DATE_EPOCH"
 
-RECORD_COLUMNS = CELL_FIELDS + ("repetition", "outcome", "steps", "score", "episode_seed")
+RECORD_COLUMNS = tuple(spec.name for spec in dataclasses.fields(EpisodeRecord))
 STATS_COLUMNS = (
     "episodes",
     "win_probability",
@@ -70,26 +70,18 @@ LIST_KEYS = {
     "agents": "agents",
 }
 
-# Fixed-parameter config keys (table names) -> GeneratorParams field.
+# Fixed-parameter config keys (table names) -> GeneratorParams field: every
+# field that is not swept, under its own name except for four table names.
+_TABLE_NAMES = {
+    "exploit_prob": "exploit_probs",
+    "privesc_prob": "privesc_probs",
+    "num_addresses": "addresses",
+    "num_subnets": "subnets",
+}
 FIXED_KEYS = {
-    "num_sensitive": "num_sensitive",
-    "num_services": "num_services",
-    "num_os": "num_os",
-    "num_processes": "num_processes",
-    "num_exploits": "num_exploits",
-    "num_privescs": "num_privescs",
-    "num_vulns": "num_vulns",
-    "r_sensitive": "r_sensitive",
-    "r_honeypot": "r_honeypot",
-    "action_cost": "action_cost",
-    "exploit_probs": "exploit_prob",
-    "privesc_probs": "privesc_prob",
-    "uniform": "uniform",
-    "base_host_value": "base_host_value",
-    "host_discovery_value": "host_discovery_value",
-    "step_limit": "step_limit",
-    "addresses": "num_addresses",
-    "subnets": "num_subnets",
+    _TABLE_NAMES.get(spec.name, spec.name): spec.name
+    for spec in dataclasses.fields(GeneratorParams)
+    if spec.name not in CELL_FIELDS
 }
 
 SCALAR_KEYS = ("repetitions", "master_seed", "workers")
@@ -205,9 +197,16 @@ def manifest_line(manifest: dict) -> str:
 
 def _parse_manifest_json(line: str, path: str) -> dict:
     try:
-        return json.loads(line[len(MANIFEST_PREFIX):])
+        manifest = json.loads(line[len(MANIFEST_PREFIX):])
     except ValueError as exc:
         raise ConfigError(f"{path}: corrupted manifest line: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{path}: the manifest is not a JSON object")
+    return manifest
+
+
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
 def load_manifest(path: str, command: str) -> dict:
@@ -227,32 +226,30 @@ def load_manifest(path: str, command: str) -> dict:
         raise ConfigError(
             f"{path}: manifest was written by {manifest.get('command')!r}, expected {command!r}"
         )
+    # What a replay reads besides the config's own fields. Only run may
+    # have written no output.
+    outputs = manifest.get("outputs")
+    if not _is_names(outputs) or (command != "run" and not outputs):
+        raise ConfigError(f"{path}: the manifest's outputs must list the written paths")
+    if command == "aggregate":
+        if not isinstance(manifest.get("records"), str) or not _is_names(manifest.get("group_by")):
+            raise ConfigError(f"{path}: the manifest needs a records path and a group_by list")
+    elif not isinstance(manifest.get("config"), dict):
+        raise ConfigError(f"{path}: the manifest's config must be a JSON object")
     return manifest
 
 
 def sweep_config_to_dict(config: SweepConfig) -> dict:
-    return {
-        "num_honeypots_options": list(config.num_honeypots),
-        "movement_time_options": list(config.movement_time),
-        "num_hosts_options": list(config.num_hosts),
-        "one_goal_options": list(config.one_goal),
-        "seed_options": list(config.seeds),
-        "agents": list(config.agents),
-        "repetitions": config.repetitions,
-        "master_seed": config.master_seed,
-        "fixed": dataclasses.asdict(config.fixed),
-    }
+    data = {key: list(getattr(config, name)) for key, name in LIST_KEYS.items()}
+    data.update(repetitions=config.repetitions, master_seed=config.master_seed,
+                fixed=dataclasses.asdict(config.fixed))
+    return data
 
 
 def sweep_config_from_dict(data: dict) -> SweepConfig:
     try:
         return SweepConfig(
-            num_honeypots=tuple(data["num_honeypots_options"]),
-            movement_time=tuple(data["movement_time_options"]),
-            num_hosts=tuple(data["num_hosts_options"]),
-            one_goal=tuple(data["one_goal_options"]),
-            seeds=tuple(data["seed_options"]),
-            agents=tuple(data["agents"]),
+            **{name: tuple(data[key]) for key, name in LIST_KEYS.items()},
             repetitions=data["repetitions"],
             master_seed=data["master_seed"],
             fixed=GeneratorParams(**data["fixed"]),
@@ -288,13 +285,16 @@ def _split_entries(entries: dict[str, str]):
     return lists, fixed, scalars
 
 
-def _build_fixed(fixed_fields: dict[str, object], args) -> GeneratorParams:
-    if getattr(args, "step_limit", None) is not None:
+def _resolve_entries(entries: dict[str, str], args):
+    """What sweep and run resolve alike: the swept lists and the scalars as
+    given, the fixed parameters and the master seed with flags applied."""
+    lists, fixed_fields, scalars = _split_entries(entries)
+    if args.step_limit is not None:
         fixed_fields["step_limit"] = args.step_limit
-    try:
-        return GeneratorParams(**fixed_fields)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    master_seed = scalars.get("master_seed", 0)
+    if args.master_seed is not None:
+        master_seed = args.master_seed
+    return lists, GeneratorParams(**fixed_fields), scalars, master_seed
 
 
 def _validate_sweep(config: SweepConfig) -> None:
@@ -323,7 +323,7 @@ def _checked_run(cell: Cell, fixed: GeneratorParams, master_seed,
 
 
 def resolve_sweep(entries: dict[str, str], args) -> tuple[SweepConfig, object]:
-    lists, fixed_fields, scalars = _split_entries(entries)
+    lists, fixed, scalars, master_seed = _resolve_entries(entries, args)
     flag_lists = {
         "num_honeypots": args.honeypots,
         "movement_time": args.movement_times,
@@ -336,24 +336,15 @@ def resolve_sweep(entries: dict[str, str], args) -> tuple[SweepConfig, object]:
         if raw is not None:
             lists[field] = parse_list(raw)
     repetitions = scalars.get("repetitions", SweepConfig.repetitions)
-    master_seed = scalars.get("master_seed", SweepConfig.master_seed)
     if args.repetitions is not None:
         repetitions = args.repetitions
-    if args.master_seed is not None:
-        master_seed = args.master_seed
-    config = SweepConfig(
-        **lists,
-        repetitions=repetitions,
-        master_seed=master_seed,
-        fixed=_build_fixed(fixed_fields, args),
-    )
+    config = SweepConfig(**lists, repetitions=repetitions, master_seed=master_seed, fixed=fixed)
     _validate_sweep(config)
     return config, scalars.get("workers")
 
 
 def resolve_single_episode(entries: dict[str, str], args) -> tuple[Cell, GeneratorParams, int, int]:
-    lists, fixed_fields, scalars = _split_entries(entries)
-    fixed = _build_fixed(fixed_fields, args)
+    lists, fixed, _, master_seed = _resolve_entries(entries, args)
     cell_values = {
         "num_honeypots": fixed.num_honeypots,
         "movement_time": fixed.movement_time,
@@ -391,9 +382,6 @@ def resolve_single_episode(entries: dict[str, str], args) -> tuple[Cell, Generat
     if agent is None:
         raise ConfigError("agent: required (use --agent or the agents config key)")
     cell = Cell(agent=agent, **cell_values)
-    master_seed = scalars.get("master_seed", 0)
-    if args.master_seed is not None:
-        master_seed = args.master_seed
     repetition = args.repetition if args.repetition is not None else 0
     return _checked_run(cell, fixed, master_seed, repetition)
 
@@ -475,21 +463,20 @@ def trace_jsonl_text(manifest: dict, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _record_from_row(row: dict[str, str]) -> EpisodeRecord:
-    movement = row["movement_time"]
-    return EpisodeRecord(
-        num_honeypots=int(row["num_honeypots"]),
-        movement_time=None if movement == "none" else int(movement),
-        num_hosts=int(row["num_hosts"]),
-        one_goal=_parse_bool(row["one_goal"], "one_goal"),
-        seed=int(row["seed"]),
-        agent=row["agent"],
-        repetition=int(row["repetition"]),
-        outcome=row["outcome"],
-        steps=int(row["steps"]),
-        score=float(row["score"]),
-        episode_seed=int(row["episode_seed"]),
-    )
+# How read_records_csv parses each records column, the inverse of format_value.
+_COLUMN_PARSERS = {
+    "num_honeypots": int,
+    "movement_time": lambda token: None if token == "none" else int(token),
+    "num_hosts": int,
+    "one_goal": lambda token: _parse_bool(token, "one_goal"),
+    "seed": int,
+    "agent": str,
+    "repetition": int,
+    "outcome": str,
+    "steps": int,
+    "score": float,
+    "episode_seed": int,
+}
 
 
 def read_records_csv(path: str) -> tuple[list[EpisodeRecord], dict | None]:
@@ -505,16 +492,17 @@ def read_records_csv(path: str) -> tuple[list[EpisodeRecord], dict | None]:
             manifest = _parse_manifest_json(line, path)
         elif not line.startswith("#"):
             data.append(line)
-    reader = csv.DictReader(data)
-    header = reader.fieldnames or []
+    reader = csv.reader(data)
+    header = next(reader, [])
     missing = [column for column in RECORD_COLUMNS if column not in header]
     if missing:
         raise ConfigError(f"{path}: missing record columns: {', '.join(missing)}")
+    plan = [(header.index(column), _COLUMN_PARSERS[column]) for column in RECORD_COLUMNS]
     records = []
-    for index, row in enumerate(reader, start=1):
+    for index, row in enumerate(filter(None, reader), start=1):  # blank lines skipped
         try:
-            records.append(_record_from_row(row))
-        except (TypeError, ValueError) as exc:
+            records.append(EpisodeRecord(*[parse(row[i]) for i, parse in plan]))
+        except (IndexError, ValueError) as exc:
             raise ConfigError(f"{path}: bad record row {index}: {exc}") from exc
     return records, manifest
 
@@ -525,29 +513,13 @@ def read_records_csv(path: str) -> tuple[list[EpisodeRecord], dict | None]:
 
 def run_config_dict(cell: Cell, fixed: GeneratorParams, master_seed: int,
                     repetition: int) -> dict:
-    return {
-        "agent": cell.agent,
-        "num_honeypots": cell.num_honeypots,
-        "movement_time": cell.movement_time,
-        "num_hosts": cell.num_hosts,
-        "one_goal": cell.one_goal,
-        "seed": cell.seed,
-        "master_seed": master_seed,
-        "repetition": repetition,
-        "fixed": dataclasses.asdict(fixed),
-    }
+    return dict(dataclasses.asdict(cell), master_seed=master_seed, repetition=repetition,
+                fixed=dataclasses.asdict(fixed))
 
 
 def _cell_from_run_config(config: dict) -> tuple[Cell, GeneratorParams, int, int]:
     try:
-        cell = Cell(
-            num_honeypots=config["num_honeypots"],
-            movement_time=config["movement_time"],
-            num_hosts=config["num_hosts"],
-            one_goal=config["one_goal"],
-            seed=config["seed"],
-            agent=config["agent"],
-        )
+        cell = Cell(**{name: config[name] for name in CELL_FIELDS})
         fixed = GeneratorParams(**config["fixed"])
         master_seed, repetition = config["master_seed"], config["repetition"]
     except (KeyError, TypeError) as exc:
@@ -561,7 +533,7 @@ def cmd_run(args) -> int:
         cell, fixed, master_seed, repetition = _cell_from_run_config(manifest["config"])
         timestamp = manifest.get("timestamp")
         trace_path = args.trace
-        if trace_path is None and manifest.get("outputs"):
+        if trace_path is None and manifest["outputs"]:
             trace_path = manifest["outputs"][0]
     else:
         entries = read_config_file(args.config) if args.config else {}
@@ -622,15 +594,10 @@ def cmd_sweep(args) -> int:
 def cmd_aggregate(args) -> int:
     if args.from_manifest:
         manifest = load_manifest(args.from_manifest, "aggregate")
-        try:
-            records_path = manifest["records"]
-            group_by = tuple(manifest["group_by"])
-            out_path = manifest["outputs"][0]
-        except KeyError as exc:
-            raise ConfigError(f"manifest config is incomplete: {exc}") from exc
+        records_path = manifest["records"]
+        group_by = tuple(manifest["group_by"])
+        out_path = args.out if args.out is not None else manifest["outputs"][0]
         timestamp = manifest.get("timestamp")
-        if args.out is not None:
-            out_path = args.out
     else:
         records_path = args.records
         group_by = normalize_group_by(args.group_by)

@@ -1,6 +1,6 @@
 """Episode state machine.
 
-Executes attacker actions against a scenario: charges costs, answers scans
+Executes attacker actions against a scenario: counts steps, answers scans
 truthfully, applies exploits and privilege escalations, fires the periodic
 address mutation of the moving-target defense, and detects the three
 terminal outcomes (win, honeypot loss, timeout).
@@ -52,13 +52,12 @@ class ActionKind(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class Action:
-    """One attacker move. All actions cost one unit by default."""
+    """One attacker move; every move costs one step."""
 
     kind: ActionKind
     target: Address | None = None
     exploit_id: int | None = None
     privesc_id: int | None = None
-    cost: int = 1
 
     @classmethod
     def subnet_scan(cls) -> Action:
@@ -121,7 +120,7 @@ _ACCESS_GAINED = {
     for level in (AccessLevel.USER, AccessLevel.ROOT)
 }
 # The host configuration field each host scan reports.
-_SCAN_FIELDS = {
+SCAN_FIELDS = {
     ActionKind.SERVICE_SCAN: "services",
     ActionKind.OS_SCAN: "os",
     ActionKind.VULN_SCAN: "vulns",
@@ -151,9 +150,8 @@ class NetworkState:
     addr_to_host: dict[Address, int]
     rng: random.Random
     access: dict[int, AccessLevel] = field(default_factory=dict)
-    accumulated_cost: float = 0.0
-    cost_since_mutation: float = 0.0
     steps_taken: int = 0
+    steps_since_mutation: int = 0
     outcome: EpisodeOutcome | None = None
     # The subnet-scan reply for the current address map; None until the
     # first subnet scan after a mutation.
@@ -172,7 +170,7 @@ def new_network_state(scenario: Scenario, rng: random.Random) -> NetworkState:
 
 
 def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState]:
-    """Execute one action: account cost, apply semantics, check terminals.
+    """Execute one action: count the step, apply semantics, check terminals.
 
     ``check_termination`` runs only when the action gained access or the
     step limit is reached; no other step can end the episode, because the
@@ -192,8 +190,7 @@ def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState
             raise InvalidActionError(f"target address {action.target} is not in the target subnet")
 
     state.steps_taken += 1
-    state.accumulated_cost += action.cost
-    state.cost_since_mutation += action.cost
+    state.steps_since_mutation += 1
 
     obs = _apply(state, action)
 
@@ -204,9 +201,9 @@ def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState
             return obs, state
 
     movement_time = params.movement_time
-    if movement_time is not None and state.cost_since_mutation >= movement_time:
+    if movement_time is not None and state.steps_since_mutation >= movement_time:
         mutate_addresses(state, state.rng)
-        state.cost_since_mutation = 0
+        state.steps_since_mutation = 0
     return obs, state
 
 
@@ -224,12 +221,12 @@ def _apply(state: NetworkState, action: Action) -> Observation:
     if host.kind is HostKind.EMPTY:
         return _CONNECTION_FAILED
 
-    if kind in _SCAN_FIELDS:
+    if kind in SCAN_FIELDS:
         replies = scenario.scan_replies
         key = (host_id, kind)
         reply = replies.get(key)
         if reply is None:
-            name = _SCAN_FIELDS[kind]
+            name = SCAN_FIELDS[kind]
             reply = replies[key] = Observation(success=True, **{name: getattr(host, name)})
         return reply
 

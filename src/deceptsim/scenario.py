@@ -66,13 +66,21 @@ class HostKind(str, Enum):
     EMPTY = "empty"
 
 
+# GeneratorParams fields the model does not use: no host-discovery reward, a
+# cost of one step per action, uniform host configurations, and exactly an
+# attacker subnet plus one target subnet.
+NOT_MODELLED = ("host_discovery_value", "action_cost", "uniform", "num_subnets")
+
+
 @dataclass(frozen=True)
 class GeneratorParams:
     """Scenario generator knobs.
 
     The first five fields are the ones experiments vary (counts, mutation
     interval, objective, seed); the rest pin the world size and action
-    economics and normally stay at their defaults.
+    economics and normally stay at their defaults. The fields named in
+    ``NOT_MODELLED`` exist so that paper-table configs load, and accept only
+    their defaults.
     """
 
     num_hosts: int = 10
@@ -106,7 +114,13 @@ class GeneratorParams:
 
     def validate(self) -> None:
         for spec in fields(self):
-            check_type(spec.name, getattr(self, spec.name), spec.type)
+            value = getattr(self, spec.name)
+            check_type(spec.name, value, spec.type)
+            if spec.name in NOT_MODELLED and value != spec.default:
+                raise ParameterError(
+                    f"{spec.name}: not modelled, only the default {spec.default!r} "
+                    f"is accepted, got {value!r}"
+                )
         counts = {
             "num_hosts": self.num_hosts,
             "num_honeypots": self.num_honeypots,
@@ -122,10 +136,6 @@ class GeneratorParams:
                 raise ParameterError(f"{name} must be non-negative, got {value}")
         if self.num_os < 1:
             raise ParameterError(f"num_os must be at least 1, got {self.num_os}")
-        if self.num_subnets != 2:
-            raise ParameterError(
-                f"only two subnets are supported (attacker + target), got {self.num_subnets}"
-            )
         if self.movement_time is not None and self.movement_time <= 0:
             raise ParameterError(
                 f"movement_time must be positive when set, got {self.movement_time}"
@@ -133,8 +143,6 @@ class GeneratorParams:
         for name, prob in (("exploit_prob", self.exploit_prob), ("privesc_prob", self.privesc_prob)):
             if not 0.0 <= prob <= 1.0:
                 raise ParameterError(f"{name} must be in [0, 1], got {prob}")
-        if self.action_cost <= 0:
-            raise ParameterError(f"action_cost must be positive, got {self.action_cost}")
         if self.step_limit < 1:
             raise ParameterError(f"step_limit must be at least 1, got {self.step_limit}")
         if self.num_sensitive + self.num_honeypots > 0:
@@ -207,9 +215,6 @@ class Scenario:
     privescs: tuple[PrivEscDef, ...]
     subnets: tuple[int, ...]
     initial_address_map: dict[int, Address]
-
-    def host(self, host_id: int) -> HostSpec:
-        return self.hosts[host_id]
 
     @cached_property
     def sensitive_ids(self) -> tuple[int, ...]:

@@ -298,7 +298,7 @@ def check_invariant_episode(scenario, walk_rng, engine_rng) -> list:
         target_host = state.addr_to_host.get(action.target)
         obs, state = step(state, action)
         steps += 1
-        if state.steps_taken != steps or state.accumulated_cost != steps:
+        if state.steps_taken != steps:
             violations.append(f"accounting at step {steps}")
         addresses = list(state.address_map.values())
         if len(set(addresses)) != len(addresses) or set(addresses) != all_addresses:
@@ -307,8 +307,8 @@ def check_invariant_episode(scenario, walk_rng, engine_rng) -> list:
             if state.address_map != prev_map:
                 violations.append(f"mutated without movement_time at step {steps}")
         elif state.outcome is None:
-            expected = state.accumulated_cost % movement_time
-            if state.cost_since_mutation != expected:
+            expected = state.steps_taken % movement_time
+            if state.steps_since_mutation != expected:
                 violations.append(f"mutation counter off at step {steps}")
             if expected != 0 and state.address_map != prev_map:
                 violations.append(f"mutated off schedule at step {steps}")

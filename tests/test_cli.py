@@ -228,6 +228,11 @@ SMALL_SWEEP_CONFIG = (
     ("workers = true", "workers"),
     ("exploit_probs = true", "exploit_prob"),
     ("uniform = 1", "uniform"),
+    # Keys the model does not use take only their defaults.
+    ("action_cost = 5", "action_cost"),
+    ("uniform = false", "uniform"),
+    ("host_discovery_value = 2.0", "host_discovery_value"),
+    ("subnets = 3", "num_subnets"),
 ])
 def test_sweep_mistyped_config_value_exits_1(tmp_path, capsys, line, field):
     # The small grid keeps a wrongly accepted value from running long; the
@@ -255,6 +260,35 @@ def test_run_from_manifest_with_bad_value_exits_1(tmp_path, capsys, good, bad, f
     capsys.readouterr()
     assert run_cli("run", "--from-manifest", str(trace)) == 1
     assert field in capsys.readouterr().err
+
+
+def _without(key):
+    return lambda manifest: {k: v for k, v in manifest.items() if k != key}
+
+
+@pytest.mark.parametrize("command, edit", [
+    pytest.param("sweep", _without("outputs"), id="sweep-no-outputs"),
+    pytest.param("sweep", lambda manifest: dict(manifest, outputs=[]), id="sweep-empty-outputs"),
+    pytest.param("sweep", _without("config"), id="sweep-no-config"),
+    pytest.param("run", _without("config"), id="run-no-config"),
+    pytest.param("sweep", list, id="sweep-list-manifest"),
+    pytest.param("aggregate", list, id="records-list-manifest"),
+])
+def test_malformed_manifest_exits_1_naming_it(tmp_path, capsys, command, edit):
+    path = tmp_path / "output"
+    if command == "run":
+        assert run_cli("run", "--agent", "standard", "--trace", str(path)) == 0
+    else:
+        assert run_cli("sweep", "--out", str(path), *SMALL_SWEEP) == 0
+    line, rest = path.read_text().split("\n", 1)
+    manifest = edit(json.loads(line[len(cli.MANIFEST_PREFIX):]))
+    path.write_text(cli.MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
+    capsys.readouterr()
+    if command == "aggregate":
+        assert run_cli("aggregate", "--records", str(path)) == 1
+    else:
+        assert run_cli(command, "--from-manifest", str(path)) == 1
+    assert str(path) in capsys.readouterr().err
 
 
 def test_sweep_oversized_network_exits_1(tmp_path, capsys):

@@ -42,8 +42,7 @@ def test_step_and_cost_accounting():
     for n in range(1, 6):
         _, state = step(state, Action.service_scan(addr(1)))
         assert state.steps_taken == n
-        assert state.accumulated_cost == n
-        assert state.cost_since_mutation == n
+        assert state.steps_since_mutation == n
 
 
 def test_subnet_scan_lists_only_non_empty_hosts():
@@ -89,7 +88,7 @@ def test_invalid_target_rejected_before_accounting():
     with pytest.raises(InvalidActionError):
         step(state, Action.service_scan(addr(99)))  # outside address space
     assert state.steps_taken == 0
-    assert state.accumulated_cost == 0
+    assert state.steps_since_mutation == 0
 
 
 def test_unknown_exploit_and_privesc_ids_rejected():
@@ -255,7 +254,7 @@ def test_mutation_fires_at_exact_multiples():
         _, state = step(state, Action.subnet_scan())
         assert state.address_map == initial
     _, state = step(state, Action.subnet_scan())
-    assert state.cost_since_mutation == 0
+    assert state.steps_since_mutation == 0
     after_first = dict(state.address_map)
     assert after_first != initial  # 30 addresses: identity shuffle is absurdly unlikely
     for _ in range(4):

@@ -1,0 +1,120 @@
+"""Property tests: config resolution fails only with ConfigError, and the
+sweep and run manifests round-trip through JSON."""
+
+import json
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from deceptsim import cli  # noqa: E402
+from deceptsim.agents import AGENT_KINDS  # noqa: E402
+from deceptsim.experiment import Cell, SweepConfig  # noqa: E402
+from deceptsim.scenario import GeneratorParams  # noqa: E402
+
+KEYS = sorted({*cli.LIST_KEYS, *cli.FIXED_KEYS, *cli.SCALAR_KEYS, "num_creds"})
+TOKENS = st.one_of(
+    st.sampled_from(("none", "true", "false", "0", "1", "2", "-1", "25", "0.5", "",
+                     "nan", "inf", "1e400", "9" * 5000, *AGENT_KINDS)),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+ENTRIES = st.dictionaries(
+    st.one_of(st.sampled_from(KEYS), st.text(max_size=8)),
+    st.lists(TOKENS, min_size=1, max_size=3).map(",".join),
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=ENTRIES)
+def test_resolve_sweep_raises_only_config_errors(entries):
+    try:
+        cli.resolve_sweep(entries, cli.build_parser().parse_args(["sweep"]))
+    except cli.ConfigError:
+        pass
+
+
+@pytest.mark.parametrize("flags", [(), ("--agent", "standard")])
+@settings(max_examples=150, deadline=None)
+@given(entries=ENTRIES)
+def test_resolve_single_episode_raises_only_config_errors(flags, entries):
+    try:
+        cli.resolve_single_episode(entries, cli.build_parser().parse_args(["run", *flags]))
+    except cli.ConfigError:
+        pass
+
+
+INTS = st.integers(min_value=-(2**70), max_value=2**70)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PROBABILITIES = st.floats(min_value=0.0, max_value=1.0)
+# Parameters that pass validation, the not-modelled ones left at their
+# defaults: a manifest only ever holds those.
+PARAMS = st.builds(
+    GeneratorParams,
+    num_hosts=st.integers(0, 60),
+    num_honeypots=st.integers(0, 10),
+    movement_time=st.none() | st.integers(1, 10**6),
+    one_goal=st.booleans(),
+    seed=INTS,
+    num_sensitive=st.integers(0, 10),
+    num_services=st.integers(1, 20),
+    num_os=st.integers(1, 4),
+    num_processes=st.integers(1, 20),
+    num_exploits=st.integers(1, 20),
+    num_privescs=st.integers(0, 20),
+    num_vulns=st.integers(1, 20),
+    r_sensitive=FINITE | INTS,
+    r_honeypot=FINITE | INTS,
+    base_host_value=FINITE | INTS,
+    exploit_prob=PROBABILITIES,
+    privesc_prob=PROBABILITIES,
+    step_limit=st.integers(1, 10**9),
+    num_addresses=st.integers(256, 4096),
+)
+CELLS = st.builds(
+    Cell,
+    num_honeypots=st.integers(0, 10),
+    movement_time=st.none() | st.integers(1, 10**6),
+    num_hosts=st.integers(0, 60),
+    one_goal=st.booleans(),
+    seed=INTS,
+    agent=st.sampled_from(AGENT_KINDS),
+)
+
+
+def tuples(elements):
+    return st.lists(elements, max_size=4).map(tuple)
+
+
+SWEEPS = st.builds(
+    SweepConfig,
+    num_honeypots=tuples(st.integers(0, 10)),
+    movement_time=tuples(st.none() | st.integers(1, 10**6)),
+    num_hosts=tuples(st.integers(0, 60)),
+    one_goal=tuples(st.booleans()),
+    seeds=tuples(INTS),
+    agents=tuples(st.sampled_from(AGENT_KINDS)),
+    repetitions=st.integers(1, 10**6),
+    master_seed=INTS,
+    fixed=PARAMS,
+)
+
+
+def through_json(data):
+    return json.loads(json.dumps(data, sort_keys=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=SWEEPS)
+def test_sweep_manifest_config_round_trips(config):
+    assert cli.sweep_config_from_dict(through_json(cli.sweep_config_to_dict(config))) == config
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell=CELLS, fixed=PARAMS, master_seed=INTS, repetition=INTS)
+def test_run_manifest_config_round_trips(cell, fixed, master_seed, repetition):
+    data = through_json(cli.run_config_dict(cell, fixed, master_seed, repetition))
+    assert cli._cell_from_run_config(data) == (cell, fixed, master_seed, repetition)

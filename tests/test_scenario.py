@@ -152,6 +152,8 @@ def test_capacity_error():
         {"exploit_prob": 1.5},
         {"privesc_prob": -0.1},
         {"action_cost": 0},
+        {"uniform": False},
+        {"host_discovery_value": 2.0},
         {"step_limit": 0},
         {"num_exploits": 0},
         {"num_services": 0},
