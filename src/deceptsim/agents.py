@@ -189,7 +189,7 @@ class CarefulAgent(ScriptedAgent):
             return self.pending.popleft()
         if self.scanning:
             if self.need_subnet:
-                return Action.subnet_scan()
+                return Action(ActionKind.SUBNET_SCAN)
             if self.scan_queue:
                 kind, address = self.scan_queue.popleft()
                 return Action(kind, address)
@@ -201,7 +201,7 @@ class CarefulAgent(ScriptedAgent):
         # keep the attempt memory so failed pairs are not retried.
         self.scanning = True
         self.need_subnet = True
-        return Action.subnet_scan()
+        return Action(ActionKind.SUBNET_SCAN)
 
     def _pick_attack(self) -> Action | None:
         options = []
@@ -212,14 +212,14 @@ class CarefulAgent(ScriptedAgent):
             if belief.access is AccessLevel.NONE:
                 exploit = self._best_exploit(address)
                 if exploit is not None:
-                    options.append(Action.exploit(address, exploit.id))
+                    options.append(Action(ActionKind.EXPLOIT, address, exploit.id))
             elif belief.access is AccessLevel.USER:
                 if belief.processes is None:
-                    options.append(Action.process_scan(address))
+                    options.append(Action(ActionKind.PROCESS_SCAN, address))
                 else:
                     privesc = self._untried_privesc(address)
                     if privesc is not None:
-                        options.append(Action.privesc(address, privesc.id))
+                        options.append(Action(ActionKind.PRIVESC, address, privesc_id=privesc.id))
         if not options:
             return None
         return options[self.rng.randrange(len(options))]
@@ -235,9 +235,9 @@ class CarefulAgent(ScriptedAgent):
     def _observe_attack(self, action: Action, obs: Observation) -> None:
         gained = self._record_attack_reply(action, obs)
         if gained is AccessLevel.ROOT:
-            self.pending.append(Action.wiretap(action.target))
+            self.pending.append(Action(ActionKind.WIRETAP, action.target))
         elif gained is AccessLevel.USER:
-            self.pending.append(Action.process_scan(action.target))
+            self.pending.append(Action(ActionKind.PROCESS_SCAN, action.target))
         # wiretap replies carry no knowledge
 
     def _mtd_reset(self) -> None:
@@ -272,7 +272,7 @@ class StandardAgent(ScriptedAgent):
         if self.pending:
             return self.pending.popleft()
         if self.need_subnet:
-            return Action.subnet_scan()
+            return Action(ActionKind.SUBNET_SCAN)
         while True:
             if self.focus is None:
                 candidates = []
@@ -286,7 +286,7 @@ class StandardAgent(ScriptedAgent):
                 if not candidates:
                     # Everything exhausted or owned: re-discover, which also
                     # gives mutation a chance to be noticed.
-                    return Action.subnet_scan()
+                    return Action(ActionKind.SUBNET_SCAN)
                 self.focus = candidates[self.rng.randrange(len(candidates))]
                 self.scan_queue = deque(self.SCAN_KINDS)
             if self.scan_queue:
@@ -295,13 +295,13 @@ class StandardAgent(ScriptedAgent):
             if belief.access is AccessLevel.NONE:
                 exploit = self._best_exploit(self.focus)
                 if exploit is not None:
-                    return Action.exploit(self.focus, exploit.id)
+                    return Action(ActionKind.EXPLOIT, self.focus, exploit.id)
             elif belief.access is AccessLevel.USER:
                 privesc = self._untried_privesc(self.focus)
                 if privesc is not None:
-                    return Action.privesc(self.focus, privesc.id)
+                    return Action(ActionKind.PRIVESC, self.focus, privesc_id=privesc.id)
             else:
-                return Action.wiretap(self.focus)
+                return Action(ActionKind.WIRETAP, self.focus)
             self.exhausted.add(self.focus)
             self.focus = None
 
@@ -311,7 +311,7 @@ class StandardAgent(ScriptedAgent):
             return
         gained = self._record_attack_reply(action, obs)
         if gained is AccessLevel.ROOT:
-            self.pending.append(Action.wiretap(action.target))
+            self.pending.append(Action(ActionKind.WIRETAP, action.target))
         elif gained is AccessLevel.USER:
             self.focus = None  # success: move to a new host, come back later
 
@@ -341,16 +341,16 @@ class AggressiveAgent(ScriptedAgent):
 
     def next_action(self) -> Action:
         if self.need_subnet:
-            return Action.subnet_scan()
+            return Action(ActionKind.SUBNET_SCAN)
         if self.pending_wiretap is not None:
-            return Action.wiretap(self.pending_wiretap)
+            return Action(ActionKind.WIRETAP, self.pending_wiretap)
         while True:
             if self.current is None:
                 viable = [spec for spec in self.catalog if self._has_untried(spec)]
                 if not viable:
                     # Every pair tried and failed: re-discover and retry; only
                     # a mutation can make progress possible again.
-                    return Action.subnet_scan()
+                    return Action(ActionKind.SUBNET_SCAN)
                 self.current = viable[self.rng.randrange(len(viable))]
                 self._new_sweep()
             kind, ident = self.current
@@ -359,8 +359,8 @@ class AggressiveAgent(ScriptedAgent):
                 if (address, kind, ident) in self.knowledge.failed:
                     continue
                 if kind is ActionKind.EXPLOIT:
-                    return Action.exploit(address, ident)
-                return Action.privesc(address, ident)
+                    return Action(ActionKind.EXPLOIT, address, ident)
+                return Action(ActionKind.PRIVESC, address, privesc_id=ident)
             self.current = None
 
     def _has_untried(self, spec: tuple[ActionKind, int]) -> bool:

@@ -2,8 +2,10 @@
 
 Configuration files are flat ``key = value`` text using the experiment table
 field names, e.g. ``num_honeypots_options = 0,2,4,6,9,10``.  Flags override
-config-file keys.  A null movement time is spelled ``none`` in configs and
-emitted as the literal string ``none`` in outputs.
+config-file keys, and every token is parsed by the type of the field it
+fills.  ``run`` resolves as a one-cell sweep.  A null movement time is
+spelled ``none`` in configs and emitted as the literal string ``none`` in
+outputs.
 
 Every output starts with a manifest comment line recording the resolved
 configuration, tool version, timestamp, and output paths; ``--from-manifest``
@@ -29,6 +31,8 @@ from .engine import trace_record
 from .experiment import (
     CELL_FIELDS,
     DERIVED_FIELDS,
+    SWEPT_TYPES,
+    AggregateStats,
     Cell,
     EpisodeRecord,
     SweepConfig,
@@ -38,23 +42,15 @@ from .experiment import (
     run_sweep,
     scenario_params,
 )
-from .scenario import GeneratorParams, check_type, generate_scenario
+from .scenario import FIELD_TYPES, GeneratorParams, check_type, generate_scenario
 
 MANIFEST_PREFIX = "# deceptsim-manifest: "
 WORKERS_ENV_VAR = "DECEPTSIM_WORKERS"
 TIMESTAMP_ENV_VAR = "SOURCE_DATE_EPOCH"
 
 RECORD_COLUMNS = tuple(spec.name for spec in dataclasses.fields(EpisodeRecord))
-STATS_COLUMNS = (
-    "episodes",
-    "win_probability",
-    "loss_honeypot_fraction",
-    "timeout_fraction",
-    "steps_min",
-    "steps_q1",
-    "steps_median",
-    "steps_q3",
-    "steps_max",
+STATS_COLUMNS = tuple(
+    spec.name for spec in dataclasses.fields(AggregateStats) if spec.name != "group"
 )
 PROBABILITY_COLUMNS = frozenset(
     {"win_probability", "loss_honeypot_fraction", "timeout_fraction"}
@@ -83,8 +79,28 @@ FIXED_KEYS = {
     for spec in dataclasses.fields(GeneratorParams)
     if spec.name not in CELL_FIELDS
 }
+_FIXED_TYPES = {spec.name: spec.type for spec in dataclasses.fields(GeneratorParams)}
 
+# Scalar config keys, each an integer. Only sweep takes repetitions and workers.
 SCALAR_KEYS = ("repetitions", "master_seed", "workers")
+SWEEP_ONLY_KEYS = ("repetitions", "workers")
+
+# Flags that override a config key, by argparse dest. run's flags name one
+# value each and fill the same keys as sweep's lists.
+_FLAG_KEYS = {
+    "honeypots": "num_honeypots_options",
+    "movement_times": "movement_time_options",
+    "movement_time": "movement_time_options",
+    "hosts": "num_hosts_options",
+    "one_goal": "one_goal_options",
+    "seeds": "seed_options",
+    "seed": "seed_options",
+    "agents": "agents",
+    "agent": "agents",
+    "repetitions": "repetitions",
+    "master_seed": "master_seed",
+    "step_limit": "step_limit",
+}
 
 GROUP_BY_FIELDS = CELL_FIELDS + DERIVED_FIELDS
 GROUP_ALIASES = {name: name for name in GROUP_BY_FIELDS}
@@ -99,29 +115,34 @@ class ConfigError(Exception):
 # Value parsing and formatting
 
 
-def parse_scalar(token: str):
-    """Interpret one config token: none, true/false, int, float, or string."""
-    token = token.strip()
+def _parse_bool(token: str) -> bool:
     lowered = token.lower()
-    if lowered == "none":
-        return None
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
-    return token
+    if lowered not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {token!r}")
+    return lowered == "true"
 
 
-def parse_list(raw: str) -> tuple:
-    return tuple(parse_scalar(token) for token in raw.split(","))
+# How a config, flag or records token becomes a value of each field
+# annotation (the keys of scenario.FIELD_TYPES); the inverse of format_value.
+PARSERS = {
+    "int": int,
+    "int | None": lambda token: None if token.lower() == "none" else int(token),
+    "float": float,
+    "bool": _parse_bool,
+    "str": str,
+}
+
+
+def parse_value(name: str, token: str, annotation: str):
+    """One config, flag or environment token as a value of field ``name``'s
+    annotation."""
+    token = token.strip()
+    try:
+        return PARSERS[annotation](token)
+    except ValueError:
+        raise ConfigError(
+            f"{name}: expected {FIELD_TYPES[annotation][1]}, got {token!r}"
+        ) from None
 
 
 def format_value(value) -> str:
@@ -136,13 +157,6 @@ def format_value(value) -> str:
 
 def format_probability(value: float) -> str:
     return format(value, ".6g")
-
-
-def _parse_bool(token: str, field: str) -> bool:
-    value = parse_scalar(token)
-    if not isinstance(value, bool):
-        raise ValueError(f"{field}: expected true or false, got {token!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -262,39 +276,38 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
 # Configuration resolution
 
 
-def _split_entries(entries: dict[str, str]):
-    """Partition raw config entries into list, fixed, and scalar values."""
+def _split_entries(entries: dict[str, str], args):
+    """Lay the given flags over the raw config entries, then parse each token
+    by the annotation of the field it fills, into swept lists, fixed
+    parameters and scalars."""
+    flags = {
+        key: getattr(args, dest)
+        for dest, key in _FLAG_KEYS.items()
+        if getattr(args, dest, None) is not None
+    }
     lists: dict[str, tuple] = {}
     fixed: dict[str, object] = {}
-    scalars: dict[str, object] = {}
-    for key, raw in entries.items():
+    scalars: dict[str, int] = {}
+    for key, raw in {**entries, **flags}.items():
         if key == "num_creds":
             # Credentials are not modeled; the key is accepted for table
             # compatibility but only with the value none.
-            if parse_scalar(raw) is not None:
+            if raw.strip().lower() != "none":
                 raise ConfigError("num_creds: credentials are not modeled, only 'none' is accepted")
             continue
         if key in LIST_KEYS:
-            lists[LIST_KEYS[key]] = parse_list(raw)
+            name = LIST_KEYS[key]
+            lists[name] = tuple(
+                parse_value(name, token, SWEPT_TYPES[name]) for token in raw.split(",")
+            )
         elif key in FIXED_KEYS:
-            fixed[FIXED_KEYS[key]] = parse_scalar(raw)
+            name = FIXED_KEYS[key]
+            fixed[name] = parse_value(name, raw, _FIXED_TYPES[name])
         elif key in SCALAR_KEYS:
-            scalars[key] = parse_scalar(raw)
+            scalars[key] = parse_value(key, raw, "int")
         else:
             raise ConfigError(f"unknown config key {key!r}")
     return lists, fixed, scalars
-
-
-def _resolve_entries(entries: dict[str, str], args):
-    """What sweep and run resolve alike: the swept lists and the scalars as
-    given, the fixed parameters and the master seed with flags applied."""
-    lists, fixed_fields, scalars = _split_entries(entries)
-    if args.step_limit is not None:
-        fixed_fields["step_limit"] = args.step_limit
-    master_seed = scalars.get("master_seed", 0)
-    if args.master_seed is not None:
-        master_seed = args.master_seed
-    return lists, GeneratorParams(**fixed_fields), scalars, master_seed
 
 
 def _validate_sweep(config: SweepConfig) -> None:
@@ -306,100 +319,48 @@ def _validate_sweep(config: SweepConfig) -> None:
         raise ConfigError(str(exc)) from exc
 
 
-def _checked_run(cell: Cell, fixed: GeneratorParams, master_seed,
-                 repetition) -> tuple[Cell, GeneratorParams, int, int]:
-    """One episode's resolved settings, or a ConfigError naming the bad field."""
-    if cell.agent not in AGENT_KINDS:
-        raise ConfigError(
-            f"agent: unknown agent kind {cell.agent!r}; expected one of: {', '.join(AGENT_KINDS)}"
-        )
-    try:
-        check_type("master_seed", master_seed, "int")
-        check_type("repetition", repetition, "int")
-        scenario_params(fixed, cell).validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cell, fixed, master_seed, repetition
-
-
-def resolve_sweep(entries: dict[str, str], args) -> tuple[SweepConfig, object]:
-    lists, fixed, scalars, master_seed = _resolve_entries(entries, args)
-    flag_lists = {
-        "num_honeypots": args.honeypots,
-        "movement_time": args.movement_times,
-        "num_hosts": args.hosts,
-        "one_goal": args.one_goal,
-        "seeds": args.seeds,
-        "agents": args.agents,
-    }
-    for field, raw in flag_lists.items():
-        if raw is not None:
-            lists[field] = parse_list(raw)
-    repetitions = scalars.get("repetitions", SweepConfig.repetitions)
-    if args.repetitions is not None:
-        repetitions = args.repetitions
-    config = SweepConfig(**lists, repetitions=repetitions, master_seed=master_seed, fixed=fixed)
+def _validated_sweep(lists: dict, fixed: dict, scalars: dict) -> SweepConfig:
+    config = SweepConfig(
+        **lists,
+        fixed=GeneratorParams(**fixed),
+        **{key: scalars[key] for key in ("repetitions", "master_seed") if key in scalars},
+    )
     _validate_sweep(config)
-    return config, scalars.get("workers")
+    return config
+
+
+def resolve_sweep(entries: dict[str, str], args) -> tuple[SweepConfig, int | None]:
+    lists, fixed, scalars = _split_entries(entries, args)
+    return _validated_sweep(lists, fixed, scalars), scalars.get("workers")
 
 
 def resolve_single_episode(entries: dict[str, str], args) -> tuple[Cell, GeneratorParams, int, int]:
-    lists, fixed, _, master_seed = _resolve_entries(entries, args)
-    cell_values = {
-        "num_honeypots": fixed.num_honeypots,
-        "movement_time": fixed.movement_time,
-        "num_hosts": fixed.num_hosts,
-        "one_goal": fixed.one_goal,
-        "seed": fixed.seed,
-    }
-    agent = None
-    for field, values in lists.items():
-        if len(values) != 1:
-            raise ConfigError(f"{field}: run takes a single value, got {len(values)}")
-        if field == "agents":
-            agent = values[0]
-        else:
-            cell_values[field if field != "seeds" else "seed"] = values[0]
-    for field, flag in (
-        ("num_honeypots", args.honeypots),
-        ("num_hosts", args.hosts),
-        ("seed", args.seed),
-    ):
-        if flag is not None:
-            cell_values[field] = flag
-    if args.movement_time is not None:
-        value = parse_scalar(args.movement_time)
-        if value is not None and not isinstance(value, int):
-            raise ConfigError(f"movement_time: expected an integer or none, got {args.movement_time!r}")
-        cell_values["movement_time"] = value
-    if args.one_goal is not None:
-        try:
-            cell_values["one_goal"] = _parse_bool(args.one_goal, "one_goal")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if args.agent is not None:
-        agent = args.agent
-    if agent is None:
+    """A run is a one-cell sweep: every swept list holds one value, which
+    defaults to GeneratorParams' own, except the agent, which is required."""
+    lists, fixed, scalars = _split_entries(entries, args)
+    for key in SWEEP_ONLY_KEYS:
+        if key in scalars:
+            raise ConfigError(f"{key}: only sweep takes this key; run plays one episode")
+    if "agents" not in lists:
         raise ConfigError("agent: required (use --agent or the agents config key)")
-    cell = Cell(agent=agent, **cell_values)
+    defaults = GeneratorParams()
+    for name, cell_field in zip(SWEPT_TYPES, CELL_FIELDS):
+        if name not in lists:
+            lists[name] = (getattr(defaults, cell_field),)
+        elif len(lists[name]) != 1:
+            raise ConfigError(f"{name}: run takes a single value, got {len(lists[name])}")
+    config = _validated_sweep(lists, fixed, scalars)
     repetition = args.repetition if args.repetition is not None else 0
-    return _checked_run(cell, fixed, master_seed, repetition)
+    return config.cells()[0], config.fixed, config.master_seed, repetition
 
 
-def resolve_workers(flag_value, config_value) -> int:
-    value = flag_value
-    if value is None:
-        value = config_value
+def resolve_workers(flag_value: int | None, config_value: int | None) -> int:
+    """The flag, else the config key, else the environment variable, else 1."""
+    value = flag_value if flag_value is not None else config_value
     if value is None:
         env = os.environ.get(WORKERS_ENV_VAR)
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from exc
-    if value is None:
-        return 1
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        value = 1 if env is None else parse_value(WORKERS_ENV_VAR, env, "int")
+    if value < 1:
         raise ConfigError(f"workers must be a positive integer, got {value!r}")
     return value
 
@@ -463,22 +424,6 @@ def trace_jsonl_text(manifest: dict, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-# How read_records_csv parses each records column, the inverse of format_value.
-_COLUMN_PARSERS = {
-    "num_honeypots": int,
-    "movement_time": lambda token: None if token == "none" else int(token),
-    "num_hosts": int,
-    "one_goal": lambda token: _parse_bool(token, "one_goal"),
-    "seed": int,
-    "agent": str,
-    "repetition": int,
-    "outcome": str,
-    "steps": int,
-    "score": float,
-    "episode_seed": int,
-}
-
-
 def read_records_csv(path: str) -> tuple[list[EpisodeRecord], dict | None]:
     try:
         with open(path, encoding="utf-8", newline="") as handle:
@@ -497,7 +442,10 @@ def read_records_csv(path: str) -> tuple[list[EpisodeRecord], dict | None]:
     missing = [column for column in RECORD_COLUMNS if column not in header]
     if missing:
         raise ConfigError(f"{path}: missing record columns: {', '.join(missing)}")
-    plan = [(header.index(column), _COLUMN_PARSERS[column]) for column in RECORD_COLUMNS]
+    plan = [
+        (header.index(spec.name), PARSERS[spec.type])
+        for spec in dataclasses.fields(EpisodeRecord)
+    ]
     records = []
     for index, row in enumerate(filter(None, reader), start=1):  # blank lines skipped
         try:
@@ -518,13 +466,21 @@ def run_config_dict(cell: Cell, fixed: GeneratorParams, master_seed: int,
 
 
 def _cell_from_run_config(config: dict) -> tuple[Cell, GeneratorParams, int, int]:
+    """A run manifest's episode, validated as the one-cell sweep it is."""
     try:
-        cell = Cell(**{name: config[name] for name in CELL_FIELDS})
-        fixed = GeneratorParams(**config["fixed"])
-        master_seed, repetition = config["master_seed"], config["repetition"]
+        sweep = SweepConfig(
+            **{name: (config[cell_field],) for name, cell_field in zip(SWEPT_TYPES, CELL_FIELDS)},
+            master_seed=config["master_seed"],
+            fixed=GeneratorParams(**config["fixed"]),
+        )
+        repetition = config["repetition"]
+        check_type("repetition", repetition, "int")
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"manifest config is incomplete: {exc}") from exc
-    return _checked_run(cell, fixed, master_seed, repetition)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    _validate_sweep(sweep)
+    return sweep.cells()[0], sweep.fixed, sweep.master_seed, repetition
 
 
 def cmd_run(args) -> int:
@@ -650,14 +606,14 @@ def build_parser() -> argparse.ArgumentParser:
     run = subparsers.add_parser("run", help="run a single episode")
     run.add_argument("--config", help="key = value config file")
     run.add_argument("--agent", help=f"attacker script: {', '.join(AGENT_KINDS)}")
-    run.add_argument("--honeypots", type=int, help="number of honeypot hosts")
+    run.add_argument("--honeypots", help="number of honeypot hosts")
     run.add_argument("--movement-time", help="address mutation interval, or none")
-    run.add_argument("--hosts", type=int, help="number of normal hosts")
+    run.add_argument("--hosts", help="number of normal hosts")
     run.add_argument("--one-goal", help="true: one sensitive host wins; false: all must fall")
-    run.add_argument("--seed", type=int, help="scenario generation seed")
-    run.add_argument("--master-seed", type=int, help="episode seed derivation root")
+    run.add_argument("--seed", help="scenario generation seed")
+    run.add_argument("--master-seed", help="episode seed derivation root")
     run.add_argument("--repetition", type=int, help="repetition index for seed derivation")
-    run.add_argument("--step-limit", type=int, help="maximum actions before timeout")
+    run.add_argument("--step-limit", help="maximum actions before timeout")
     run.add_argument("--trace", metavar="PATH", help="write a per-step JSONL trace")
     run.add_argument("--from-manifest", metavar="PATH",
                      help="re-run the episode recorded in an output's manifest")
@@ -674,9 +630,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--one-goal", help="comma-separated objective values (true,false)")
     sweep.add_argument("--seeds", help="comma-separated scenario seeds")
     sweep.add_argument("--agents", help="comma-separated agent kinds")
-    sweep.add_argument("--repetitions", type=int, help="episodes per cell")
-    sweep.add_argument("--master-seed", type=int, help="episode seed derivation root")
-    sweep.add_argument("--step-limit", type=int, help="maximum actions before timeout")
+    sweep.add_argument("--repetitions", help="episodes per cell")
+    sweep.add_argument("--master-seed", help="episode seed derivation root")
+    sweep.add_argument("--step-limit", help="maximum actions before timeout")
     sweep.add_argument("--from-manifest", metavar="PATH",
                        help="re-run the sweep recorded in an output's manifest")
     sweep.set_defaults(func=cmd_sweep)

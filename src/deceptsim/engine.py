@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .scenario import (
     AccessLevel,
@@ -50,46 +51,13 @@ class ActionKind(str, Enum):
     WIRETAP = "wiretap"
 
 
-@dataclass(frozen=True, slots=True)
-class Action:
+class Action(NamedTuple):
     """One attacker move; every move costs one step."""
 
     kind: ActionKind
     target: Address | None = None
     exploit_id: int | None = None
     privesc_id: int | None = None
-
-    @classmethod
-    def subnet_scan(cls) -> Action:
-        return cls(ActionKind.SUBNET_SCAN)
-
-    @classmethod
-    def service_scan(cls, target: Address) -> Action:
-        return cls(ActionKind.SERVICE_SCAN, target)
-
-    @classmethod
-    def os_scan(cls, target: Address) -> Action:
-        return cls(ActionKind.OS_SCAN, target)
-
-    @classmethod
-    def vuln_scan(cls, target: Address) -> Action:
-        return cls(ActionKind.VULN_SCAN, target)
-
-    @classmethod
-    def process_scan(cls, target: Address) -> Action:
-        return cls(ActionKind.PROCESS_SCAN, target)
-
-    @classmethod
-    def exploit(cls, target: Address, exploit_id: int) -> Action:
-        return cls(ActionKind.EXPLOIT, target, exploit_id=exploit_id)
-
-    @classmethod
-    def privesc(cls, target: Address, privesc_id: int) -> Action:
-        return cls(ActionKind.PRIVESC, target, privesc_id=privesc_id)
-
-    @classmethod
-    def wiretap(cls, target: Address) -> Action:
-        return cls(ActionKind.WIRETAP, target)
 
 
 @dataclass(frozen=True, slots=True)

@@ -29,8 +29,6 @@ DEFAULT_ONE_GOAL = (False, True)
 DEFAULT_SEEDS = (1234, 42, 24121997)
 DEFAULT_REPETITIONS = 100
 
-CELL_FIELDS = ("num_honeypots", "movement_time", "num_hosts", "one_goal", "seed", "agent")
-
 # Derived grouping dimensions accepted by aggregate() besides CELL_FIELDS.
 DERIVED_FIELDS = ("honeypots_on", "mtd_on")
 
@@ -49,6 +47,9 @@ class Cell:
     one_goal: bool
     seed: int
     agent: str
+
+
+CELL_FIELDS = tuple(spec.name for spec in dataclasses.fields(Cell))
 
 
 @dataclass(frozen=True)
@@ -70,18 +71,12 @@ class SweepConfig:
         check_type("master_seed", self.master_seed, "int")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be at least 1, got {self.repetitions}")
-        for name, item_type in (
-            ("num_honeypots", "int"),
-            ("movement_time", "int | None"),
-            ("num_hosts", "int"),
-            ("one_goal", "bool"),
-            ("seeds", "int"),
-        ):
-            for value in getattr(self, name):
-                check_type(name, value, item_type)
-        for name in ("num_honeypots", "movement_time", "num_hosts", "one_goal", "seeds", "agents"):
-            if not getattr(self, name):
+        for name, item_type in SWEPT_TYPES.items():
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"swept value list {name} must not be empty")
+            for value in values:
+                check_type(name, value, item_type)
         for agent in self.agents:
             if agent not in AGENT_KINDS:
                 raise ValueError(
@@ -91,15 +86,16 @@ class SweepConfig:
     def cells(self) -> list[Cell]:
         return [
             Cell(*combo)
-            for combo in itertools.product(
-                self.num_honeypots,
-                self.movement_time,
-                self.num_hosts,
-                self.one_goal,
-                self.seeds,
-                self.agents,
-            )
+            for combo in itertools.product(*(getattr(self, name) for name in SWEPT_TYPES))
         ]
+
+
+# SweepConfig's swept lists, in Cell field order, each with its item type:
+# the annotation of the Cell field that its values fill.
+SWEPT_TYPES = {
+    spec.name: cell_spec.type
+    for spec, cell_spec in zip(dataclasses.fields(SweepConfig), dataclasses.fields(Cell))
+}
 
 
 @dataclass(frozen=True)

@@ -37,18 +37,19 @@ def _is_int(value) -> bool:
 
 # What each field annotation admits, and how errors describe it. Python
 # counts booleans as integers, so the numeric checks reject them explicitly.
-_FIELD_TYPES = {
+FIELD_TYPES = {
     "int": (_is_int, "an integer"),
     "int | None": (lambda value: value is None or _is_int(value), "an integer or none"),
     "float": (lambda value: _is_int(value) or isinstance(value, float), "a number"),
     "bool": (lambda value: isinstance(value, bool), "true or false"),
+    "str": (lambda value: isinstance(value, str), "a string"),
 }
 
 
 def check_type(name: str, value, annotation: str) -> None:
     """Raise ParameterError unless ``value`` is of the type ``annotation``
-    (a key of _FIELD_TYPES) names."""
-    accepts, description = _FIELD_TYPES[annotation]
+    (a key of FIELD_TYPES) names."""
+    accepts, description = FIELD_TYPES[annotation]
     if not accepts(value):
         raise ParameterError(f"{name}: expected {description}, got {value!r}")
 
@@ -254,7 +255,7 @@ def generate_scenario(params: GeneratorParams) -> Scenario:
             id=i,
             required_service=i % params.num_services,
             required_vuln=i % params.num_vulns,
-            required_os=0,
+            required_os=i % params.num_os,
             grants=rng.choice((AccessLevel.USER, AccessLevel.ROOT)),
             prob=params.exploit_prob,
         )
@@ -384,47 +385,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def scenario_from_dict(data: dict) -> Scenario:
-    return Scenario(
-        params=GeneratorParams(**data["params"]),
-        hosts=tuple(
-            HostSpec(
-                id=h["id"],
-                kind=HostKind(h["kind"]),
-                services=frozenset(h["services"]),
-                os=h["os"],
-                processes=frozenset(h["processes"]),
-                vulns=frozenset(h["vulns"]),
-                value=h["value"],
-            )
-            for h in data["hosts"]
-        ),
-        exploits=tuple(
-            ExploitDef(
-                id=e["id"],
-                required_service=e["required_service"],
-                required_vuln=e["required_vuln"],
-                required_os=e["required_os"],
-                grants=AccessLevel[e["grants"].upper()],
-                prob=e["prob"],
-            )
-            for e in data["exploits"]
-        ),
-        privescs=tuple(
-            PrivEscDef(id=p["id"], required_process=p["required_process"], prob=p["prob"])
-            for p in data["privescs"]
-        ),
-        subnets=tuple(data["subnets"]),
-        initial_address_map={
-            host_id: (subnet, index) for host_id, subnet, index in data["address_map"]
-        },
-    )
-
-
 def scenario_to_json(scenario: Scenario) -> str:
-    """Canonical single-line JSON (sorted keys) for golden files and replay."""
+    """Canonical single-line JSON (sorted keys) for golden files."""
     return json.dumps(scenario_to_dict(scenario), sort_keys=True, separators=(",", ":"))
-
-
-def scenario_from_json(text: str) -> Scenario:
-    return scenario_from_dict(json.loads(text))

@@ -276,11 +276,12 @@ def random_walk_action(rng: random.Random, scenario) -> Action:
     target = (TARGET_SUBNET, rng.randrange(capacity))
     kind = rng.choice(tuple(ActionKind))
     if kind is ActionKind.SUBNET_SCAN:
-        return Action.subnet_scan()
+        return Action(ActionKind.SUBNET_SCAN)
     if kind is ActionKind.EXPLOIT:
-        return Action.exploit(target, rng.randrange(scenario.params.num_exploits))
+        return Action(ActionKind.EXPLOIT, target, rng.randrange(scenario.params.num_exploits))
     if kind is ActionKind.PRIVESC:
-        return Action.privesc(target, rng.randrange(scenario.params.num_privescs))
+        privesc_id = rng.randrange(scenario.params.num_privescs)
+        return Action(ActionKind.PRIVESC, target, privesc_id=privesc_id)
     return Action(kind, target)
 
 
@@ -327,7 +328,7 @@ def check_invariant_episode(scenario, walk_rng, engine_rng) -> list:
         prev_map = dict(state.address_map)
         prev_access = dict(state.access)
     try:
-        step(state, Action.subnet_scan())
+        step(state, Action(ActionKind.SUBNET_SCAN))
         violations.append("stepped past a terminal state")
     except EpisodeTerminatedError:
         pass

@@ -44,7 +44,7 @@ def test_make_agent_rejects_unknown_kind():
 @pytest.mark.parametrize("kind", AGENT_KINDS)
 def test_first_action_is_subnet_scan(kind):
     agent = new_agent(kind, build_world(num_sensitive=1))
-    assert agent.next_action() == Action.subnet_scan()
+    assert agent.next_action() == Action(ActionKind.SUBNET_SCAN)
 
 
 def test_careful_completes_all_scans_before_attacking():
@@ -53,7 +53,7 @@ def test_careful_completes_all_scans_before_attacking():
     kinds = kinds_of(trace)
     first_attack = kinds.index(ActionKind.EXPLOIT)
     prefix = trace[:first_attack]
-    assert prefix[0][0] == Action.subnet_scan()
+    assert prefix[0][0] == Action(ActionKind.SUBNET_SCAN)
     scanned = {(action.kind, action.target) for action, _ in prefix[1:]}
     expected = {
         (kind, addr(i))
@@ -112,7 +112,7 @@ def test_standard_scans_one_host_vertically_then_attacks_it():
     scenario = build_world(num_sensitive=1, num_normal=2, one_goal=True)
     _, trace = collect_trace(scenario, "standard", episode_seed=1)
     actions = [a for a, _ in trace]
-    assert actions[0] == Action.subnet_scan()
+    assert actions[0] == Action(ActionKind.SUBNET_SCAN)
     focus = actions[1].target
     assert [a.kind for a in actions[1:5]] == [
         ActionKind.SERVICE_SCAN,
@@ -222,13 +222,16 @@ def test_connection_failure_forces_subnet_rescan(kind):
     scenario = build_world(num_sensitive=1, num_normal=1)
     agent = new_agent(kind, scenario)
     agent.observe(
-        Action.subnet_scan(),
+        Action(ActionKind.SUBNET_SCAN),
         Observation(success=True, discovered_addresses=(addr(0), addr(1))),
     )
-    probe = Action.exploit(addr(1), 0) if kind == "aggressive" else Action.service_scan(addr(1))
+    if kind == "aggressive":
+        probe = Action(ActionKind.EXPLOIT, addr(1), 0)
+    else:
+        probe = Action(ActionKind.SERVICE_SCAN, addr(1))
     agent.observe(probe, Observation(success=False, connection_failed=True))
     assert agent.resets == 1
-    assert agent.next_action() == Action.subnet_scan()
+    assert agent.next_action() == Action(ActionKind.SUBNET_SCAN)
 
 
 @pytest.mark.parametrize("kind", AGENT_KINDS)
@@ -236,11 +239,11 @@ def test_changed_subnet_reply_resets_knowledge(kind):
     scenario = build_world(num_sensitive=1, num_normal=1)
     agent = new_agent(kind, scenario)
     agent.observe(
-        Action.subnet_scan(),
+        Action(ActionKind.SUBNET_SCAN),
         Observation(success=True, discovered_addresses=(addr(0), addr(1))),
     )
     agent.observe(
-        Action.subnet_scan(),
+        Action(ActionKind.SUBNET_SCAN),
         Observation(success=True, discovered_addresses=(addr(0), addr(5))),
     )
     assert agent.resets == 1
@@ -252,19 +255,19 @@ def test_contradicting_scan_resets_knowledge(kind):
     scenario = build_world(num_sensitive=1, num_normal=1)
     agent = new_agent(kind, scenario)
     agent.observe(
-        Action.subnet_scan(),
+        Action(ActionKind.SUBNET_SCAN),
         Observation(success=True, discovered_addresses=(addr(0), addr(1))),
     )
     agent.observe(
-        Action.service_scan(addr(0)),
+        Action(ActionKind.SERVICE_SCAN, addr(0)),
         Observation(success=True, services=frozenset({0})),
     )
     agent.observe(
-        Action.service_scan(addr(0)),
+        Action(ActionKind.SERVICE_SCAN, addr(0)),
         Observation(success=True, services=frozenset({3})),
     )
     assert agent.resets == 1
-    assert agent.next_action() == Action.subnet_scan()
+    assert agent.next_action() == Action(ActionKind.SUBNET_SCAN)
 
 
 @pytest.mark.parametrize("kind", AGENT_KINDS)

@@ -245,6 +245,42 @@ def test_sweep_mistyped_config_value_exits_1(tmp_path, capsys, line, field):
     assert not out.exists()
 
 
+def test_float_field_spelled_as_integer_writes_the_same_file(tmp_path, capsys):
+    # Tokens are parsed by their field's type, so 1000 is the float 1000.0.
+    outputs = []
+    for spelling in ("1000", "1000.0"):
+        config = tmp_path / f"grid_{spelling}.cfg"
+        config.write_text(SMALL_SWEEP_CONFIG + f"r_sensitive = {spelling}\n")
+        out = tmp_path / "records.csv"
+        assert run_cli("sweep", "--config", str(config), "--out", str(out)) == 0
+        outputs.append(read_bytes(out))
+    assert outputs[0] == outputs[1]
+    assert b'"r_sensitive":1000.0' in outputs[0]
+
+
+@pytest.mark.parametrize("line, key", [
+    ("repetitions = 7", "repetitions"),
+    ("workers = 3", "workers"),
+])
+def test_run_rejects_sweep_only_config_keys(tmp_path, capsys, line, key):
+    config = tmp_path / "episode.cfg"
+    config.write_text("agents = standard\n" + line + "\n")
+    assert run_cli("run", "--config", str(config)) == 1
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("--agent", "standard", "--honeypots", "0,2"), "num_honeypots"),
+    (("--agent", "standard,careful"), "agents"),
+    (("--agent", "standard", "--hosts", "ten"), "num_hosts"),
+    (("--agent", "standard", "--one-goal", "yes"), "one_goal"),
+    (("--agent", "standard", "--step-limit", "1.5"), "step_limit"),
+])
+def test_run_flag_takes_one_value_of_its_fields_type(capsys, argv, field):
+    assert run_cli("run", *argv) == 1
+    assert field in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("good, bad, field", [
     ('"num_sensitive":3', '"num_sensitive":2.5', "num_sensitive"),
     ('"agent":"standard"', '"agent":"bogus"', "agent"),
@@ -392,6 +428,16 @@ def test_aggregate_probabilities_use_six_significant_digits(tmp_path, capsys):
     row = read_data_rows(out)[0]
     assert row["win_probability"] == "0.333333"
     assert row["timeout_fraction"] == "0.666667"
+
+
+def test_aggregate_header_is_the_published_one(tmp_path, capsys):
+    records_path = sweep_two_agents(tmp_path)
+    capsys.readouterr()
+    assert run_cli("aggregate", "--records", str(records_path), "--group-by", "agent") == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "agent,episodes,win_probability,loss_honeypot_fraction,timeout_fraction,"
+        "steps_min,steps_q1,steps_median,steps_q3,steps_max"
+    )
 
 
 def test_aggregate_from_manifest_is_byte_identical(tmp_path, capsys):

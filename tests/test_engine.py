@@ -7,6 +7,7 @@ from helpers import build_world
 
 from deceptsim.engine import (
     Action,
+    ActionKind,
     EpisodeOutcome,
     EpisodeTerminatedError,
     InvalidActionError,
@@ -40,14 +41,14 @@ def addr(i):
 def test_step_and_cost_accounting():
     state = fresh(build_world(num_sensitive=1, num_normal=2))
     for n in range(1, 6):
-        _, state = step(state, Action.service_scan(addr(1)))
+        _, state = step(state, Action(ActionKind.SERVICE_SCAN, addr(1)))
         assert state.steps_taken == n
         assert state.steps_since_mutation == n
 
 
 def test_subnet_scan_lists_only_non_empty_hosts():
     scenario = build_world(num_sensitive=1, num_normal=2, num_honeypots=1, num_empty=3)
-    obs, _ = step(fresh(scenario), Action.subnet_scan())
+    obs, _ = step(fresh(scenario), Action(ActionKind.SUBNET_SCAN))
     assert obs.success
     assert obs.discovered_addresses == (addr(0), addr(1), addr(2), addr(3))
 
@@ -56,13 +57,13 @@ def test_scans_report_true_configuration():
     scenario = build_world(num_sensitive=1)
     state = fresh(scenario)
     host = scenario.hosts[0]
-    obs, _ = step(state, Action.service_scan(addr(0)))
+    obs, _ = step(state, Action(ActionKind.SERVICE_SCAN, addr(0)))
     assert obs.services == host.services
-    obs, _ = step(state, Action.os_scan(addr(0)))
+    obs, _ = step(state, Action(ActionKind.OS_SCAN, addr(0)))
     assert obs.os == host.os
-    obs, _ = step(state, Action.vuln_scan(addr(0)))
+    obs, _ = step(state, Action(ActionKind.VULN_SCAN, addr(0)))
     assert obs.vulns == host.vulns
-    obs, _ = step(state, Action.process_scan(addr(0)))
+    obs, _ = step(state, Action(ActionKind.PROCESS_SCAN, addr(0)))
     assert obs.processes == host.processes
 
 
@@ -70,9 +71,9 @@ def test_empty_host_yields_connection_failed():
     scenario = build_world(num_sensitive=1, num_empty=1)
     state = fresh(scenario)
     for action in (
-        Action.service_scan(addr(1)),
-        Action.exploit(addr(1), 0),
-        Action.wiretap(addr(1)),
+        Action(ActionKind.SERVICE_SCAN, addr(1)),
+        Action(ActionKind.EXPLOIT, addr(1), 0),
+        Action(ActionKind.WIRETAP, addr(1)),
     ):
         obs, state = step(state, action)
         assert obs.connection_failed
@@ -84,9 +85,9 @@ def test_empty_host_yields_connection_failed():
 def test_invalid_target_rejected_before_accounting():
     state = fresh(build_world(num_sensitive=1))
     with pytest.raises(InvalidActionError):
-        step(state, Action.service_scan((0, 0)))  # attacker subnet
+        step(state, Action(ActionKind.SERVICE_SCAN, (0, 0)))  # attacker subnet
     with pytest.raises(InvalidActionError):
-        step(state, Action.service_scan(addr(99)))  # outside address space
+        step(state, Action(ActionKind.SERVICE_SCAN, addr(99)))  # outside address space
     assert state.steps_taken == 0
     assert state.steps_since_mutation == 0
 
@@ -94,14 +95,14 @@ def test_invalid_target_rejected_before_accounting():
 def test_unknown_exploit_and_privesc_ids_rejected():
     state = fresh(build_world(num_sensitive=1))
     with pytest.raises(InvalidActionError):
-        step(state, Action.exploit(addr(0), 7))
+        step(state, Action(ActionKind.EXPLOIT, addr(0), 7))
     with pytest.raises(InvalidActionError):
-        step(state, Action.privesc(addr(0), -1))
+        step(state, Action(ActionKind.PRIVESC, addr(0), privesc_id=-1))
 
 
 def test_exploit_requires_matching_configuration():
     scenario = build_world(num_sensitive=1, exploits=(MISMATCHED_EXPLOIT,))
-    obs, state = step(fresh(scenario), Action.exploit(addr(0), 0))
+    obs, state = step(fresh(scenario), Action(ActionKind.EXPLOIT, addr(0), 0))
     assert not obs.success
     assert state.access == {}
 
@@ -112,11 +113,11 @@ def test_exploit_grants_access_and_never_downgrades():
         one_goal=False,
     )
     state = fresh(scenario)
-    obs, state = step(state, Action.exploit(addr(1), 0))
+    obs, state = step(state, Action(ActionKind.EXPLOIT, addr(1), 0))
     assert obs.access_gained is AccessLevel.USER
-    obs, state = step(state, Action.exploit(addr(1), 1))
+    obs, state = step(state, Action(ActionKind.EXPLOIT, addr(1), 1))
     assert obs.access_gained is AccessLevel.ROOT
-    obs, state = step(state, Action.exploit(addr(1), 0))  # user exploit again
+    obs, state = step(state, Action(ActionKind.EXPLOIT, addr(1), 0))  # user exploit again
     assert obs.success
     assert obs.access_gained is AccessLevel.ROOT
     assert state.access[1] is AccessLevel.ROOT
@@ -126,7 +127,7 @@ def test_exploit_probability_zero_never_succeeds():
     scenario = build_world(num_sensitive=1, exploits=((0, 0, 0, AccessLevel.ROOT, 0.0),))
     state = fresh(scenario)
     for _ in range(20):
-        obs, state = step(state, Action.exploit(addr(0), 0))
+        obs, state = step(state, Action(ActionKind.EXPLOIT, addr(0), 0))
         assert not obs.success
 
 
@@ -135,12 +136,12 @@ def test_privesc_needs_user_access_and_matching_process():
         num_sensitive=1, exploits=(USER_EXPLOIT,), privescs=((0, 1.0), (5, 1.0)),
     )
     state = fresh(scenario)
-    obs, state = step(state, Action.privesc(addr(0), 0))
+    obs, state = step(state, Action(ActionKind.PRIVESC, addr(0), privesc_id=0))
     assert not obs.success  # no access yet
-    _, state = step(state, Action.exploit(addr(0), 0))
-    obs, state = step(state, Action.privesc(addr(0), 1))
+    _, state = step(state, Action(ActionKind.EXPLOIT, addr(0), 0))
+    obs, state = step(state, Action(ActionKind.PRIVESC, addr(0), privesc_id=1))
     assert not obs.success  # process 5 not running
-    obs, state = step(state, Action.privesc(addr(0), 0))
+    obs, state = step(state, Action(ActionKind.PRIVESC, addr(0), privesc_id=0))
     assert obs.success
     assert state.access[0] is AccessLevel.ROOT
 
@@ -148,21 +149,21 @@ def test_privesc_needs_user_access_and_matching_process():
 def test_wiretap_succeeds_only_at_root():
     scenario = build_world(num_sensitive=1, num_normal=1, exploits=(USER_EXPLOIT, ROOT_EXPLOIT))
     state = fresh(scenario)
-    obs, state = step(state, Action.wiretap(addr(1)))
+    obs, state = step(state, Action(ActionKind.WIRETAP, addr(1)))
     assert not obs.success
-    _, state = step(state, Action.exploit(addr(1), 0))
-    obs, state = step(state, Action.wiretap(addr(1)))
+    _, state = step(state, Action(ActionKind.EXPLOIT, addr(1), 0))
+    obs, state = step(state, Action(ActionKind.WIRETAP, addr(1)))
     assert not obs.success
-    _, state = step(state, Action.exploit(addr(1), 1))
+    _, state = step(state, Action(ActionKind.EXPLOIT, addr(1), 1))
     before = dict(state.access)
-    obs, state = step(state, Action.wiretap(addr(1)))
+    obs, state = step(state, Action(ActionKind.WIRETAP, addr(1)))
     assert obs.success
     assert state.access == before
 
 
 def test_win_one_goal_on_first_sensitive_root():
     scenario = build_world(num_sensitive=3, one_goal=True)
-    _, state = step(fresh(scenario), Action.exploit(addr(1), 0))
+    _, state = step(fresh(scenario), Action(ActionKind.EXPLOIT, addr(1), 0))
     assert state.outcome is not None
     assert state.outcome.kind is OutcomeKind.WIN
     assert state.outcome.steps == 1
@@ -172,24 +173,24 @@ def test_win_one_goal_on_first_sensitive_root():
 def test_win_all_goals_requires_every_sensitive_host():
     scenario = build_world(num_sensitive=3, one_goal=False)
     state = fresh(scenario)
-    _, state = step(state, Action.exploit(addr(0), 0))
-    _, state = step(state, Action.exploit(addr(1), 0))
+    _, state = step(state, Action(ActionKind.EXPLOIT, addr(0), 0))
+    _, state = step(state, Action(ActionKind.EXPLOIT, addr(1), 0))
     assert state.outcome is None
-    _, state = step(state, Action.exploit(addr(2), 0))
+    _, state = step(state, Action(ActionKind.EXPLOIT, addr(2), 0))
     assert state.outcome.kind is OutcomeKind.WIN
     assert state.outcome.score == 3000.0
 
 
 def test_user_access_on_sensitive_host_does_not_win():
     scenario = build_world(num_sensitive=1, exploits=(USER_EXPLOIT,), one_goal=True)
-    _, state = step(fresh(scenario), Action.exploit(addr(0), 0))
+    _, state = step(fresh(scenario), Action(ActionKind.EXPLOIT, addr(0), 0))
     assert state.outcome is None
 
 
 @pytest.mark.parametrize("exploit", [USER_EXPLOIT, ROOT_EXPLOIT])
 def test_honeypot_loss_on_any_successful_exploit(exploit):
     scenario = build_world(num_sensitive=1, num_honeypots=1, exploits=(exploit,))
-    obs, state = step(fresh(scenario), Action.exploit(addr(1), 0))
+    obs, state = step(fresh(scenario), Action(ActionKind.EXPLOIT, addr(1), 0))
     assert obs.success
     assert state.outcome.kind is OutcomeKind.LOSS_HONEYPOT
     assert state.outcome.steps == 1
@@ -198,7 +199,7 @@ def test_honeypot_loss_on_any_successful_exploit(exploit):
 
 def test_honeypot_scan_is_not_a_loss():
     scenario = build_world(num_sensitive=1, num_honeypots=1)
-    _, state = step(fresh(scenario), Action.service_scan(addr(1)))
+    _, state = step(fresh(scenario), Action(ActionKind.SERVICE_SCAN, addr(1)))
     assert state.outcome is None
 
 
@@ -206,16 +207,16 @@ def test_timeout_at_exact_step_limit():
     scenario = build_world(num_sensitive=1, num_normal=1, step_limit=3)
     state = fresh(scenario)
     for _ in range(3):
-        _, state = step(state, Action.service_scan(addr(1)))
+        _, state = step(state, Action(ActionKind.SERVICE_SCAN, addr(1)))
     assert state.outcome.kind is OutcomeKind.TIMEOUT
     assert state.outcome.steps == 3
 
 
 def test_terminal_state_absorbs():
     scenario = build_world(num_sensitive=1, one_goal=True)
-    _, state = step(fresh(scenario), Action.exploit(addr(0), 0))
+    _, state = step(fresh(scenario), Action(ActionKind.EXPLOIT, addr(0), 0))
     with pytest.raises(EpisodeTerminatedError):
-        step(state, Action.subnet_scan())
+        step(state, Action(ActionKind.SUBNET_SCAN))
     assert state.steps_taken == 1
 
 
@@ -241,8 +242,8 @@ def test_check_termination_is_pure_and_none_when_fresh():
 def test_episode_score_counts_user_and_root_hosts():
     scenario = build_world(num_sensitive=1, num_normal=2, exploits=(USER_EXPLOIT,))
     state = fresh(scenario)
-    _, state = step(state, Action.exploit(addr(1), 0))
-    _, state = step(state, Action.exploit(addr(2), 0))
+    _, state = step(state, Action(ActionKind.EXPLOIT, addr(1), 0))
+    _, state = step(state, Action(ActionKind.EXPLOIT, addr(2), 0))
     assert episode_score(state) == 2.0
 
 
@@ -251,16 +252,16 @@ def test_mutation_fires_at_exact_multiples():
     state = fresh(scenario, seed=3)
     initial = dict(state.address_map)
     for _ in range(4):
-        _, state = step(state, Action.subnet_scan())
+        _, state = step(state, Action(ActionKind.SUBNET_SCAN))
         assert state.address_map == initial
-    _, state = step(state, Action.subnet_scan())
+    _, state = step(state, Action(ActionKind.SUBNET_SCAN))
     assert state.steps_since_mutation == 0
     after_first = dict(state.address_map)
     assert after_first != initial  # 30 addresses: identity shuffle is absurdly unlikely
     for _ in range(4):
-        _, state = step(state, Action.subnet_scan())
+        _, state = step(state, Action(ActionKind.SUBNET_SCAN))
         assert state.address_map == after_first
-    _, state = step(state, Action.subnet_scan())
+    _, state = step(state, Action(ActionKind.SUBNET_SCAN))
     assert state.address_map != after_first
 
 
@@ -269,7 +270,7 @@ def test_no_mutation_without_movement_time():
     state = fresh(scenario, seed=1)
     initial = dict(state.address_map)
     for _ in range(50):
-        _, state = step(state, Action.subnet_scan())
+        _, state = step(state, Action(ActionKind.SUBNET_SCAN))
     assert state.address_map == initial
 
 
@@ -279,11 +280,11 @@ def test_mutation_preserves_bijection_and_access():
         exploits=(USER_EXPLOIT,),
     )
     state = fresh(scenario, seed=9)
-    _, state = step(state, Action.exploit(addr(1), 0))
+    _, state = step(state, Action(ActionKind.EXPLOIT, addr(1), 0))
     accesses = dict(state.access)
     all_addresses = set(state.address_map.values())
     for _ in range(40):
-        _, state = step(state, Action.subnet_scan())
+        _, state = step(state, Action(ActionKind.SUBNET_SCAN))
         assert set(state.address_map.values()) == all_addresses
         assert len(state.address_map) == len(set(state.address_map.values()))
         assert state.access == accesses
@@ -294,7 +295,7 @@ def test_mutation_skipped_on_terminal_step():
     scenario = build_world(num_sensitive=1, num_empty=20, movement_time=1, one_goal=True)
     state = fresh(scenario, seed=2)
     initial = dict(state.address_map)
-    _, state = step(state, Action.exploit(addr(0), 0))
+    _, state = step(state, Action(ActionKind.EXPLOIT, addr(0), 0))
     assert state.outcome.kind is OutcomeKind.WIN
     assert state.address_map == initial
 
@@ -342,7 +343,7 @@ def test_outcome_is_deterministic_in_rng_seed():
         for i in range(60):
             if state.outcome is not None:
                 break
-            obs, state = step(state, Action.exploit(addr(i % 4), 0))
+            obs, state = step(state, Action(ActionKind.EXPLOIT, addr(i % 4), 0))
             trail.append((obs.success, tuple(sorted(state.address_map.items()))))
         return trail
 

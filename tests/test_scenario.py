@@ -1,4 +1,4 @@
-"""World generation tests: determinism, layout, rootability, serialization."""
+"""World generation tests: determinism, layout, rootability, the golden world."""
 
 import dataclasses
 import json
@@ -15,7 +15,6 @@ from deceptsim.scenario import (
     ParameterError,
     Scenario,
     generate_scenario,
-    scenario_from_json,
     scenario_to_json,
 )
 
@@ -176,15 +175,15 @@ def test_params_are_frozen():
         params.num_hosts = 5
 
 
-def test_json_round_trip():
-    scenario = generate_scenario(GeneratorParams(num_honeypots=6, movement_time=50, seed=42))
-    text = scenario_to_json(scenario)
-    restored = scenario_from_json(text)
-    assert scenario_to_json(restored) == text
-    assert restored.params == scenario.params
-    assert restored.hosts == scenario.hosts
-    assert restored.exploits == scenario.exploits
-    assert restored.initial_address_map == scenario.initial_address_map
+def test_exploits_cover_every_os():
+    # Exploit i requires OS i % num_os, as it requires service i % num_services,
+    # so hosts running any OS can be exploited.
+    scenario = generate_scenario(GeneratorParams(num_os=2, num_hosts=50))
+    assert {e.required_os for e in scenario.exploits} == {0, 1}
+    os_one = [h for h in scenario.hosts if h.kind is HostKind.NORMAL and h.os == 1]
+    assert any(
+        e.matches(h.services, h.vulns, h.os) for h in os_one for e in scenario.exploits
+    )
 
 
 def test_golden_world_is_stable():
