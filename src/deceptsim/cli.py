@@ -648,11 +648,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_flags_beside_manifest(args) -> None:
+    """A replay takes its configuration from the manifest and reads only
+    --out, --workers and --trace; any other flag given would be ignored."""
+    read = ("command", "func", "from_manifest", "out", "workers", "trace")
+    ignored = [
+        "--" + name.replace("_", "-")
+        for name, value in vars(args).items()
+        if value is not None and name not in read
+    ]
+    if ignored:
+        raise ConfigError(
+            f"--from-manifest replays the manifest's configuration and would ignore "
+            f"{', '.join(ignored)}"
+        )
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.func is cmd_aggregate and not args.from_manifest and not args.records:
+        if args.from_manifest:
+            _reject_flags_beside_manifest(args)
+        elif args.func is cmd_aggregate and not args.records:
             raise ConfigError("aggregate needs --records or --from-manifest")
         return args.func(args)
     except ConfigError as exc:

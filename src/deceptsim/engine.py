@@ -124,6 +124,11 @@ class NetworkState:
     # The subnet-scan reply for the current address map; None until the
     # first subnet scan after a mutation.
     subnet_reply: Observation | None = field(default=None, repr=False, compare=False)
+    # The win the one-goal objective scores: its step count and score at
+    # the first step that any sensitive host is at root access. It is noted
+    # under either objective, so an all-goals episode also yields the
+    # outcome of its one-goal twin, which plays the same steps up to here.
+    one_goal_win: EpisodeOutcome | None = None
 
 
 def new_network_state(scenario: Scenario, rng: random.Random) -> NetworkState:
@@ -142,7 +147,9 @@ def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState
 
     ``check_termination`` runs only when the action gained access or the
     step limit is reached; no other step can end the episode, because the
-    outcome depends on nothing but access levels and the step count.
+    outcome depends on nothing but access levels and the step count. A step
+    that gains root access also notes ``one_goal_win`` if it is the first
+    to root a sensitive host.
     The mutation clock is evaluated last and only on non-terminal states, so
     a win or loss on the mutation boundary is never masked by the mutation.
     The returned observation is an immutable reply that may be shared with
@@ -164,6 +171,14 @@ def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState
 
     params = state.scenario.params
     if obs.access_gained is not None or state.steps_taken >= params.step_limit:
+        if (
+            obs.access_gained is AccessLevel.ROOT
+            and state.one_goal_win is None
+            and state.addr_to_host[action.target] in state.scenario.sensitive_ids
+        ):
+            state.one_goal_win = EpisodeOutcome(
+                OutcomeKind.WIN, state.steps_taken, episode_score(state)
+            )
         state.outcome = check_termination(state)
         if state.outcome is not None:
             return obs, state

@@ -6,6 +6,13 @@ seeds are a pure hash of (master seed, cell, repetition), so any subset of
 the grid reproduces identical records in any execution order. The cell key
 deliberately excludes the objective flag: cells differing only in one_goal
 share episode seeds, which makes their win probabilities exactly paired.
+
+Excluding it also lets one simulation produce both records. Nothing but the
+terminal check reads the objective, so a one-goal episode plays exactly the
+steps of its all-goals twin up to the first step that roots a sensitive
+host, and ends there with a win. A sweep over both objectives therefore
+plays each episode once, under the all-goals objective, and derives the
+one-goal record from the win the engine notes at that step.
 """
 
 from __future__ import annotations
@@ -164,11 +171,16 @@ def run_episode(
     episode_seed: int,
     repetition: int = 0,
     trace_sink=None,
+    one_goal_sink=None,
 ) -> EpisodeRecord:
     """Play one episode to termination; deterministic in all arguments.
 
     ``trace_sink``, when given, is called after every step with
     (step index, action, observation, state, knowledge_reset flag).
+    ``one_goal_sink``, when given, is called once with the record the same
+    episode has under the one-goal objective: a win at the first step that
+    roots a sensitive host if there is one, else the returned record's
+    outcome, steps and score.
     """
     engine_rng = _substream(episode_seed, "engine")
     agent_rng = _substream(episode_seed, "agent")
@@ -183,7 +195,7 @@ def run_episode(
             trace_sink(state.steps_taken, action, obs, state, agent.resets > resets_before)
     outcome = state.outcome
     params = scenario.params
-    return EpisodeRecord(
+    record = EpisodeRecord(
         num_honeypots=params.num_honeypots,
         movement_time=params.movement_time,
         num_hosts=params.num_hosts,
@@ -196,42 +208,70 @@ def run_episode(
         score=outcome.score,
         episode_seed=episode_seed,
     )
+    if one_goal_sink is not None:
+        outcome = state.one_goal_win or outcome
+        one_goal_sink(dataclasses.replace(
+            record, one_goal=True, outcome=outcome.kind.value, steps=outcome.steps,
+            score=outcome.score,
+        ))
+    return record
 
 
-def _run_cell(task: tuple[GeneratorParams, Cell, int, int]) -> list[EpisodeRecord]:
-    fixed, cell, repetitions, master_seed = task
+def _run_cells(task: tuple[GeneratorParams, Cell, tuple[bool, ...], int, int]) -> dict:
+    """Every repetition of the cells that differ from ``cell`` only in
+    one_goal, one per objective in ``objectives``, keyed by objective.
+
+    Each episode is played once. When both objectives are wanted it is
+    played under the all-goals objective, and its one-goal twin is derived
+    from it.
+    """
+    fixed, cell, objectives, repetitions, master_seed = task
+    cell = dataclasses.replace(cell, one_goal=False not in objectives)
     try:
         scenario = generate_scenario(scenario_params(fixed, cell))
     except ValueError as exc:
         raise SweepError(f"cell {cell} failed to generate: {exc}") from exc
-    return [
-        run_episode(
-            scenario,
-            cell.agent,
-            derive_episode_seed(master_seed, cell, repetition),
-            repetition,
+    records = {objective: [] for objective in objectives}
+    twins = records[True].append if len(objectives) == 2 else None
+    for repetition in range(repetitions):
+        records[cell.one_goal].append(
+            run_episode(
+                scenario,
+                cell.agent,
+                derive_episode_seed(master_seed, cell, repetition),
+                repetition,
+                one_goal_sink=twins,
+            )
         )
-        for repetition in range(repetitions)
-    ]
+    return records
 
 
 def run_sweep(config: SweepConfig, workers: int | None = None) -> list[EpisodeRecord]:
     """All cells x repetitions, ordered by cell then repetition.
 
-    ``workers`` > 1 distributes whole cells over processes; the output is
-    identical to a serial run because results are flattened in cell order.
+    Cells that differ only in one_goal form one task, which simulates their
+    episodes once (see ``_run_cells``). ``workers`` > 1 distributes tasks
+    over processes; the output is identical to a serial run because records
+    are reassembled in cell order.
     """
     config.validate()
+    objectives = tuple(dict.fromkeys(config.one_goal))
+    groups = dataclasses.replace(config, one_goal=(False,)).cells()
     tasks = [
-        (config.fixed, cell, config.repetitions, config.master_seed)
-        for cell in config.cells()
+        (config.fixed, cell, objectives, config.repetitions, config.master_seed)
+        for cell in groups
     ]
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_cell, tasks))
+            batches = list(pool.map(_run_cells, tasks))
     else:
-        batches = [_run_cell(task) for task in tasks]
-    return [record for batch in batches for record in batch]
+        batches = [_run_cells(task) for task in tasks]
+    by_group = dict(zip(groups, batches))
+    return [
+        record
+        for cell in config.cells()
+        for record in by_group[dataclasses.replace(cell, one_goal=False)][cell.one_goal]
+    ]
 
 
 def record_field(record: EpisodeRecord, name: str):

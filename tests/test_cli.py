@@ -327,6 +327,38 @@ def test_malformed_manifest_exits_1_naming_it(tmp_path, capsys, command, edit):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("sweep", ("--honeypots", "5", "--agents", "careful", "--repetitions", "9",
+               "--config", "x.conf")),
+    ("sweep", ("--one-goal", "true", "--step-limit", "7", "--master-seed", "3")),
+    ("run", ("--agent", "careful", "--honeypots", "7")),
+    ("run", ("--repetition", "2", "--movement-time", "none")),
+    ("aggregate", ("--records", "other.csv", "--group-by", "agent")),
+])
+def test_from_manifest_rejects_the_flags_it_would_ignore(tmp_path, capsys, command, flags):
+    path = tmp_path / "output"
+    if command == "run":
+        assert run_cli("run", "--agent", "standard", "--trace", str(path)) == 0
+    else:
+        assert run_cli("sweep", "--out", str(path), *SMALL_SWEEP) == 0
+    if command == "aggregate":
+        records, path = path, tmp_path / "agg.csv"
+        assert run_cli("aggregate", "--records", str(records), "--out", str(path)) == 0
+    before = read_bytes(path)
+    capsys.readouterr()
+    assert run_cli(command, "--from-manifest", str(path), *flags) == 1
+    err = capsys.readouterr().err
+    for flag in flags[::2]:
+        assert flag in err
+    assert read_bytes(path) == before
+    # The flags a replay reads are still accepted.
+    kept = {"sweep": ("--out", str(path), "--workers", "2"),
+            "run": ("--trace", str(path)),
+            "aggregate": ("--out", str(path))}[command]
+    assert run_cli(command, "--from-manifest", str(path), *kept) == 0
+    assert read_bytes(path) == before
+
+
 def test_sweep_oversized_network_exits_1(tmp_path, capsys):
     assert run_cli("sweep", "--out", str(tmp_path / "r.csv"),
                    "--hosts", "300", "--agents", "standard") == 1
