@@ -14,6 +14,17 @@ address hosts purely by network address, so an address mutation silently
 invalidates their beliefs. Mutation is inferred only from observations: a
 connection failure on a known address, a scan that contradicts an earlier
 one, or a subnet scan listing a different address set.
+
+A decision pays only for what changed. ``Knowledge`` owns each write to a
+belief and to ``failed`` and keeps two indexes beside it. ``options`` holds
+the careful agent's attack option per address, which reads only that
+address's belief and failed entries: a scan that fills a belief field, a
+gained access or a failed attempt at the address drops it, and a wipe drops
+all. ``failures`` counts the failed entries per ``(kind, id)``, each pair
+once. ``failed`` is a subset of the known addresses × the catalog, and the
+addresses are distinct, because a subnet scan that changes the address set
+wipes the knowledge first; so an entry has an untried address exactly when
+its count is below the number of known addresses.
 """
 
 from __future__ import annotations
@@ -46,6 +57,9 @@ class Knowledge:
     addresses: list[Address] = field(default_factory=list)
     beliefs: dict[Address, HostBelief] = field(default_factory=dict)
     failed: set[tuple[Address, ActionKind, int]] = field(default_factory=set)
+    # Indexes over beliefs and failed; see the module docstring.
+    options: dict[Address, Action | None] = field(default_factory=dict)
+    failures: dict[tuple[ActionKind, int], int] = field(default_factory=dict)
 
     def belief(self, address: Address) -> HostBelief:
         belief = self.beliefs.get(address)
@@ -53,10 +67,32 @@ class Knowledge:
             belief = self.beliefs[address] = HostBelief()
         return belief
 
+    def learn(self, address: Address, name: str, seen) -> bool:
+        """Fold one host-scan reply; False if it contradicts an earlier one."""
+        belief = self.belief(address)
+        believed = getattr(belief, name)
+        if believed is None:
+            setattr(belief, name, seen)
+            self.options.pop(address, None)
+        return believed is None or believed == seen
+
+    def gain(self, address: Address, access: AccessLevel) -> None:
+        belief = self.belief(address)
+        belief.access = max(belief.access, access)
+        self.options.pop(address, None)
+
+    def fail(self, address: Address, kind: ActionKind, ident: int) -> None:
+        if (address, kind, ident) not in self.failed:
+            self.failed.add((address, kind, ident))
+            self.failures[kind, ident] = self.failures.get((kind, ident), 0) + 1
+        self.options.pop(address, None)
+
     def clear(self) -> None:
         self.addresses.clear()
         self.beliefs.clear()
         self.failed.clear()
+        self.options.clear()
+        self.failures.clear()
 
 
 class ScriptedAgent:
@@ -98,13 +134,8 @@ class ScriptedAgent:
         name = SCAN_FIELDS.get(kind)
         if name is None:
             self._observe_attack(action, obs)
-            return
-        belief = knowledge.belief(action.target)
-        believed, seen = getattr(belief, name), getattr(obs, name)
-        if believed is not None and believed != seen:
+        elif not knowledge.learn(action.target, name, getattr(obs, name)):
             self._mtd_reset()
-        else:
-            setattr(belief, name, seen)
 
     def _after_subnet_scan(self) -> None:
         """Hook: the address list has just been (re)discovered."""
@@ -155,17 +186,14 @@ class ScriptedAgent:
 
     def _record_attack_reply(self, action: Action, obs: Observation) -> AccessLevel | None:
         """Update beliefs and the failed-attempt set; return gained access."""
-        if action.kind is ActionKind.EXPLOIT:
-            if obs.success:
-                belief = self.knowledge.belief(action.target)
-                belief.access = max(belief.access, obs.access_gained)
-                return obs.access_gained
-            self.knowledge.failed.add((action.target, ActionKind.EXPLOIT, action.exploit_id))
-        elif action.kind is ActionKind.PRIVESC:
-            if obs.success:
-                self.knowledge.belief(action.target).access = AccessLevel.ROOT
-                return obs.access_gained
-            self.knowledge.failed.add((action.target, ActionKind.PRIVESC, action.privesc_id))
+        kind = action.kind
+        if kind is ActionKind.WIRETAP:
+            return None
+        if obs.success:
+            self.knowledge.gain(action.target, obs.access_gained)
+            return obs.access_gained
+        ident = action.exploit_id if kind is ActionKind.EXPLOIT else action.privesc_id
+        self.knowledge.fail(action.target, kind, ident)
         return None
 
 
@@ -204,25 +232,33 @@ class CarefulAgent(ScriptedAgent):
         return Action(ActionKind.SUBNET_SCAN)
 
     def _pick_attack(self) -> Action | None:
-        options = []
-        for address in self.knowledge.addresses:
-            belief = self.knowledge.beliefs.get(address)
-            if belief is None:
-                continue
-            if belief.access is AccessLevel.NONE:
-                exploit = self._best_exploit(address)
-                if exploit is not None:
-                    options.append(Action(ActionKind.EXPLOIT, address, exploit.id))
-            elif belief.access is AccessLevel.USER:
-                if belief.processes is None:
-                    options.append(Action(ActionKind.PROCESS_SCAN, address))
-                else:
-                    privesc = self._untried_privesc(address)
-                    if privesc is not None:
-                        options.append(Action(ActionKind.PRIVESC, address, privesc_id=privesc.id))
-        if not options:
+        options = self._attack_options()
+        return options[self.rng.randrange(len(options))] if options else None
+
+    def _attack_options(self) -> list[Action]:
+        """Every known address's attack option, in address order, each
+        computed once until a write at its address drops it."""
+        addresses, memo = self.knowledge.addresses, self.knowledge.options
+        for address in addresses:
+            if address not in memo:
+                memo[address] = self._attack_option(address)
+        return [option for option in map(memo.get, addresses) if option is not None]
+
+    def _attack_option(self, address: Address) -> Action | None:
+        belief = self.knowledge.beliefs.get(address)
+        if belief is None:
             return None
-        return options[self.rng.randrange(len(options))]
+        if belief.access is AccessLevel.NONE:
+            exploit = self._best_exploit(address)
+            if exploit is not None:
+                return Action(ActionKind.EXPLOIT, address, exploit.id)
+        elif belief.access is AccessLevel.USER:
+            if belief.processes is None:
+                return Action(ActionKind.PROCESS_SCAN, address)
+            privesc = self._untried_privesc(address)
+            if privesc is not None:
+                return Action(ActionKind.PRIVESC, address, privesc_id=privesc.id)
+        return None
 
     def _after_subnet_scan(self) -> None:
         self.scanning = True
@@ -346,7 +382,7 @@ class AggressiveAgent(ScriptedAgent):
             return Action(ActionKind.WIRETAP, self.pending_wiretap)
         while True:
             if self.current is None:
-                viable = [spec for spec in self.catalog if self._has_untried(spec)]
+                viable = self._viable()
                 if not viable:
                     # Every pair tried and failed: re-discover and retry; only
                     # a mutation can make progress possible again.
@@ -363,12 +399,11 @@ class AggressiveAgent(ScriptedAgent):
                 return Action(ActionKind.PRIVESC, address, privesc_id=ident)
             self.current = None
 
-    def _has_untried(self, spec: tuple[ActionKind, int]) -> bool:
-        kind, ident = spec
-        return any(
-            (address, kind, ident) not in self.knowledge.failed
-            for address in self.knowledge.addresses
-        )
+    def _viable(self) -> list[tuple[ActionKind, int]]:
+        """Catalog entries with an untried known address: fewer failures than
+        known addresses (see the module docstring)."""
+        failures, known = self.knowledge.failures, len(self.knowledge.addresses)
+        return [spec for spec in self.catalog if failures.get(spec, 0) < known]
 
     def _new_sweep(self) -> None:
         order = list(self.knowledge.addresses)

@@ -84,6 +84,8 @@ class SweepConfig:
                 raise ValueError(f"swept value list {name} must not be empty")
             for value in values:
                 check_type(name, value, item_type)
+            if len(set(values)) < len(values):
+                raise ValueError(f"swept value list {name} repeats a value: {values}")
         for agent in self.agents:
             if agent not in AGENT_KINDS:
                 raise ValueError(
@@ -255,10 +257,9 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[EpisodeRe
     are reassembled in cell order.
     """
     config.validate()
-    objectives = tuple(dict.fromkeys(config.one_goal))
     groups = dataclasses.replace(config, one_goal=(False,)).cells()
     tasks = [
-        (config.fixed, cell, objectives, config.repetitions, config.master_seed)
+        (config.fixed, cell, config.one_goal, config.repetitions, config.master_seed)
         for cell in groups
     ]
     if workers is not None and workers > 1:

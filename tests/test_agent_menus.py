@@ -1,0 +1,213 @@
+"""The agents' indexed menus against the menus rebuilt from scratch.
+
+The careful agent memoizes each address's attack option, and the
+aggressive agent counts failed entries per catalog entry instead of
+rescanning the catalog × the known addresses. The references below rebuild
+both menus from ``Knowledge`` alone, the way the agents did before they kept
+those indexes; every decision of every checked episode compares the two.
+"""
+
+import contextlib
+import dataclasses
+import random
+from collections import Counter
+
+import pytest
+
+from deceptsim import experiment
+from deceptsim.agents import AGENT_KINDS, CarefulAgent, make_agent
+from deceptsim.engine import Action, ActionKind, Observation, new_network_state
+from deceptsim.engine import step as engine_step
+from deceptsim.experiment import run_episode, run_sweep
+from deceptsim.scenario import AccessLevel, GeneratorParams, generate_scenario
+from test_golden import GOLDEN_GRID
+
+
+# ---------------------------------------------------------------------------
+# The reference menus
+
+
+def _best_exploit(agent, address):
+    knowledge = agent.knowledge
+    belief = knowledge.beliefs.get(address)
+    if belief is None or belief.services is None or belief.vulns is None or belief.os is None:
+        return None
+    candidates = [
+        e
+        for e in agent.exploits
+        if (address, ActionKind.EXPLOIT, e.id) not in knowledge.failed
+        and e.matches(belief.services, belief.vulns, belief.os)
+    ]
+    if not candidates:
+        return None
+    return min(candidates, key=lambda e: (-int(e.grants), e.id))
+
+
+def _untried_privesc(agent, address):
+    knowledge = agent.knowledge
+    belief = knowledge.beliefs.get(address)
+    if belief is None or belief.processes is None:
+        return None
+    candidates = [
+        p
+        for p in agent.privescs
+        if (address, ActionKind.PRIVESC, p.id) not in knowledge.failed
+        and p.required_process in belief.processes
+    ]
+    return min(candidates, key=lambda p: p.id) if candidates else None
+
+
+def reference_attack_options(agent):
+    """The careful agent's attack menu, in address order, from scratch."""
+    options = []
+    for address in agent.knowledge.addresses:
+        belief = agent.knowledge.beliefs.get(address)
+        if belief is None:
+            continue
+        if belief.access is AccessLevel.NONE:
+            exploit = _best_exploit(agent, address)
+            if exploit is not None:
+                options.append(Action(ActionKind.EXPLOIT, address, exploit.id))
+        elif belief.access is AccessLevel.USER:
+            if belief.processes is None:
+                options.append(Action(ActionKind.PROCESS_SCAN, address))
+            else:
+                privesc = _untried_privesc(agent, address)
+                if privesc is not None:
+                    options.append(Action(ActionKind.PRIVESC, address, privesc_id=privesc.id))
+    return options
+
+
+def reference_viable(agent):
+    """The aggressive agent's catalog entries with an untried known address."""
+    knowledge = agent.knowledge
+    return [
+        (kind, ident)
+        for kind, ident in agent.catalog
+        if any((address, kind, ident) not in knowledge.failed for address in knowledge.addresses)
+    ]
+
+
+def check_menus(agent, seen: Counter) -> None:
+    """Assert the agent's indexes agree with the knowledge they index."""
+    knowledge = agent.knowledge
+    failures = Counter((kind, ident) for _, kind, ident in knowledge.failed)
+    assert {spec: n for spec, n in knowledge.failures.items() if n} == failures
+    seen[agent.kind, "decisions"] += 1
+    seen[agent.kind, "failed"] += bool(knowledge.failed)
+    if agent.kind == "careful":
+        menu = agent._attack_options()
+        assert menu == reference_attack_options(agent)
+        seen["careful", "menu"] += bool(menu)
+    elif agent.kind == "aggressive":
+        viable = agent._viable()
+        assert viable == reference_viable(agent)
+        seen["aggressive", "spent"] += len(viable) < len(agent.catalog)
+
+
+@contextlib.contextmanager
+def menus_checked():
+    """While open, every agent that ``run_episode`` makes has its menus
+    checked before each decision; yields the counts of what was checked."""
+    seen = Counter()
+    original = experiment.make_agent
+
+    def make(kind, scenario, rng):
+        agent = original(kind, scenario, rng)
+        decide = agent.next_action
+
+        def next_action():
+            check_menus(agent, seen)
+            return decide()
+
+        agent.next_action = next_action
+        return agent
+
+    experiment.make_agent = make
+    try:
+        yield seen
+    finally:
+        experiment.make_agent = original
+
+
+# ---------------------------------------------------------------------------
+# Whole episodes
+
+
+@pytest.mark.parametrize("movement_time", [None, 25], ids=["static", "mutation"])
+def test_golden_grid_menus_match_the_reference(movement_time):
+    config = dataclasses.replace(GOLDEN_GRID, movement_time=(movement_time,))
+    with menus_checked() as seen:
+        records = run_sweep(config)
+    assert records == run_sweep(config)
+    for kind in AGENT_KINDS:
+        assert seen[kind, "decisions"] > 0
+    # The grid reaches the states the indexes must follow: careful menus to
+    # choose from and, once addresses move, aggressive's spent entries.
+    # Careful's failed attempts need exploit probabilities below 1, which
+    # the random worlds below draw.
+    assert seen["careful", "menu"] > 0
+    if movement_time is not None:
+        assert seen["aggressive", "spent"] > 0
+
+
+def test_random_worlds_menus_match_the_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    probabilities = st.sampled_from((0.3, 0.6, 0.9))
+    worlds = st.builds(
+        GeneratorParams,
+        num_hosts=st.integers(1, 10),
+        num_honeypots=st.integers(1, 3),
+        num_sensitive=st.integers(0, 3),
+        movement_time=st.sampled_from((None, 7, 25)),
+        one_goal=st.booleans(),
+        seed=st.integers(0, 2**32),
+        num_os=st.integers(1, 2),
+        exploit_prob=probabilities,
+        privesc_prob=probabilities,
+        step_limit=st.integers(20, 400),
+        num_addresses=st.sampled_from((24, 64, 256)),
+    )
+    seen_total = Counter()
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(params=worlds, episode_seed=st.integers(0, 2**64 - 1))
+    def check(params, episode_seed):
+        scenario = generate_scenario(params)
+        with menus_checked() as seen:
+            for kind in AGENT_KINDS:
+                run_episode(scenario, kind, episode_seed)
+        seen_total.update(seen)
+
+    check()
+    assert seen_total["careful", "failed"] > 0
+    assert seen_total["aggressive", "spent"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Replies the scripts never send twice
+
+
+@pytest.mark.parametrize("kind", ["careful", "aggressive"])
+def test_a_failure_observed_twice_counts_once(kind):
+    scenario = generate_scenario(GeneratorParams(num_hosts=1, num_sensitive=1))
+    state = new_network_state(scenario, random.Random(0))
+    agent = make_agent(kind, scenario, random.Random(0))
+    seen = Counter()
+
+    def play(action):
+        obs, _ = engine_step(state, action)
+        agent.observe(action, obs)
+        check_menus(agent, seen)
+
+    play(Action(ActionKind.SUBNET_SCAN))
+    target = state.address_map[scenario.sensitive_ids[0]]
+    for scan in CarefulAgent.SCAN_KINDS:
+        play(Action(scan, target))
+    attack = agent._attack_options()[0] if kind == "careful" else Action(
+        ActionKind.EXPLOIT, target, 0)
+    for _ in range(2):
+        agent.observe(attack, Observation(success=False))
+        check_menus(agent, seen)
+    assert sum(agent.knowledge.failures.values()) == 1

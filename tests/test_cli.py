@@ -371,6 +371,47 @@ def test_sweep_unknown_agent_exits_1(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+# A repeated value in each swept list: (SweepConfig field, flag, tokens).
+REPEATED_VALUES = [
+    ("num_honeypots", "--honeypots", "2,0,2"),
+    ("movement_time", "--movement-times", "none,none"),
+    ("num_hosts", "--hosts", "10,10"),
+    ("one_goal", "--one-goal", "true,true"),
+    ("seeds", "--seeds", "1234,1234"),
+    ("agents", "--agents", "standard,standard"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "manifest"])
+@pytest.mark.parametrize("field, flag, tokens", REPEATED_VALUES)
+def test_sweep_repeated_swept_value_exits_1(tmp_path, capsys, source, field, flag, tokens):
+    # Repeated values would repeat cells, and so every record of them.
+    out = tmp_path / "r.csv"
+    index = SMALL_SWEEP.index(flag)
+    others = SMALL_SWEEP[:index] + SMALL_SWEEP[index + 2:]
+    if source == "flag":
+        argv = ("sweep", "--out", str(out), *others, flag, tokens)
+    elif source == "config":
+        key = {name: key for key, name in cli.LIST_KEYS.items()}[field]
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"{key} = {tokens}\n")
+        argv = ("sweep", "--out", str(out), "--config", str(config), *others)
+    else:
+        assert run_cli("sweep", "--out", str(out), *SMALL_SWEEP) == 0
+        line, rest = out.read_text().split("\n", 1)
+        manifest = json.loads(line[len(cli.MANIFEST_PREFIX):])
+        key = {name: key for key, name in cli.LIST_KEYS.items()}[field]
+        manifest["config"][key] *= 2
+        out.write_text(cli.MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
+        argv = ("sweep", "--from-manifest", str(out))
+    before = out.read_bytes() if out.exists() else None
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert f"swept value list {field} repeats a value" in err
+    assert (out.read_bytes() if out.exists() else None) == before
+
+
 def test_sweep_unwritable_path_exits_2(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "r.csv"
     assert run_cli("sweep", "--out", str(missing_dir), *SMALL_SWEEP) == 2
