@@ -25,12 +25,21 @@ once. ``failed`` is a subset of the known addresses × the catalog, and the
 addresses are distinct, because a subnet scan that changes the address set
 wipes the knowledge first; so an entry has an untried address exactly when
 its count is below the number of known addresses.
+
+``scan_run()`` hands over the host scans the agent is committed to next, as
+``(kind, address)`` pairs, or None. ``engine.run_scans`` plays them up to
+the first reset, folding each reply as ``observe`` would, so a run holds
+only scans that draw no random numbers and that a reset drops: careful's
+scan phase, set by the subnet scan that starts it (nothing pending, subnet
+known), and standard's focus scans after the first, which commits it to
+the focus. Aggressive has none.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from .engine import SCAN_FIELDS, Action, ActionKind, Observation, same_stream_shuffle
@@ -55,21 +64,16 @@ class Knowledge:
     """Observation-derived world view; the only state agents may act on."""
 
     addresses: list[Address] = field(default_factory=list)
-    beliefs: dict[Address, HostBelief] = field(default_factory=dict)
+    # Indexing creates an empty belief; a read that must not create one uses get.
+    beliefs: dict[Address, HostBelief] = field(default_factory=lambda: defaultdict(HostBelief))
     failed: set[tuple[Address, ActionKind, int]] = field(default_factory=set)
     # Indexes over beliefs and failed; see the module docstring.
     options: dict[Address, Action | None] = field(default_factory=dict)
     failures: dict[tuple[ActionKind, int], int] = field(default_factory=dict)
 
-    def belief(self, address: Address) -> HostBelief:
-        belief = self.beliefs.get(address)
-        if belief is None:
-            belief = self.beliefs[address] = HostBelief()
-        return belief
-
     def learn(self, address: Address, name: str, seen) -> bool:
         """Fold one host-scan reply; False if it contradicts an earlier one."""
-        belief = self.belief(address)
+        belief = self.beliefs[address]
         believed = getattr(belief, name)
         if believed is None:
             setattr(belief, name, seen)
@@ -77,7 +81,7 @@ class Knowledge:
         return believed is None or believed == seen
 
     def gain(self, address: Address, access: AccessLevel) -> None:
-        belief = self.belief(address)
+        belief = self.beliefs[address]
         belief.access = max(belief.access, access)
         self.options.pop(address, None)
 
@@ -107,11 +111,18 @@ class ScriptedAgent:
         self.privescs = scenario.privescs
         self.rng = rng
         self.knowledge = Knowledge()
+        self.scan_queue = None  # the next scan run, until scan_run hands it over
         self.need_subnet = True
         self.resets = 0  # completed knowledge wipes after detected mutations
 
     def next_action(self) -> Action:
         raise NotImplementedError
+
+    def scan_run(self):
+        """The host scans the agent is committed to next, or None; see the
+        module docstring."""
+        run, self.scan_queue = self.scan_queue, None
+        return run
 
     def observe(self, action: Action, obs: Observation) -> None:
         """Fold one reply into the knowledge. A subnet scan listing a new
@@ -123,19 +134,19 @@ class ScriptedAgent:
         if kind is ActionKind.SUBNET_SCAN:
             discovered = list(obs.discovered_addresses)
             if knowledge.addresses and set(discovered) != set(knowledge.addresses):
-                self._mtd_reset()
+                self.mtd_reset()
             knowledge.addresses = discovered
             self.need_subnet = False
             self._after_subnet_scan()
             return
         if obs.connection_failed:
-            self._mtd_reset()
+            self.mtd_reset()
             return
         name = SCAN_FIELDS.get(kind)
         if name is None:
             self._observe_attack(action, obs)
         elif not knowledge.learn(action.target, name, getattr(obs, name)):
-            self._mtd_reset()
+            self.mtd_reset()
 
     def _after_subnet_scan(self) -> None:
         """Hook: the address list has just been (re)discovered."""
@@ -144,11 +155,12 @@ class ScriptedAgent:
         """Hook: the reply to an exploit, privilege escalation or wiretap."""
         raise NotImplementedError
 
-    def _mtd_reset(self) -> None:
+    def mtd_reset(self) -> None:
         """Forget everything learned at the old addresses; subclasses extend
         it to drop their plans too."""
         self.resets += 1
         self.knowledge.clear()
+        self.scan_queue = None
         self.need_subnet = True
 
     def _best_exploit(self, address: Address):
@@ -208,27 +220,18 @@ class CarefulAgent(ScriptedAgent):
 
     def __init__(self, scenario: Scenario, rng: random.Random):
         super().__init__(scenario, rng)
-        self.scanning = True
-        self.scan_queue: deque[tuple[ActionKind, Address]] = deque()
         self.pending: deque[Action] = deque()
 
     def next_action(self) -> Action:
+        # The scan phase is a scan run, which a subnet scan starts.
         if self.pending:
             return self.pending.popleft()
-        if self.scanning:
-            if self.need_subnet:
-                return Action(ActionKind.SUBNET_SCAN)
-            if self.scan_queue:
-                kind, address = self.scan_queue.popleft()
-                return Action(kind, address)
-            self.scanning = False
-        choice = self._pick_attack()
-        if choice is not None:
-            return choice
+        if not self.need_subnet:
+            choice = self._pick_attack()
+            if choice is not None:
+                return choice
         # Nothing attackable under current knowledge: rescan everything but
         # keep the attempt memory so failed pairs are not retried.
-        self.scanning = True
-        self.need_subnet = True
         return Action(ActionKind.SUBNET_SCAN)
 
     def _pick_attack(self) -> Action | None:
@@ -261,12 +264,9 @@ class CarefulAgent(ScriptedAgent):
         return None
 
     def _after_subnet_scan(self) -> None:
-        self.scanning = True
-        self.scan_queue = deque(
-            (scan_kind, address)
-            for address in self.knowledge.addresses
-            for scan_kind in self.SCAN_KINDS
-        )
+        # Lazy, as a reset usually drops most of the run unplayed.
+        pairs = itertools.product(self.knowledge.addresses, self.SCAN_KINDS)
+        self.scan_queue = ((kind, address) for address, kind in pairs)
 
     def _observe_attack(self, action: Action, obs: Observation) -> None:
         gained = self._record_attack_reply(action, obs)
@@ -276,11 +276,9 @@ class CarefulAgent(ScriptedAgent):
             self.pending.append(Action(ActionKind.PROCESS_SCAN, action.target))
         # wiretap replies carry no knowledge
 
-    def _mtd_reset(self) -> None:
-        # With nothing known, next_action finds no attack and restarts the
-        # scan phase from a subnet scan.
-        super()._mtd_reset()
-        self.scan_queue.clear()
+    def mtd_reset(self) -> None:
+        # next_action restarts the scan phase from a subnet scan.
+        super().mtd_reset()
         self.pending.clear()
 
 
@@ -300,7 +298,6 @@ class StandardAgent(ScriptedAgent):
     def __init__(self, scenario: Scenario, rng: random.Random):
         super().__init__(scenario, rng)
         self.focus: Address | None = None
-        self.scan_queue: deque[ActionKind] = deque()
         self.pending: deque[Action] = deque()
         self.exhausted: set[Address] = set()
 
@@ -324,10 +321,10 @@ class StandardAgent(ScriptedAgent):
                     # gives mutation a chance to be noticed.
                     return Action(ActionKind.SUBNET_SCAN)
                 self.focus = candidates[self.rng.randrange(len(candidates))]
-                self.scan_queue = deque(self.SCAN_KINDS)
-            if self.scan_queue:
-                return Action(self.scan_queue.popleft(), self.focus)
-            belief = self.knowledge.belief(self.focus)
+                first, *rest = self.SCAN_KINDS
+                self.scan_queue = [(kind, self.focus) for kind in rest]
+                return Action(first, self.focus)
+            belief = self.knowledge.beliefs[self.focus]
             if belief.access is AccessLevel.NONE:
                 exploit = self._best_exploit(self.focus)
                 if exploit is not None:
@@ -351,10 +348,9 @@ class StandardAgent(ScriptedAgent):
         elif gained is AccessLevel.USER:
             self.focus = None  # success: move to a new host, come back later
 
-    def _mtd_reset(self) -> None:
-        super()._mtd_reset()
+    def mtd_reset(self) -> None:
+        super().mtd_reset()
         self.exhausted.clear()
-        self.scan_queue.clear()
         self.pending.clear()
         self.focus = None
 
@@ -424,9 +420,9 @@ class AggressiveAgent(ScriptedAgent):
         else:
             self._record_attack_reply(action, obs)
 
-    def _mtd_reset(self) -> None:
+    def mtd_reset(self) -> None:
         # The chosen action survives; the sweep restarts over fresh addresses.
-        super()._mtd_reset()
+        super().mtd_reset()
         self.sweep.clear()
         self.pending_wiretap = None
 

@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .agents import AGENT_KINDS, make_agent
-from .engine import new_network_state, step as engine_step
+from .engine import new_network_state, run_scans, step as engine_step
 from .scenario import GeneratorParams, Scenario, check_type, generate_scenario
 
 DEFAULT_NUM_HONEYPOTS = (0, 2, 4, 6, 9, 10)
@@ -177,8 +177,9 @@ def run_episode(
 ) -> EpisodeRecord:
     """Play one episode to termination; deterministic in all arguments.
 
-    ``trace_sink``, when given, is called after every step with
-    (step index, action, observation, state, knowledge_reset flag).
+    A run of host scans the agent hands over (``scan_run``) is played by
+    ``engine.run_scans``. ``trace_sink``, when given, is called after every
+    step with (step index, action, observation, state, knowledge_reset flag).
     ``one_goal_sink``, when given, is called once with the record the same
     episode has under the one-goal objective: a win at the first step that
     roots a sensitive host if there is one, else the returned record's
@@ -189,6 +190,10 @@ def run_episode(
     agent = make_agent(agent_kind, scenario, agent_rng)
     state = new_network_state(scenario, engine_rng)
     while state.outcome is None:
+        run = agent.scan_run()
+        if run is not None:
+            run_scans(state, run, agent.knowledge, agent.mtd_reset, trace_sink)
+            continue
         action = agent.next_action()
         resets_before = agent.resets
         obs, state = engine_step(state, action)

@@ -291,7 +291,7 @@ def check_invariant_episode(scenario, walk_rng, engine_rng) -> list:
     capacity = scenario.params.num_addresses - 1
     all_addresses = {(TARGET_SUBNET, index) for index in range(capacity)}
     violations = []
-    prev_map = dict(state.address_map)
+    prev_map = list(state.addresses)
     prev_access = dict(state.access)
     steps = 0
     while state.outcome is None:
@@ -301,19 +301,19 @@ def check_invariant_episode(scenario, walk_rng, engine_rng) -> list:
         steps += 1
         if state.steps_taken != steps:
             violations.append(f"accounting at step {steps}")
-        addresses = list(state.address_map.values())
+        addresses = state.addresses
         if len(set(addresses)) != len(addresses) or set(addresses) != all_addresses:
             violations.append(f"address map not a bijection at step {steps}")
         if movement_time is None:
-            if state.address_map != prev_map:
+            if state.addresses != prev_map:
                 violations.append(f"mutated without movement_time at step {steps}")
         elif state.outcome is None:
             expected = state.steps_taken % movement_time
             if state.steps_since_mutation != expected:
                 violations.append(f"mutation counter off at step {steps}")
-            if expected != 0 and state.address_map != prev_map:
+            if expected != 0 and state.addresses != prev_map:
                 violations.append(f"mutated off schedule at step {steps}")
-        elif state.address_map != prev_map:
+        elif state.addresses != prev_map:
             violations.append(f"mutated on terminal step {steps}")
         for host_id, level in prev_access.items():
             if state.access.get(host_id, AccessLevel.NONE) < level:
@@ -325,7 +325,7 @@ def check_invariant_episode(scenario, walk_rng, engine_rng) -> list:
             and (state.outcome is None or state.outcome.kind is not OutcomeKind.LOSS_HONEYPOT)
         ):
             violations.append(f"honeypot exploit not an immediate loss at step {steps}")
-        prev_map = dict(state.address_map)
+        prev_map = list(state.addresses)
         prev_access = dict(state.access)
     try:
         step(state, Action(ActionKind.SUBNET_SCAN))

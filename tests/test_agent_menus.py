@@ -4,10 +4,11 @@ The careful agent memoizes each address's attack option, and the
 aggressive agent counts failed entries per catalog entry instead of
 rescanning the catalog × the known addresses. The references below rebuild
 both menus from ``Knowledge`` alone, the way the agents did before they kept
-those indexes; every decision of every checked episode compares the two.
+those indexes; every step of every checked episode compares the two. Steps
+of a scan run reach no decision, so the check runs from the trace sink,
+after every step, rather than before each decision.
 """
 
-import contextlib
 import dataclasses
 import random
 from collections import Counter
@@ -18,7 +19,7 @@ from deceptsim import experiment
 from deceptsim.agents import AGENT_KINDS, CarefulAgent, make_agent
 from deceptsim.engine import Action, ActionKind, Observation, new_network_state
 from deceptsim.engine import step as engine_step
-from deceptsim.experiment import run_episode, run_sweep
+from deceptsim.experiment import derive_episode_seed, run_episode, run_sweep, scenario_params
 from deceptsim.scenario import AccessLevel, GeneratorParams, generate_scenario
 from test_golden import GOLDEN_GRID
 
@@ -93,7 +94,7 @@ def check_menus(agent, seen: Counter) -> None:
     knowledge = agent.knowledge
     failures = Counter((kind, ident) for _, kind, ident in knowledge.failed)
     assert {spec: n for spec, n in knowledge.failures.items() if n} == failures
-    seen[agent.kind, "decisions"] += 1
+    seen[agent.kind, "steps"] += 1
     seen[agent.kind, "failed"] += bool(knowledge.failed)
     if agent.kind == "careful":
         menu = agent._attack_options()
@@ -105,27 +106,22 @@ def check_menus(agent, seen: Counter) -> None:
         seen["aggressive", "spent"] += len(viable) < len(agent.catalog)
 
 
-@contextlib.contextmanager
-def menus_checked():
-    """While open, every agent that ``run_episode`` makes has its menus
-    checked before each decision; yields the counts of what was checked."""
-    seen = Counter()
+def run_checked(scenario, kind, episode_seed, seen: Counter, repetition=0):
+    """``run_episode`` with the agent's menus checked after every step;
+    counts what was checked into ``seen``."""
+    agents = []
     original = experiment.make_agent
 
-    def make(kind, scenario, rng):
-        agent = original(kind, scenario, rng)
-        decide = agent.next_action
+    def make(*args):
+        agents.append(original(*args))
+        return agents[-1]
 
-        def next_action():
-            check_menus(agent, seen)
-            return decide()
-
-        agent.next_action = next_action
-        return agent
+    def check(*step):
+        check_menus(agents[-1], seen)
 
     experiment.make_agent = make
     try:
-        yield seen
+        return run_episode(scenario, kind, episode_seed, repetition, trace_sink=check)
     finally:
         experiment.make_agent = original
 
@@ -136,12 +132,19 @@ def menus_checked():
 
 @pytest.mark.parametrize("movement_time", [None, 25], ids=["static", "mutation"])
 def test_golden_grid_menus_match_the_reference(movement_time):
-    config = dataclasses.replace(GOLDEN_GRID, movement_time=(movement_time,))
-    with menus_checked() as seen:
-        records = run_sweep(config)
+    # A sweep plays every episode under the all-goals objective.
+    config = dataclasses.replace(
+        GOLDEN_GRID, movement_time=(movement_time,), one_goal=(False,))
+    seen = Counter()
+    records = []
+    for cell in config.cells():
+        scenario = generate_scenario(scenario_params(config.fixed, cell))
+        for rep in range(config.repetitions):
+            seed = derive_episode_seed(config.master_seed, cell, rep)
+            records.append(run_checked(scenario, cell.agent, seed, seen, rep))
     assert records == run_sweep(config)
     for kind in AGENT_KINDS:
-        assert seen[kind, "decisions"] > 0
+        assert seen[kind, "steps"] > 0
     # The grid reaches the states the indexes must follow: careful menus to
     # choose from and, once addresses move, aggressive's spent entries.
     # Careful's failed attempts need exploit probabilities below 1, which
@@ -175,10 +178,8 @@ def test_random_worlds_menus_match_the_reference():
     @hypothesis.given(params=worlds, episode_seed=st.integers(0, 2**64 - 1))
     def check(params, episode_seed):
         scenario = generate_scenario(params)
-        with menus_checked() as seen:
-            for kind in AGENT_KINDS:
-                run_episode(scenario, kind, episode_seed)
-        seen_total.update(seen)
+        for kind in AGENT_KINDS:
+            run_checked(scenario, kind, episode_seed, seen_total)
 
     check()
     assert seen_total["careful", "failed"] > 0
@@ -202,7 +203,7 @@ def test_a_failure_observed_twice_counts_once(kind):
         check_menus(agent, seen)
 
     play(Action(ActionKind.SUBNET_SCAN))
-    target = state.address_map[scenario.sensitive_ids[0]]
+    target = state.addresses[scenario.sensitive_ids[0]]
     for scan in CarefulAgent.SCAN_KINDS:
         play(Action(scan, target))
     attack = agent._attack_options()[0] if kind == "careful" else Action(

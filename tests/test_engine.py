@@ -17,8 +17,10 @@ from deceptsim.engine import (
     episode_score,
     mutate_addresses,
     new_network_state,
+    run_scans,
     step,
 )
+from deceptsim.agents import Knowledge
 from deceptsim.scenario import (
     AccessLevel,
     GeneratorParams,
@@ -90,6 +92,47 @@ def test_invalid_target_rejected_before_accounting():
         step(state, Action(ActionKind.SERVICE_SCAN, addr(99)))  # outside address space
     assert state.steps_taken == 0
     assert state.steps_since_mutation == 0
+
+
+MALFORMED = {
+    "no_target": Action(ActionKind.SERVICE_SCAN),
+    "exploit_without_target": Action(ActionKind.EXPLOIT, exploit_id=0),
+    "exploit_id_none": Action(ActionKind.EXPLOIT, addr(0)),
+    "exploit_id_unknown": Action(ActionKind.EXPLOIT, addr(0), 7),
+    "exploit_id_not_int": Action(ActionKind.EXPLOIT, addr(0), "0"),
+    "privesc_id_none": Action(ActionKind.PRIVESC, addr(0)),
+    "privesc_id_unknown": Action(ActionKind.PRIVESC, addr(0), privesc_id=-1),
+    "unknown_kind": Action("port_knock", addr(0)),
+    "subnet_scan_target": Action(ActionKind.SUBNET_SCAN, addr(99)),
+}
+
+
+@pytest.mark.parametrize("action", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_action_rejected_before_accounting(action):
+    state = fresh(build_world(num_sensitive=1, movement_time=1))
+    with pytest.raises(InvalidActionError):
+        step(state, action)
+    assert state.steps_taken == 0
+    assert state.steps_since_mutation == 0
+    assert state.addresses == [addr(0)]
+
+
+@pytest.mark.parametrize("scan", [
+    (ActionKind.SERVICE_SCAN, (0, 0)),  # attacker subnet
+    (ActionKind.OS_SCAN, None),
+    (ActionKind.EXPLOIT, addr(0)),  # not a host scan
+    (ActionKind.SUBNET_SCAN, None),
+    ("port_knock", addr(0)),
+], ids=["target", "no_target", "exploit", "subnet_scan", "unknown_kind"])
+def test_malformed_run_scan_rejected_before_accounting(scan):
+    state = fresh(build_world(num_sensitive=1, num_normal=1))
+    knowledge = Knowledge()
+    run = iter([(ActionKind.SERVICE_SCAN, addr(0)), scan, (ActionKind.OS_SCAN, addr(0))])
+    with pytest.raises(InvalidActionError):
+        run_scans(state, run, knowledge, reset=None)
+    assert state.steps_taken == 1
+    assert state.steps_since_mutation == 1
+    assert knowledge.beliefs[addr(0)].os is None
 
 
 def test_unknown_exploit_and_privesc_ids_rejected():
@@ -250,28 +293,28 @@ def test_episode_score_counts_user_and_root_hosts():
 def test_mutation_fires_at_exact_multiples():
     scenario = build_world(num_sensitive=1, num_normal=4, num_empty=25, movement_time=5)
     state = fresh(scenario, seed=3)
-    initial = dict(state.address_map)
+    initial = list(state.addresses)
     for _ in range(4):
         _, state = step(state, Action(ActionKind.SUBNET_SCAN))
-        assert state.address_map == initial
+        assert state.addresses == initial
     _, state = step(state, Action(ActionKind.SUBNET_SCAN))
     assert state.steps_since_mutation == 0
-    after_first = dict(state.address_map)
+    after_first = list(state.addresses)
     assert after_first != initial  # 30 addresses: identity shuffle is absurdly unlikely
     for _ in range(4):
         _, state = step(state, Action(ActionKind.SUBNET_SCAN))
-        assert state.address_map == after_first
+        assert state.addresses == after_first
     _, state = step(state, Action(ActionKind.SUBNET_SCAN))
-    assert state.address_map != after_first
+    assert state.addresses != after_first
 
 
 def test_no_mutation_without_movement_time():
     scenario = build_world(num_sensitive=1, num_normal=4, num_empty=20)
     state = fresh(scenario, seed=1)
-    initial = dict(state.address_map)
+    initial = list(state.addresses)
     for _ in range(50):
         _, state = step(state, Action(ActionKind.SUBNET_SCAN))
-    assert state.address_map == initial
+    assert state.addresses == initial
 
 
 def test_mutation_preserves_bijection_and_access():
@@ -282,30 +325,30 @@ def test_mutation_preserves_bijection_and_access():
     state = fresh(scenario, seed=9)
     _, state = step(state, Action(ActionKind.EXPLOIT, addr(1), 0))
     accesses = dict(state.access)
-    all_addresses = set(state.address_map.values())
+    all_addresses = set(state.addresses)
     for _ in range(40):
         _, state = step(state, Action(ActionKind.SUBNET_SCAN))
-        assert set(state.address_map.values()) == all_addresses
-        assert len(state.address_map) == len(set(state.address_map.values()))
+        assert set(state.addresses) == all_addresses
+        assert len(state.addresses) == len(set(state.addresses))
         assert state.access == accesses
-        assert state.addr_to_host == {a: h for h, a in state.address_map.items()}
+        assert state.addr_to_host == {a: h for h, a in enumerate(state.addresses)}
 
 
 def test_mutation_skipped_on_terminal_step():
     scenario = build_world(num_sensitive=1, num_empty=20, movement_time=1, one_goal=True)
     state = fresh(scenario, seed=2)
-    initial = dict(state.address_map)
+    initial = list(state.addresses)
     _, state = step(state, Action(ActionKind.EXPLOIT, addr(0), 0))
     assert state.outcome.kind is OutcomeKind.WIN
-    assert state.address_map == initial
+    assert state.addresses == initial
 
 
 def test_mutation_identity_for_single_address_subnet():
     scenario = build_world(num_sensitive=1, movement_time=1)
     state = fresh(scenario, seed=5)
-    before = dict(state.address_map)
+    before = list(state.addresses)
     mutate_addresses(state, random.Random(11))
-    assert state.address_map == before
+    assert state.addresses == before
 
 
 def test_mutation_marginal_keep_probability():
@@ -316,9 +359,9 @@ def test_mutation_marginal_keep_probability():
     trials = 10_000
     kept = 0
     for _ in range(trials):
-        before = state.address_map[0]
+        before = state.addresses[0]
         mutate_addresses(state, rng)
-        kept += state.address_map[0] == before
+        kept += state.addresses[0] == before
     assert abs(kept / trials - 1 / 255) <= 0.005
 
 
@@ -326,9 +369,9 @@ def test_some_host_moves_in_every_seeded_mutation():
     scenario = generate_scenario(GeneratorParams())
     for seed in range(100):
         state = new_network_state(scenario, random.Random(0))
-        before = dict(state.address_map)
+        before = list(state.addresses)
         mutate_addresses(state, random.Random(seed))
-        assert state.address_map != before
+        assert state.addresses != before
 
 
 def test_outcome_is_deterministic_in_rng_seed():
@@ -344,7 +387,7 @@ def test_outcome_is_deterministic_in_rng_seed():
             if state.outcome is not None:
                 break
             obs, state = step(state, Action(ActionKind.EXPLOIT, addr(i % 4), 0))
-            trail.append((obs.success, tuple(sorted(state.address_map.items()))))
+            trail.append((obs.success, tuple(state.addresses)))
         return trail
 
     assert run(7) == run(7)

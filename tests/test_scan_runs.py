@@ -1,0 +1,135 @@
+"""Scan runs against the per-action loop.
+
+``run_episode`` hands each run of host scans an agent commits to
+(``scan_run``) to ``engine.run_scans``, which plays it in one loop. The
+reference below plays the same runs the plain way, one action at a time:
+``step`` and then ``observe``, stopping where the agent would drop the run
+(at a knowledge reset) or the episode ends. Every step's trace row, reset
+flag, mutation clock and address list, and every final record, must agree.
+"""
+
+import dataclasses
+from collections import Counter
+
+import pytest
+
+from deceptsim import experiment
+from deceptsim.agents import AGENT_KINDS, make_agent
+from deceptsim.engine import Action, new_network_state, step, trace_record
+from deceptsim.experiment import derive_episode_seed, run_episode, scenario_params
+from deceptsim.scenario import GeneratorParams, generate_scenario
+from test_golden import GOLDEN_GRID
+
+
+def row(step_index, action, obs, state, knowledge_reset):
+    """What one step leaves behind, for comparison."""
+    return (
+        trace_record(step_index, action, obs, state),
+        knowledge_reset,
+        state.steps_since_mutation,
+        tuple(state.addresses),
+    )
+
+
+def reference_episode(scenario, agent_kind, episode_seed):
+    """Rows, outcome and one-goal win of the episode played one action at
+    a time: next_action (or the next scan of a run), step, observe."""
+    agent = make_agent(agent_kind, scenario, experiment._substream(episode_seed, "agent"))
+    state = new_network_state(scenario, experiment._substream(episode_seed, "engine"))
+    rows = []
+    while state.outcome is None:
+        run = agent.scan_run()
+        actions = [agent.next_action()] if run is None else (Action(*scan) for scan in run)
+        for action in actions:
+            resets = agent.resets
+            obs, state = step(state, action)
+            agent.observe(action, obs)
+            knowledge_reset = agent.resets > resets
+            rows.append(row(state.steps_taken, action, obs, state, knowledge_reset))
+            if knowledge_reset or state.outcome is not None:
+                break
+    return rows, state.outcome, state.one_goal_win or state.outcome
+
+
+def check_episode(scenario, agent_kind, episode_seed, counts: Counter) -> None:
+    """Assert that run_episode and the reference agree on one episode; count
+    the steps that scan runs played into ``counts``."""
+    rows, twins = [], []
+    original = experiment.run_scans
+
+    def counted_run_scans(state, run, knowledge, reset, trace_sink):
+        before = state.steps_taken
+        original(state, run, knowledge, reset, trace_sink)
+        counts[agent_kind, "run_steps"] += state.steps_taken - before
+        counts[agent_kind, "run_ends_episode"] += state.outcome is not None
+
+    experiment.run_scans = counted_run_scans
+    try:
+        record = run_episode(
+            scenario, agent_kind, episode_seed,
+            trace_sink=lambda *args: rows.append(row(*args)),
+            one_goal_sink=twins.append,
+        )
+    finally:
+        experiment.run_scans = original
+    expected_rows, outcome, one_goal = reference_episode(scenario, agent_kind, episode_seed)
+    assert rows == expected_rows
+    assert (record.outcome, record.steps, record.score) == (
+        outcome.kind.value, outcome.steps, outcome.score)
+    assert (twins[0].outcome, twins[0].steps, twins[0].score) == (
+        one_goal.kind.value, one_goal.steps, one_goal.score)
+    counts[agent_kind, "steps"] += record.steps
+    counts[agent_kind, "resets"] += sum(knowledge_reset for _, knowledge_reset, _, _ in rows)
+    counts[agent_kind, record.outcome] += 1
+
+
+@pytest.mark.parametrize("movement_time", [None, 25], ids=["static", "mutation"])
+def test_golden_grid_runs_match_the_per_action_loop(movement_time):
+    config = dataclasses.replace(GOLDEN_GRID, movement_time=(movement_time,))
+    counts = Counter()
+    for cell in config.cells():
+        scenario = generate_scenario(scenario_params(config.fixed, cell))
+        for rep in range(config.repetitions):
+            check_episode(scenario, cell.agent, derive_episode_seed(config.master_seed, cell, rep),
+                          counts)
+    # Both scanning agents play runs, and under mutation most of careful's
+    # steps are run steps; its runs end at resets and at the step limit.
+    assert counts["careful", "run_steps"] > 0
+    assert counts["standard", "run_steps"] > 0
+    assert counts["aggressive", "run_steps"] == 0
+    if movement_time is not None:
+        assert counts["careful", "run_steps"] > counts["careful", "steps"] / 2
+        assert counts["careful", "resets"] > 0
+        assert counts["careful", "run_ends_episode"] > 0
+
+
+def test_random_worlds_runs_match_the_per_action_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    worlds = st.builds(
+        GeneratorParams,
+        num_hosts=st.integers(1, 12),
+        num_honeypots=st.integers(0, 3),
+        num_sensitive=st.integers(0, 3),
+        movement_time=st.sampled_from((None, 1, 2, 7, 25)),
+        one_goal=st.booleans(),
+        seed=st.integers(0, 2**32),
+        exploit_prob=st.sampled_from((0.5, 1.0)),
+        # Limits of a few steps land inside the first scan runs.
+        step_limit=st.integers(2, 300),
+        num_addresses=st.sampled_from((24, 64, 256)),
+    )
+    counts = Counter()
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(params=worlds, episode_seed=st.integers(0, 2**64 - 1))
+    def check(params, episode_seed):
+        scenario = generate_scenario(params)
+        for kind in AGENT_KINDS:
+            check_episode(scenario, kind, episode_seed, counts)
+
+    check()
+    for kind in ("careful", "standard"):
+        assert counts[kind, "run_steps"] > 0
+        assert counts[kind, "resets"] > 0
+        assert counts[kind, "run_ends_episode"] > 0
