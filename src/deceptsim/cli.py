@@ -21,16 +21,17 @@ import csv
 import dataclasses
 import io
 import json
+import operator
 import os
 import sys
 from datetime import datetime, timezone
 
 from . import __version__
 from .agents import AGENT_KINDS
-from .engine import trace_record
+from .engine import OutcomeKind, trace_record
 from .experiment import (
     CELL_FIELDS,
-    DERIVED_FIELDS,
+    GROUP_GETTERS,
     SWEPT_TYPES,
     AggregateStats,
     Cell,
@@ -48,7 +49,7 @@ MANIFEST_PREFIX = "# deceptsim-manifest: "
 WORKERS_ENV_VAR = "DECEPTSIM_WORKERS"
 TIMESTAMP_ENV_VAR = "SOURCE_DATE_EPOCH"
 
-RECORD_COLUMNS = tuple(spec.name for spec in dataclasses.fields(EpisodeRecord))
+RECORD_COLUMNS = EpisodeRecord._fields
 STATS_COLUMNS = tuple(
     spec.name for spec in dataclasses.fields(AggregateStats) if spec.name != "group"
 )
@@ -102,8 +103,7 @@ _FLAG_KEYS = {
     "step_limit": "step_limit",
 }
 
-GROUP_BY_FIELDS = CELL_FIELDS + DERIVED_FIELDS
-GROUP_ALIASES = {name: name for name in GROUP_BY_FIELDS}
+GROUP_ALIASES = {name: name for name in GROUP_GETTERS}
 GROUP_ALIASES.update({"honeypots": "num_honeypots", "hosts": "num_hosts", "agents": "agent"})
 
 
@@ -131,6 +131,23 @@ PARSERS = {
     "bool": _parse_bool,
     "str": str,
 }
+
+
+def _parse_outcome(token: str) -> str:
+    outcomes = [kind.value for kind in OutcomeKind]
+    if token not in outcomes:
+        raise ValueError(f"outcome: expected one of {', '.join(outcomes)}, got {token!r}")
+    return token
+
+
+# How a records CSV token becomes the value of each EpisodeRecord field: by
+# the field's annotation (NamedTuple keeps a postponed one as a ForwardRef),
+# except that an outcome must be an engine.OutcomeKind value.
+RECORD_PARSERS = {
+    name: PARSERS[getattr(annotation, "__forward_arg__", annotation)]
+    for name, annotation in EpisodeRecord.__annotations__.items()
+}
+RECORD_PARSERS["outcome"] = _parse_outcome
 
 
 def parse_value(name: str, token: str, annotation: str):
@@ -167,7 +184,7 @@ def read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -211,7 +228,7 @@ def manifest_line(manifest: dict) -> str:
 
 def _parse_manifest_json(line: str, path: str) -> dict:
     try:
-        manifest = json.loads(line[len(MANIFEST_PREFIX):])
+        manifest = json.loads(line[len(MANIFEST_PREFIX):].rstrip("\r\n"))
     except ValueError as exc:
         raise ConfigError(f"{path}: corrupted manifest line: {exc}") from exc
     if not isinstance(manifest, dict):
@@ -234,7 +251,7 @@ def load_manifest(path: str, command: str) -> dict:
                     raise ConfigError(f"{path}: no manifest line found")
             else:
                 raise ConfigError(f"{path}: no manifest line found")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read manifest from {path}: {exc}") from exc
     if manifest.get("command") != command:
         raise ConfigError(
@@ -397,7 +414,7 @@ def records_csv_text(manifest: dict, records) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(RECORD_COLUMNS)
     for record in records:
-        writer.writerow([format_value(getattr(record, column)) for column in RECORD_COLUMNS])
+        writer.writerow(map(format_value, record))
     return buffer.getvalue()
 
 
@@ -424,35 +441,54 @@ def trace_jsonl_text(manifest: dict, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _TokenMemo(dict):
+    """One records column's values by token: each distinct token is parsed
+    once, by ``parse``, when it is first looked up."""
+
+    def __init__(self, parse):
+        self.parse = parse
+
+    def __missing__(self, token: str):
+        value = self[token] = self.parse(token)
+        return value
+
+
+def _data_lines(handle, path: str, manifests: list):
+    """The lines of a records file that hold CSV; each manifest line met on
+    the way is parsed into ``manifests``, and other comment lines dropped."""
+    for line in handle:
+        if not line.startswith("#"):
+            yield line
+        elif line.startswith(MANIFEST_PREFIX):
+            manifests.append(_parse_manifest_json(line, path))
+
+
 def read_records_csv(path: str) -> tuple[list[EpisodeRecord], dict | None]:
+    """The records of a records CSV, read in one streamed pass, and its
+    manifest. Columns are found by header name; blank rows are skipped."""
+    manifests, records = [], []
     try:
         with open(path, encoding="utf-8", newline="") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
+            reader = csv.reader(_data_lines(handle, path, manifests))
+            header = next(reader, [])
+            missing = [column for column in RECORD_COLUMNS if column not in header]
+            if missing:
+                raise ConfigError(f"{path}: missing record columns: {', '.join(missing)}")
+            # A row's fields are fetched and parsed lazily in field order, so
+            # a short row fails where the first missing field would be read.
+            indexes = [header.index(column) for column in RECORD_COLUMNS]
+            memos = [_TokenMemo(parse) for parse in RECORD_PARSERS.values()]
+            getitem, make, append = operator.getitem, EpisodeRecord._make, records.append
+            try:
+                for index, row in enumerate(filter(None, reader), start=1):
+                    append(make(map(getitem, memos, map(row.__getitem__, indexes))))
+            except UnicodeDecodeError:
+                raise
+            except (IndexError, ValueError) as exc:
+                raise ConfigError(f"{path}: bad record row {index}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read records file {path}: {exc}") from exc
-    manifest = None
-    data = []
-    for line in lines:
-        if line.startswith(MANIFEST_PREFIX):
-            manifest = _parse_manifest_json(line, path)
-        elif not line.startswith("#"):
-            data.append(line)
-    reader = csv.reader(data)
-    header = next(reader, [])
-    missing = [column for column in RECORD_COLUMNS if column not in header]
-    if missing:
-        raise ConfigError(f"{path}: missing record columns: {', '.join(missing)}")
-    plan = [
-        (header.index(spec.name), PARSERS[spec.type])
-        for spec in dataclasses.fields(EpisodeRecord)
-    ]
-    records = []
-    for index, row in enumerate(filter(None, reader), start=1):  # blank lines skipped
-        try:
-            records.append(EpisodeRecord(*[parse(row[i]) for i, parse in plan]))
-        except (IndexError, ValueError) as exc:
-            raise ConfigError(f"{path}: bad record row {index}: {exc}") from exc
-    return records, manifest
+    return records, manifests[-1] if manifests else None
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +554,8 @@ def cmd_run(args) -> int:
         "run", run_config_dict(cell, fixed, master_seed, repetition), outputs, timestamp
     )
     print(manifest_line(manifest))
-    print(" ".join(
-        f"{column}={format_value(getattr(record, column))}" for column in RECORD_COLUMNS
-    ))
+    tokens = map(format_value, record)
+    print(" ".join(f"{column}={token}" for column, token in zip(RECORD_COLUMNS, tokens)))
     if trace_path:
         write_text(trace_path, trace_jsonl_text(manifest, trace_rows))
     return 0

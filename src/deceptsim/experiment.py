@@ -1,11 +1,13 @@
 """Monte-Carlo harness.
 
 Expands the swept parameter grid into cells, runs seeded episode batches
-(serially or across processes), and aggregates outcome statistics. Episode
-seeds are a pure hash of (master seed, cell, repetition), so any subset of
-the grid reproduces identical records in any execution order. The cell key
-deliberately excludes the objective flag: cells differing only in one_goal
-share episode seeds, which makes their win probabilities exactly paired.
+(serially or across processes), and aggregates outcome statistics, reading
+each group-by field off all records in one ``map``: no Python call per record
+for a cell field. Episode seeds are a pure hash of (master seed, cell,
+repetition), so any subset of the grid reproduces identical records in any
+execution order. The cell key deliberately excludes the objective flag: cells
+differing only in one_goal share episode seeds, which makes their win
+probabilities exactly paired.
 
 Excluding it also lets one simulation produce both records. Nothing but the
 terminal check reads the objective, so a one-goal episode plays exactly the
@@ -20,10 +22,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import operator
 import random
 import statistics
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .agents import AGENT_KINDS, make_agent
 from .engine import new_network_state, run_scans, step as engine_step
@@ -35,10 +40,6 @@ DEFAULT_NUM_HOSTS = (10, 50)
 DEFAULT_ONE_GOAL = (False, True)
 DEFAULT_SEEDS = (1234, 42, 24121997)
 DEFAULT_REPETITIONS = 100
-
-# Derived grouping dimensions accepted by aggregate() besides CELL_FIELDS.
-DERIVED_FIELDS = ("honeypots_on", "mtd_on")
-
 
 class SweepError(RuntimeError):
     """A cell of the sweep could not be generated or run."""
@@ -107,9 +108,9 @@ SWEPT_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class EpisodeRecord:
-    """One episode's cell parameters and outcome, flat for tabular output."""
+class EpisodeRecord(NamedTuple):
+    """One episode's cell parameters and outcome, flat for tabular output;
+    its fields are the records CSV's columns, in order."""
 
     num_honeypots: int
     movement_time: int | None
@@ -217,8 +218,8 @@ def run_episode(
     )
     if one_goal_sink is not None:
         outcome = state.one_goal_win or outcome
-        one_goal_sink(dataclasses.replace(
-            record, one_goal=True, outcome=outcome.kind.value, steps=outcome.steps,
+        one_goal_sink(record._replace(
+            one_goal=True, outcome=outcome.kind.value, steps=outcome.steps,
             score=outcome.score,
         ))
     return record
@@ -280,13 +281,13 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[EpisodeRe
     ]
 
 
-def record_field(record: EpisodeRecord, name: str):
-    """A record's value for a grouping field, including derived dimensions."""
-    if name == "honeypots_on":
-        return record.num_honeypots > 0
-    if name == "mtd_on":
-        return record.movement_time is not None
-    return getattr(record, name)
+# How aggregate() reads each grouping field off a record: every cell field,
+# and two derived dimensions.
+GROUP_GETTERS = {name: operator.attrgetter(name) for name in CELL_FIELDS}
+GROUP_GETTERS.update(
+    honeypots_on=lambda record: record.num_honeypots > 0,
+    mtd_on=lambda record: record.movement_time is not None,
+)
 
 
 def aggregate(records, group_by: tuple[str, ...] = CELL_FIELDS) -> list[AggregateStats]:
@@ -298,24 +299,23 @@ def aggregate(records, group_by: tuple[str, ...] = CELL_FIELDS) -> list[Aggregat
     records = list(records)
     if not records:
         raise ValueError("no records to aggregate")
-    valid = set(CELL_FIELDS) | set(DERIVED_FIELDS)
     for name in group_by:
-        if name not in valid:
+        if name not in GROUP_GETTERS:
             raise ValueError(
-                f"unknown group-by field {name!r}; expected any of: "
-                f"{', '.join(CELL_FIELDS + DERIVED_FIELDS)}"
+                f"unknown group-by field {name!r}; expected any of: {', '.join(GROUP_GETTERS)}"
             )
-    groups: dict[tuple, list[EpisodeRecord]] = {}
-    for record in records:
-        key = tuple(record_field(record, name) for name in group_by)
-        groups.setdefault(key, []).append(record)
+    columns = [map(GROUP_GETTERS[name], records) for name in group_by]
+    keys = zip(*columns) if columns else itertools.repeat(())
+    groups: defaultdict[tuple, list[EpisodeRecord]] = defaultdict(list)
+    for key, record in zip(keys, records):
+        groups[key].append(record)
 
     stats = []
     for key in sorted(groups, key=lambda k: tuple((v is None, v) for v in k)):
         members = groups[key]
         n = len(members)
-        outcomes = [r.outcome for r in members]
-        steps = sorted(r.steps for r in members)
+        outcomes = list(map(operator.attrgetter("outcome"), members))
+        steps = sorted(map(operator.attrgetter("steps"), members))
         if len(steps) > 1:
             q1, median, q3 = statistics.quantiles(steps, n=4, method="inclusive")
         else:

@@ -1,0 +1,325 @@
+"""The records reader and ``aggregate`` against the straightforward path.
+
+``cli.read_records_csv`` streams the file through ``csv`` and parses each
+distinct token of a column once, through a per-column memo; ``aggregate``
+reads its group keys with one ``map`` per field. The references below are
+the row-by-row reader and the per-record, per-field grouping they replaced.
+The reader is kept as it was, except that it takes its column parsers from
+``cli.RECORD_PARSERS`` (which checks outcomes) and reports an undecodable
+file as the streamed reader does. Both paths must give the same records and
+manifest, or the same error text, and the same aggregate statistics.
+"""
+
+import csv
+import dataclasses
+import random
+import statistics
+from pathlib import Path
+
+import pytest
+
+from deceptsim import cli
+from deceptsim.agents import AGENT_KINDS
+from deceptsim.experiment import (
+    CELL_FIELDS,
+    GROUP_GETTERS,
+    AggregateStats,
+    Cell,
+    EpisodeRecord,
+    aggregate,
+)
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+GOLDEN = Path(__file__).parent / "data" / "golden_records.csv"
+OUTCOMES = ("win", "loss_honeypot", "timeout")
+MANIFEST = cli.MANIFEST_PREFIX + '{"command":"sweep","config":{"master_seed":3}}'
+
+
+# ---------------------------------------------------------------------------
+# References: the straightforward paths
+
+
+def reference_read(path):
+    """Read the whole file, split it into lines, and parse every field of
+    every row with its column's parser."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            lines = handle.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise cli.ConfigError(f"cannot read records file {path}: {exc}") from exc
+    manifest = None
+    data = []
+    for line in lines:
+        if line.startswith(cli.MANIFEST_PREFIX):
+            manifest = cli._parse_manifest_json(line, path)
+        elif not line.startswith("#"):
+            data.append(line)
+    reader = csv.reader(data)
+    header = next(reader, [])
+    missing = [column for column in cli.RECORD_COLUMNS if column not in header]
+    if missing:
+        raise cli.ConfigError(f"{path}: missing record columns: {', '.join(missing)}")
+    plan = [(header.index(name), parse) for name, parse in cli.RECORD_PARSERS.items()]
+    records = []
+    for index, row in enumerate(filter(None, reader), start=1):
+        try:
+            records.append(EpisodeRecord(*[parse(row[i]) for i, parse in plan]))
+        except (IndexError, ValueError) as exc:
+            raise cli.ConfigError(f"{path}: bad record row {index}: {exc}") from exc
+    return records, manifest
+
+
+def reference_field(record, name):
+    if name == "honeypots_on":
+        return record.num_honeypots > 0
+    if name == "mtd_on":
+        return record.movement_time is not None
+    return getattr(record, name)
+
+
+def reference_aggregate(records, group_by):
+    """Group record by record, building each key field by field."""
+    groups = {}
+    for record in records:
+        key = tuple(reference_field(record, name) for name in group_by)
+        groups.setdefault(key, []).append(record)
+    stats = []
+    for key in sorted(groups, key=lambda k: tuple((v is None, v) for v in k)):
+        members = groups[key]
+        n = len(members)
+        outcomes = [r.outcome for r in members]
+        steps = sorted(r.steps for r in members)
+        if len(steps) > 1:
+            q1, median, q3 = statistics.quantiles(steps, n=4, method="inclusive")
+        else:
+            q1 = median = q3 = float(steps[0])
+        stats.append(AggregateStats(
+            group=tuple(zip(group_by, key)),
+            episodes=n,
+            win_probability=outcomes.count("win") / n,
+            loss_honeypot_fraction=outcomes.count("loss_honeypot") / n,
+            timeout_fraction=outcomes.count("timeout") / n,
+            steps_min=steps[0],
+            steps_q1=q1,
+            steps_median=median,
+            steps_q3=q3,
+            steps_max=steps[-1],
+        ))
+    return stats
+
+
+def result(read, path):
+    """What ``read`` makes of ``path``: the records, with each field's type
+    (a memo must not hand ``1`` for ``True``), and the manifest; or the
+    error text."""
+    try:
+        records, manifest = read(str(path))
+    except cli.ConfigError as exc:
+        return "error", str(exc)
+    return records, [tuple(map(type, record)) for record in records], manifest
+
+
+def assert_reads_alike(path):
+    expected = result(reference_read, path)
+    assert result(cli.read_records_csv, path) == expected
+    return expected
+
+
+# ---------------------------------------------------------------------------
+# Reader: fixed files
+
+
+def test_record_parsers_follow_the_field_annotations():
+    assert cli.RECORD_COLUMNS == tuple(cli.RECORD_PARSERS)
+    cell_types = [cli.PARSERS[spec.type] for spec in dataclasses.fields(Cell)]
+    assert [cli.RECORD_PARSERS[name] for name in CELL_FIELDS] == cell_types
+    assert [cli.RECORD_PARSERS[name] for name in ("repetition", "steps", "score", "episode_seed")] \
+        == [int, int, float, int]
+    assert cli.RECORD_PARSERS["outcome"]("timeout") == "timeout"
+
+
+def test_golden_records_read_alike():
+    records, _, manifest = assert_reads_alike(GOLDEN)
+    assert len(records) == 96 and manifest is None
+
+
+def write(tmp_path, text, name="records.csv"):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def golden_lines():
+    return GOLDEN.read_text(encoding="utf-8").splitlines()
+
+
+def test_blank_comment_and_manifest_lines_anywhere(tmp_path):
+    header, *rows = golden_lines()
+    lines = ["# a comment", MANIFEST, header, "", "# note", *rows[:5],
+             MANIFEST.replace(":3", ":4"), "", "\r", *rows[5:9], "#"]
+    for ending in ("\n", "\r\n", "\r"):
+        path = write(tmp_path, ending.join(lines) + ending)
+        records, _, manifest = assert_reads_alike(path)
+        assert len(records) == 9 and manifest["config"] == {"master_seed": 4}
+
+
+def test_reordered_and_extra_columns(tmp_path):
+    header, *rows = golden_lines()
+    columns = header.split(",")
+    order = list(range(len(columns)))
+    random.Random(5).shuffle(order)
+    shuffled = [",".join(["x", *(row.split(",")[i] for i in order), "y"]) for row in rows]
+    path = write(tmp_path, "\n".join([",".join(["extra", *(columns[i] for i in order), "more"]),
+                                      *shuffled]))
+    records, _, _ = assert_reads_alike(path)
+    assert records == cli.read_records_csv(str(GOLDEN))[0]
+
+
+def set_field(row, column, token):
+    fields = row.split(",")
+    fields[cli.RECORD_COLUMNS.index(column)] = token
+    return ",".join(fields)
+
+
+@pytest.mark.parametrize("edit, row", [
+    (lambda rows: rows[:3] + [rows[3].rsplit(",", 2)[0]] + rows[4:], 4),  # short row
+    (lambda rows: rows[:6] + [set_field(rows[6], "outcome", "Win")] + rows[7:], 7),
+    (lambda rows: rows[:2] + [set_field(rows[2], "one_goal", "maybe")] + rows[3:], 3),
+    (lambda rows: rows + [set_field(rows[0], "seed", "12x4")] * 2, 97),
+    (lambda rows: [MANIFEST[:-3]] + rows, None),  # corrupted manifest
+])
+def test_first_bad_row_is_named_alike(tmp_path, edit, row):
+    header, *rows = golden_lines()
+    path = write(tmp_path, "\n".join([header, "", *edit(rows)]) + "\n")
+    kind, message = assert_reads_alike(path)
+    assert kind == "error"
+    assert (f": bad record row {row}: " in message) is (row is not None)
+
+
+def test_missing_columns_and_empty_file_alike(tmp_path):
+    assert assert_reads_alike(write(tmp_path, ""))[0] == "error"
+    assert assert_reads_alike(write(tmp_path, "\nnum_hosts,agent\n"))[0] == "error"
+
+
+def test_undecodable_bytes_past_the_first_chunk_name_the_file(tmp_path):
+    header, rows = GOLDEN.read_bytes().split(b"\n", 1)
+    text = header + b"\n" + rows * 200
+    path = tmp_path / "records.csv"
+    path.write_bytes(text[:-40] + b"\xff" + text[-40:])
+    # The byte's position in the message is counted from the start of the
+    # chunk being decoded, so only the rest of the message is compared.
+    for read in (reference_read, cli.read_records_csv):
+        kind, message = result(read, path)
+        assert kind == "error" and message.startswith(f"cannot read records file {path}: ")
+        assert "can't decode byte 0xff" in message
+
+
+# ---------------------------------------------------------------------------
+# Reader: drawn files
+
+# Tokens the csv module reads back unchanged from a one-line field: no quote,
+# comma, control or line-separator character (str.splitlines breaks lines at
+# some that csv keeps inside a field).
+SAFE = st.text(st.characters(whitelist_categories=("L", "N", "P", "S", "Zs"),
+                             blacklist_characters='",#\x1c\x1d\x1e\x85  '),
+               max_size=5)
+
+
+def spellings(*words):
+    """Each word in its own case variants, some padded with spaces."""
+    return st.sampled_from(words).flatmap(lambda word: st.sampled_from([
+        word, word.upper(), word.capitalize(), f" {word}", f"{word} ",
+    ]))
+
+
+def good_tokens(column):
+    if column in ("num_honeypots", "num_hosts", "seed", "repetition", "steps"):
+        return st.sampled_from(["0", "2", "10", "1234", " 5", "+7", "-1"])
+    if column == "movement_time":
+        return st.one_of(spellings("none"), st.sampled_from(["25", "50", " 75"]))
+    if column == "one_goal":
+        return spellings("true", "false")
+    if column == "agent":
+        return st.sampled_from(AGENT_KINDS)
+    if column == "outcome":
+        return st.one_of(st.sampled_from(OUTCOMES), spellings(*OUTCOMES))
+    if column == "score":
+        return st.sampled_from(["0.0", "3006.0", "-1000", "1e3", " 2.5", "nan"])
+    return st.integers(0, 2**64 - 1).map(str)
+
+
+def row_tokens(columns):
+    return st.tuples(*(
+        st.one_of(good_tokens(column), good_tokens(column), SAFE) for column in columns
+    )).map(list)
+
+
+@st.composite
+def records_files(draw):
+    columns = list(draw(st.permutations(cli.RECORD_COLUMNS)))
+    for extra in draw(st.lists(st.sampled_from(["extra", "note"]), unique=True, max_size=2)):
+        columns.insert(draw(st.integers(0, len(columns))), extra)
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 12))):
+        row = draw(row_tokens(columns))
+        if draw(st.integers(0, 9)) == 0:
+            row = row[:draw(st.integers(1, len(row)))]  # a short row
+        lines.append(",".join(row))
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append("")
+        elif kind == 1:
+            lines.append("# a comment")
+        elif kind == 2:
+            lines.append(MANIFEST.replace(":3", f":{len(lines)}"))
+    if draw(st.booleans()):
+        lines.insert(0, MANIFEST)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=records_files())
+def test_drawn_files_read_alike(tmp_path_factory, text):
+    assert_reads_alike(write(tmp_path_factory.mktemp("drawn"), text))
+
+
+# ---------------------------------------------------------------------------
+# Aggregate
+
+RECORDS = st.lists(st.builds(
+    EpisodeRecord,
+    num_honeypots=st.sampled_from([0, 1, 2, 9]),
+    movement_time=st.sampled_from([None, 25, 100]),
+    num_hosts=st.sampled_from([10, 50]),
+    one_goal=st.booleans(),
+    seed=st.sampled_from([1234, 42]),
+    agent=st.sampled_from(AGENT_KINDS),
+    repetition=st.integers(0, 3),
+    outcome=st.sampled_from(OUTCOMES),
+    steps=st.integers(1, 3000),
+    score=st.sampled_from([0.0, 3006.0, -997.0]),
+    episode_seed=st.integers(0, 2**64 - 1),
+), min_size=1, max_size=40)
+GROUP_BYS = st.lists(st.sampled_from(list(GROUP_GETTERS)), unique=True, max_size=4).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=RECORDS, group_by=GROUP_BYS)
+def test_drawn_records_aggregate_alike(records, group_by):
+    assert aggregate(records, group_by) == reference_aggregate(records, group_by)
+
+
+@pytest.mark.parametrize("group_by", [(name,) for name in GROUP_GETTERS] + [(), CELL_FIELDS])
+def test_golden_records_aggregate_alike(group_by):
+    records, _ = cli.read_records_csv(str(GOLDEN))
+    assert aggregate(records, group_by) == reference_aggregate(records, group_by)
+
+
+def test_golden_aggregate_text_alike():
+    records, _ = cli.read_records_csv(str(GOLDEN))
+    for group_by in (("agent", "num_honeypots"), ("agent", "movement_time"),
+                     ("honeypots_on", "mtd_on"), ("agent", "one_goal", "seed"), ("mtd_on",)):
+        assert cli.aggregates_csv_text({}, group_by, aggregate(records, group_by)) == \
+            cli.aggregates_csv_text({}, group_by, reference_aggregate(records, group_by))

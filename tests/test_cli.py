@@ -546,6 +546,42 @@ def test_aggregate_missing_file_exits_1(tmp_path, capsys):
     assert run_cli("aggregate", "--records", str(tmp_path / "nope.csv")) == 1
 
 
+@pytest.mark.parametrize("outcome", ["WIN", "Win", " win", "lost", ""])
+def test_aggregate_unknown_outcome_exits_1(tmp_path, capsys, outcome):
+    records_path = tmp_path / "records.csv"
+    rows = [
+        "4,none,10,false,1234,careful,0,win,10,3.0,1",
+        f"4,none,10,false,1234,careful,1,{outcome},12,3.0,2",
+    ]
+    records_path.write_text("\n".join([",".join(cli.RECORD_COLUMNS), *rows]) + "\n")
+    assert run_cli("aggregate", "--records", str(records_path), "--group-by", "agent") == 1
+    err = capsys.readouterr().err
+    assert f"bad record row 2: outcome: expected one of win, loss_honeypot, timeout, got {outcome!r}" in err
+
+
+def test_aggregate_oversized_field_exits_1(tmp_path, capsys):
+    records_path = tmp_path / "records.csv"
+    records_path.write_text(",".join(cli.RECORD_COLUMNS) + "\n" + "9" * (csv.field_size_limit() + 1))
+    assert run_cli("aggregate", "--records", str(records_path)) == 1
+    assert f"cannot read records file {records_path}: field larger than" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, reader", [
+    (["aggregate", "--records"], "records file"),
+    (["sweep", "--config"], "config file"),
+    (["run", "--config"], "config file"),
+    (["sweep", "--from-manifest"], "manifest from"),
+    (["run", "--from-manifest"], "manifest from"),
+    (["aggregate", "--from-manifest"], "manifest from"),
+])
+def test_file_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys, argv, reader):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("# caf\u00e9\n".encode("latin-1"))
+    assert run_cli(*argv, str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {reader} {path}: 'utf-8' codec can't decode")
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
 

@@ -42,7 +42,7 @@ def _twins(records):
     """Pairs of (all-goals, one-goal) records of the same episode."""
     by_episode = {}
     for record in records:
-        key = dataclasses.replace(record, one_goal=False, outcome="", steps=0, score=0.0)
+        key = record._replace(one_goal=False, outcome="", steps=0, score=0.0)
         by_episode.setdefault(key, {})[record.one_goal] = record
     return [(pair[False], pair[True]) for pair in by_episode.values() if len(pair) == 2]
 
@@ -55,7 +55,7 @@ def test_golden_grid_matches_brute_force():
     # The grid exercises the derivation: some one-goal twins win before
     # their all-goals episode ends, and some end exactly as it does.
     assert any(one.outcome == "win" and one.steps < full.steps for full, one in twins)
-    assert any(one.outcome != "win" and one == dataclasses.replace(full, one_goal=True)
+    assert any(one.outcome != "win" and one == full._replace(one_goal=True)
                for full, one in twins)
 
 
