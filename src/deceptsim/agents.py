@@ -15,6 +15,19 @@ invalidates their beliefs. Mutation is inferred only from observations: a
 connection failure on a known address, a scan that contradicts an earlier
 one, or a subnet scan listing a different address set.
 
+``ScriptedAgent`` holds the decision skeleton the three share. A decision
+is the committed ``follow_up`` if there is one, else the subclass's
+``_choose()`` once the address list is known, else a subnet scan.
+``observe`` folds every reply: scans into beliefs, attack replies through
+``Knowledge.gain`` and ``Knowledge.fail``. After a gain it calls
+``_after_gain``, which commits the follow-up (a wiretap after root; careful
+also commits a process scan after user access, and aggressive wiretaps
+after any gain); after a wiretap reply it calls ``_after_wiretap``. A
+detected mutation clears the follow-up and sets ``need_subnet``, so the two
+are never set together. ``_attack_option`` is the per-address attack rule:
+the best untried matching exploit below user access, a process scan or the
+lowest untried matching escalation at user access.
+
 A decision pays only for what changed. ``Knowledge`` owns each write to a
 belief and to ``failed`` and keeps two indexes beside it. ``options`` holds
 the careful agent's attack option per address, which reads only that
@@ -30,7 +43,7 @@ its count is below the number of known addresses.
 ``(kind, address)`` pairs, or None. ``engine.run_scans`` plays them up to
 the first reset, folding each reply as ``observe`` would, so a run holds
 only scans that draw no random numbers and that a reset drops: careful's
-scan phase, set by the subnet scan that starts it (nothing pending, subnet
+scan phase, set by the subnet scan that starts it (no follow-up, subnet
 known), and standard's focus scans after the first, which commits it to
 the focus. Aggressive has none.
 """
@@ -38,6 +51,7 @@ the focus. Aggressive has none.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
@@ -46,6 +60,13 @@ from .engine import SCAN_FIELDS, Action, ActionKind, Observation, same_stream_sh
 from .scenario import AccessLevel, Address, Scenario
 
 AGENT_KINDS = ("careful", "standard", "aggressive")
+# Members read on every decision, as globals: on Python 3.11 a read off an
+# Enum class costs about 0.1 us more than a global read.
+_SUBNET_SCAN, _PROCESS_SCAN, _WIRETAP = (
+    ActionKind.SUBNET_SCAN, ActionKind.PROCESS_SCAN, ActionKind.WIRETAP)
+_EXPLOIT, _PRIVESC = ActionKind.EXPLOIT, ActionKind.PRIVESC
+_NONE, _USER, _ROOT = AccessLevel.NONE, AccessLevel.USER, AccessLevel.ROOT
+_GRANTS = operator.attrgetter("grants")
 
 
 @dataclass
@@ -100,22 +121,37 @@ class Knowledge:
 
 
 class ScriptedAgent:
-    """Shared toolkit access, belief bookkeeping, mutation detection, and
-    attack selection. Subclasses supply ``next_action`` and the hooks that
-    ``observe`` calls."""
+    """The decision skeleton, belief bookkeeping, mutation detection and
+    attack rule; see the module docstring. Subclasses supply ``_choose``
+    and extend the hooks."""
 
     kind = "scripted"
 
     def __init__(self, scenario: Scenario, rng: random.Random):
-        self.exploits = scenario.exploits
+        self.exploits = scenario.exploits  # in id order, as are privescs
         self.privescs = scenario.privescs
         self.rng = rng
         self.knowledge = Knowledge()
         self.scan_queue = None  # the next scan run, until scan_run hands it over
         self.need_subnet = True
+        self.follow_up: Action | None = None  # the move a reply committed to
         self.resets = 0  # completed knowledge wipes after detected mutations
 
     def next_action(self) -> Action:
+        follow_up = self.follow_up
+        if follow_up is not None:
+            self.follow_up = None
+            return follow_up
+        if not self.need_subnet:
+            choice = self._choose()
+            if choice is not None:
+                return choice
+        # Nothing to do under current knowledge: re-discover, which also
+        # gives mutation a chance to be noticed.
+        return Action(_SUBNET_SCAN)
+
+    def _choose(self) -> Action | None:
+        """The next move once the address list is known; None for a subnet scan."""
         raise NotImplementedError
 
     def scan_run(self):
@@ -127,33 +163,42 @@ class ScriptedAgent:
     def observe(self, action: Action, obs: Observation) -> None:
         """Fold one reply into the knowledge. A subnet scan listing a new
         address set, a connection failure, or a host scan contradicting an
-        earlier one reveals a mutation and wipes the knowledge; any other
-        reply goes to ``_observe_attack``."""
+        earlier one reveals a mutation and wipes the knowledge."""
         kind = action.kind
         knowledge = self.knowledge
-        if kind is ActionKind.SUBNET_SCAN:
+        if kind is _SUBNET_SCAN:
             discovered = list(obs.discovered_addresses)
             if knowledge.addresses and set(discovered) != set(knowledge.addresses):
                 self.mtd_reset()
             knowledge.addresses = discovered
             self.need_subnet = False
             self._after_subnet_scan()
-            return
-        if obs.connection_failed:
+        elif obs.connection_failed:
             self.mtd_reset()
-            return
-        name = SCAN_FIELDS.get(kind)
-        if name is None:
-            self._observe_attack(action, obs)
-        elif not knowledge.learn(action.target, name, getattr(obs, name)):
-            self.mtd_reset()
+        elif kind is _WIRETAP:
+            self._after_wiretap()  # a wiretap reply carries no knowledge
+        elif kind is _EXPLOIT or kind is _PRIVESC:
+            if obs.success:
+                knowledge.gain(action.target, obs.access_gained)
+                self._after_gain(action.target, obs.access_gained)
+            else:
+                ident = action.exploit_id if kind is _EXPLOIT else action.privesc_id
+                knowledge.fail(action.target, kind, ident)
+        else:
+            name = SCAN_FIELDS[kind]
+            if not knowledge.learn(action.target, name, getattr(obs, name)):
+                self.mtd_reset()
 
     def _after_subnet_scan(self) -> None:
         """Hook: the address list has just been (re)discovered."""
 
-    def _observe_attack(self, action: Action, obs: Observation) -> None:
-        """Hook: the reply to an exploit, privilege escalation or wiretap."""
-        raise NotImplementedError
+    def _after_gain(self, address: Address, access: AccessLevel) -> None:
+        """Hook: an attack at ``address`` gained ``access``; root commits a wiretap."""
+        if access is _ROOT:
+            self.follow_up = Action(_WIRETAP, address)
+
+    def _after_wiretap(self) -> None:
+        """Hook: a wiretap was answered."""
 
     def mtd_reset(self) -> None:
         """Forget everything learned at the old addresses; subclasses extend
@@ -161,51 +206,37 @@ class ScriptedAgent:
         self.resets += 1
         self.knowledge.clear()
         self.scan_queue = None
+        self.follow_up = None
         self.need_subnet = True
 
-    def _best_exploit(self, address: Address):
-        """Untried exploit matching the believed configuration; root-granting
-        first, then lowest id."""
-        belief = self.knowledge.beliefs.get(address)
-        if (
-            belief is None
-            or belief.services is None
-            or belief.vulns is None
-            or belief.os is None
-        ):
+    def _attack_option(self, address: Address) -> Action | None:
+        """The attack rule at one address: below user access, the untried
+        exploit matching the believed configuration, root-granting first,
+        then lowest id; at user access, a process scan until the processes
+        are known, then the lowest untried matching escalation."""
+        knowledge = self.knowledge
+        belief = knowledge.beliefs.get(address)
+        if belief is None:
             return None
-        candidates = [
-            e
-            for e in self.exploits
-            if (address, ActionKind.EXPLOIT, e.id) not in self.knowledge.failed
-            and e.matches(belief.services, belief.vulns, belief.os)
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda e: (-int(e.grants), e.id))
-
-    def _untried_privesc(self, address: Address):
-        belief = self.knowledge.beliefs.get(address)
-        if belief is None or belief.processes is None:
-            return None
-        candidates = [
-            p
-            for p in self.privescs
-            if (address, ActionKind.PRIVESC, p.id) not in self.knowledge.failed
-            and p.required_process in belief.processes
-        ]
-        return min(candidates, key=lambda p: p.id) if candidates else None
-
-    def _record_attack_reply(self, action: Action, obs: Observation) -> AccessLevel | None:
-        """Update beliefs and the failed-attempt set; return gained access."""
-        kind = action.kind
-        if kind is ActionKind.WIRETAP:
-            return None
-        if obs.success:
-            self.knowledge.gain(action.target, obs.access_gained)
-            return obs.access_gained
-        ident = action.exploit_id if kind is ActionKind.EXPLOIT else action.privesc_id
-        self.knowledge.fail(action.target, kind, ident)
+        failed = knowledge.failed
+        if belief.access is _NONE:
+            services, vulns, os = belief.services, belief.vulns, belief.os
+            if services is None or vulns is None or os is None:
+                return None
+            candidates = [
+                e for e in self.exploits
+                if (address, _EXPLOIT, e.id) not in failed and e.matches(services, vulns, os)
+            ]
+            if candidates:
+                # max keeps the first, so the lowest id, of the best grants.
+                return Action(_EXPLOIT, address, max(candidates, key=_GRANTS).id)
+        elif belief.access is _USER:
+            processes = belief.processes
+            if processes is None:
+                return Action(_PROCESS_SCAN, address)
+            for p in self.privescs:
+                if p.required_process in processes and (address, _PRIVESC, p.id) not in failed:
+                    return Action(_PRIVESC, address, privesc_id=p.id)
         return None
 
 
@@ -218,23 +249,7 @@ class CarefulAgent(ScriptedAgent):
     kind = "careful"
     SCAN_KINDS = (ActionKind.SERVICE_SCAN, ActionKind.VULN_SCAN, ActionKind.OS_SCAN)
 
-    def __init__(self, scenario: Scenario, rng: random.Random):
-        super().__init__(scenario, rng)
-        self.pending: deque[Action] = deque()
-
-    def next_action(self) -> Action:
-        # The scan phase is a scan run, which a subnet scan starts.
-        if self.pending:
-            return self.pending.popleft()
-        if not self.need_subnet:
-            choice = self._pick_attack()
-            if choice is not None:
-                return choice
-        # Nothing attackable under current knowledge: rescan everything but
-        # keep the attempt memory so failed pairs are not retried.
-        return Action(ActionKind.SUBNET_SCAN)
-
-    def _pick_attack(self) -> Action | None:
+    def _choose(self) -> Action | None:
         options = self._attack_options()
         return options[self.rng.randrange(len(options))] if options else None
 
@@ -247,39 +262,13 @@ class CarefulAgent(ScriptedAgent):
                 memo[address] = self._attack_option(address)
         return [option for option in map(memo.get, addresses) if option is not None]
 
-    def _attack_option(self, address: Address) -> Action | None:
-        belief = self.knowledge.beliefs.get(address)
-        if belief is None:
-            return None
-        if belief.access is AccessLevel.NONE:
-            exploit = self._best_exploit(address)
-            if exploit is not None:
-                return Action(ActionKind.EXPLOIT, address, exploit.id)
-        elif belief.access is AccessLevel.USER:
-            if belief.processes is None:
-                return Action(ActionKind.PROCESS_SCAN, address)
-            privesc = self._untried_privesc(address)
-            if privesc is not None:
-                return Action(ActionKind.PRIVESC, address, privesc_id=privesc.id)
-        return None
-
     def _after_subnet_scan(self) -> None:
         # Lazy, as a reset usually drops most of the run unplayed.
         pairs = itertools.product(self.knowledge.addresses, self.SCAN_KINDS)
         self.scan_queue = ((kind, address) for address, kind in pairs)
 
-    def _observe_attack(self, action: Action, obs: Observation) -> None:
-        gained = self._record_attack_reply(action, obs)
-        if gained is AccessLevel.ROOT:
-            self.pending.append(Action(ActionKind.WIRETAP, action.target))
-        elif gained is AccessLevel.USER:
-            self.pending.append(Action(ActionKind.PROCESS_SCAN, action.target))
-        # wiretap replies carry no knowledge
-
-    def mtd_reset(self) -> None:
-        # next_action restarts the scan phase from a subnet scan.
-        super().mtd_reset()
-        self.pending.clear()
+    def _after_gain(self, address: Address, access: AccessLevel) -> None:
+        self.follow_up = Action(_WIRETAP if access is _ROOT else _PROCESS_SCAN, address)
 
 
 class StandardAgent(ScriptedAgent):
@@ -298,60 +287,43 @@ class StandardAgent(ScriptedAgent):
     def __init__(self, scenario: Scenario, rng: random.Random):
         super().__init__(scenario, rng)
         self.focus: Address | None = None
-        self.pending: deque[Action] = deque()
         self.exhausted: set[Address] = set()
 
-    def next_action(self) -> Action:
-        if self.pending:
-            return self.pending.popleft()
-        if self.need_subnet:
-            return Action(ActionKind.SUBNET_SCAN)
-        while True:
-            if self.focus is None:
-                candidates = []
-                for address in self.knowledge.addresses:
-                    if address in self.exhausted:
-                        continue
-                    belief = self.knowledge.beliefs.get(address)
-                    if belief is not None and belief.access is AccessLevel.ROOT:
-                        continue
-                    candidates.append(address)
-                if not candidates:
-                    # Everything exhausted or owned: re-discover, which also
-                    # gives mutation a chance to be noticed.
-                    return Action(ActionKind.SUBNET_SCAN)
-                self.focus = candidates[self.rng.randrange(len(candidates))]
-                first, *rest = self.SCAN_KINDS
-                self.scan_queue = [(kind, self.focus) for kind in rest]
-                return Action(first, self.focus)
-            belief = self.knowledge.beliefs[self.focus]
-            if belief.access is AccessLevel.NONE:
-                exploit = self._best_exploit(self.focus)
-                if exploit is not None:
-                    return Action(ActionKind.EXPLOIT, self.focus, exploit.id)
-            elif belief.access is AccessLevel.USER:
-                privesc = self._untried_privesc(self.focus)
-                if privesc is not None:
-                    return Action(ActionKind.PRIVESC, self.focus, privesc_id=privesc.id)
-            else:
-                return Action(ActionKind.WIRETAP, self.focus)
+    def _choose(self) -> Action | None:
+        # A focus reached here is fully scanned and below root: a root gain
+        # commits the wiretap, whose reply clears the focus, and a user gain
+        # clears it at once.
+        while self.focus is not None:
+            option = self._attack_option(self.focus)
+            if option is not None:
+                return option
             self.exhausted.add(self.focus)
             self.focus = None
+        beliefs, exhausted = self.knowledge.beliefs, self.exhausted
+        candidates = [
+            address
+            for address in self.knowledge.addresses
+            if address not in exhausted
+            and (address not in beliefs or beliefs[address].access is not _ROOT)
+        ]
+        if not candidates:
+            return None  # everything exhausted or owned
+        self.focus = focus = candidates[self.rng.randrange(len(candidates))]
+        first, *rest = self.SCAN_KINDS
+        self.scan_queue = [(kind, focus) for kind in rest]
+        return Action(first, focus)
 
-    def _observe_attack(self, action: Action, obs: Observation) -> None:
-        if action.kind is ActionKind.WIRETAP:
-            self.focus = None
-            return
-        gained = self._record_attack_reply(action, obs)
-        if gained is AccessLevel.ROOT:
-            self.pending.append(Action(ActionKind.WIRETAP, action.target))
-        elif gained is AccessLevel.USER:
-            self.focus = None  # success: move to a new host, come back later
+    def _after_gain(self, address: Address, access: AccessLevel) -> None:
+        super()._after_gain(address, access)
+        if access is _USER:
+            self.focus = None  # move to a new host, come back later
+
+    def _after_wiretap(self) -> None:
+        self.focus = None
 
     def mtd_reset(self) -> None:
         super().mtd_reset()
         self.exhausted.clear()
-        self.pending.clear()
         self.focus = None
 
 
@@ -365,34 +337,28 @@ class AggressiveAgent(ScriptedAgent):
 
     def __init__(self, scenario: Scenario, rng: random.Random):
         super().__init__(scenario, rng)
-        self.catalog = [(ActionKind.EXPLOIT, e.id) for e in self.exploits]
-        self.catalog += [(ActionKind.PRIVESC, p.id) for p in self.privescs]
+        self.catalog = [(_EXPLOIT, e.id) for e in self.exploits]
+        self.catalog += [(_PRIVESC, p.id) for p in self.privescs]
         self.current: tuple[ActionKind, int] | None = None
         self.sweep: deque[Address] = deque()
-        self.pending_wiretap: Address | None = None
 
-    def next_action(self) -> Action:
-        if self.need_subnet:
-            return Action(ActionKind.SUBNET_SCAN)
-        if self.pending_wiretap is not None:
-            return Action(ActionKind.WIRETAP, self.pending_wiretap)
+    def _choose(self) -> Action | None:
+        failed = self.knowledge.failed
         while True:
             if self.current is None:
                 viable = self._viable()
                 if not viable:
-                    # Every pair tried and failed: re-discover and retry; only
-                    # a mutation can make progress possible again.
-                    return Action(ActionKind.SUBNET_SCAN)
+                    return None  # only a mutation can make progress possible
                 self.current = viable[self.rng.randrange(len(viable))]
                 self._new_sweep()
             kind, ident = self.current
-            while self.sweep:
-                address = self.sweep.popleft()
-                if (address, kind, ident) in self.knowledge.failed:
-                    continue
-                if kind is ActionKind.EXPLOIT:
-                    return Action(ActionKind.EXPLOIT, address, ident)
-                return Action(ActionKind.PRIVESC, address, privesc_id=ident)
+            sweep = self.sweep
+            while sweep:
+                address = sweep.popleft()
+                if (address, kind, ident) not in failed:
+                    if kind is _EXPLOIT:
+                        return Action(_EXPLOIT, address, ident)
+                    return Action(_PRIVESC, address, privesc_id=ident)
             self.current = None
 
     def _viable(self) -> list[tuple[ActionKind, int]]:
@@ -410,21 +376,15 @@ class AggressiveAgent(ScriptedAgent):
         if self.current is not None:
             self._new_sweep()
 
-    def _observe_attack(self, action: Action, obs: Observation) -> None:
-        if action.kind is ActionKind.WIRETAP:
-            self.pending_wiretap = None
-        elif obs.success:
-            self.pending_wiretap = action.target
-            self.current = None
-            self.sweep.clear()
-        else:
-            self._record_attack_reply(action, obs)
+    def _after_gain(self, address: Address, access: AccessLevel) -> None:
+        self.follow_up = Action(_WIRETAP, address)
+        self.current = None
+        self.sweep.clear()
 
     def mtd_reset(self) -> None:
         # The chosen action survives; the sweep restarts over fresh addresses.
         super().mtd_reset()
         self.sweep.clear()
-        self.pending_wiretap = None
 
 
 _AGENT_CLASSES = {cls.kind: cls for cls in (CarefulAgent, StandardAgent, AggressiveAgent)}

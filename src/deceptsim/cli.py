@@ -465,12 +465,13 @@ def _data_lines(handle, path: str, manifests: list):
 
 def read_records_csv(path: str) -> tuple[list[EpisodeRecord], dict | None]:
     """The records of a records CSV, read in one streamed pass, and its
-    manifest. Columns are found by header name; blank rows are skipped."""
+    manifest. Columns are found by header name; blank rows are skipped,
+    before the header too."""
     manifests, records = [], []
     try:
         with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.reader(_data_lines(handle, path, manifests))
-            header = next(reader, [])
+            rows = filter(None, csv.reader(_data_lines(handle, path, manifests)))
+            header = next(rows, [])
             missing = [column for column in RECORD_COLUMNS if column not in header]
             if missing:
                 raise ConfigError(f"{path}: missing record columns: {', '.join(missing)}")
@@ -480,7 +481,7 @@ def read_records_csv(path: str) -> tuple[list[EpisodeRecord], dict | None]:
             memos = [_TokenMemo(parse) for parse in RECORD_PARSERS.values()]
             getitem, make, append = operator.getitem, EpisodeRecord._make, records.append
             try:
-                for index, row in enumerate(filter(None, reader), start=1):
+                for index, row in enumerate(rows, start=1):
                     append(make(map(getitem, memos, map(row.__getitem__, indexes))))
             except UnicodeDecodeError:
                 raise

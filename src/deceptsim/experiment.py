@@ -259,8 +259,8 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[EpisodeRe
 
     Cells that differ only in one_goal form one task, which simulates their
     episodes once (see ``_run_cells``). ``workers`` > 1 distributes tasks
-    over processes; the output is identical to a serial run because records
-    are reassembled in cell order.
+    over processes, never more than there are tasks; the output is identical
+    to a serial run because records are reassembled in cell order.
     """
     config.validate()
     groups = dataclasses.replace(config, one_goal=(False,)).cells()
@@ -268,7 +268,9 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[EpisodeRe
         (config.fixed, cell, config.one_goal, config.repetitions, config.master_seed)
         for cell in groups
     ]
-    if workers is not None and workers > 1:
+    # A pool starts all its workers at once, so idle ones would be forked.
+    workers = min(workers or 1, len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_run_cells, tasks))
     else:

@@ -7,6 +7,10 @@ both menus from ``Knowledge`` alone, the way the agents did before they kept
 those indexes; every step of every checked episode compares the two. Steps
 of a scan run reach no decision, so the check runs from the trace sink,
 after every step, rather than before each decision.
+
+The standard agent attacks its focus with the careful agent's per-address
+rule, which picks what standard's own rule picked only while the focus is
+fully scanned and below root; every standard choice checks that it is.
 """
 
 import dataclasses
@@ -106,15 +110,36 @@ def check_menus(agent, seen: Counter) -> None:
         seen["aggressive", "spent"] += len(viable) < len(agent.catalog)
 
 
+def check_focus(agent, seen: Counter) -> None:
+    """Assert the standard agent's focus, if any, is fully scanned and below
+    root: the state in which the shared attack rule picks what standard's
+    own rule picked."""
+    if agent.focus is not None:
+        belief = agent.knowledge.beliefs.get(agent.focus)
+        assert belief is not None and belief.access < AccessLevel.ROOT
+        assert None not in (belief.services, belief.os, belief.vulns, belief.processes)
+        seen["standard", "focus"] += 1
+
+
 def run_checked(scenario, kind, episode_seed, seen: Counter, repetition=0):
-    """``run_episode`` with the agent's menus checked after every step;
-    counts what was checked into ``seen``."""
+    """``run_episode`` with the agent's menus checked after every step, and
+    the standard agent's focus before every choice; counts what was checked
+    into ``seen``."""
     agents = []
     original = experiment.make_agent
 
     def make(*args):
-        agents.append(original(*args))
-        return agents[-1]
+        agent = original(*args)
+        if agent.kind == "standard":
+            choose = agent._choose
+
+            def checked_choose():
+                check_focus(agent, seen)
+                return choose()
+
+            agent._choose = checked_choose
+        agents.append(agent)
+        return agent
 
     def check(*step):
         check_menus(agents[-1], seen)
@@ -150,6 +175,7 @@ def test_golden_grid_menus_match_the_reference(movement_time):
     # Careful's failed attempts need exploit probabilities below 1, which
     # the random worlds below draw.
     assert seen["careful", "menu"] > 0
+    assert seen["standard", "focus"] > 0
     if movement_time is not None:
         assert seen["aggressive", "spent"] > 0
 
@@ -183,6 +209,7 @@ def test_random_worlds_menus_match_the_reference():
 
     check()
     assert seen_total["careful", "failed"] > 0
+    assert seen_total["standard", "focus"] > 0
     assert seen_total["aggressive", "spent"] > 0
 
 

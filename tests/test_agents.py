@@ -93,13 +93,14 @@ def test_careful_user_access_path_ends_in_privesc():
     ]
 
 
-def test_careful_wiretaps_right_after_root():
+@pytest.mark.parametrize("kind", AGENT_KINDS)
+def test_wiretaps_right_after_root(kind):
     # Two goal hosts under all-goals: the first root is not terminal, so the
     # wiretap reaction stays visible.
     scenario = build_world(
         num_sensitive=2, exploits=(ROOT_EXPLOIT,), step_limit=30, one_goal=False,
     )
-    _, trace = collect_trace(scenario, "careful", episode_seed=7)
+    _, trace = collect_trace(scenario, kind, episode_seed=7)
     actions = [a for a, _ in trace]
     root_step = next(
         i for i, (a, o) in enumerate(trace) if a.kind is ActionKind.EXPLOIT and o.success

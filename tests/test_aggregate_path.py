@@ -5,8 +5,9 @@ distinct token of a column once, through a per-column memo; ``aggregate``
 reads its group keys with one ``map`` per field. The references below are
 the row-by-row reader and the per-record, per-field grouping they replaced.
 The reader is kept as it was, except that it takes its column parsers from
-``cli.RECORD_PARSERS`` (which checks outcomes) and reports an undecodable
-file as the streamed reader does. Both paths must give the same records and
+``cli.RECORD_PARSERS`` (which checks outcomes), skips blank rows before the
+header as after it, and reports an undecodable file as the streamed reader
+does. Both paths must give the same records and
 manifest, or the same error text, and the same aggregate statistics.
 """
 
@@ -56,14 +57,14 @@ def reference_read(path):
             manifest = cli._parse_manifest_json(line, path)
         elif not line.startswith("#"):
             data.append(line)
-    reader = csv.reader(data)
-    header = next(reader, [])
+    rows = filter(None, csv.reader(data))
+    header = next(rows, [])
     missing = [column for column in cli.RECORD_COLUMNS if column not in header]
     if missing:
         raise cli.ConfigError(f"{path}: missing record columns: {', '.join(missing)}")
     plan = [(header.index(name), parse) for name, parse in cli.RECORD_PARSERS.items()]
     records = []
-    for index, row in enumerate(filter(None, reader), start=1):
+    for index, row in enumerate(rows, start=1):
         try:
             records.append(EpisodeRecord(*[parse(row[i]) for i, parse in plan]))
         except (IndexError, ValueError) as exc:
@@ -157,12 +158,13 @@ def golden_lines():
 
 def test_blank_comment_and_manifest_lines_anywhere(tmp_path):
     header, *rows = golden_lines()
-    lines = ["# a comment", MANIFEST, header, "", "# note", *rows[:5],
-             MANIFEST.replace(":3", ":4"), "", "\r", *rows[5:9], "#"]
-    for ending in ("\n", "\r\n", "\r"):
-        path = write(tmp_path, ending.join(lines) + ending)
-        records, _, manifest = assert_reads_alike(path)
-        assert len(records) == 9 and manifest["config"] == {"master_seed": 4}
+    for blank in ([], [""]):
+        lines = [*blank, "# a comment", MANIFEST, *blank, header, "", "# note", *rows[:5],
+                 MANIFEST.replace(":3", ":4"), "", "\r", *rows[5:9], "#"]
+        for ending in ("\n", "\r\n", "\r"):
+            path = write(tmp_path, ending.join(lines) + ending)
+            records, _, manifest = assert_reads_alike(path)
+            assert len(records) == 9 and manifest["config"] == {"master_seed": 4}
 
 
 def test_reordered_and_extra_columns(tmp_path):
@@ -274,6 +276,7 @@ def records_files(draw):
             lines.append("# a comment")
         elif kind == 2:
             lines.append(MANIFEST.replace(":3", f":{len(lines)}"))
+    lines[:0] = [""] * draw(st.integers(0, 2))  # blank lines before the header
     if draw(st.booleans()):
         lines.insert(0, MANIFEST)
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))

@@ -6,6 +6,7 @@ import random
 import pytest
 from helpers import degenerate_world
 
+from deceptsim import experiment
 from deceptsim.experiment import (
     AggregateStats,
     Cell,
@@ -138,6 +139,33 @@ def test_run_sweep_counts_and_ordering():
 def test_run_sweep_parallel_matches_serial():
     config = small_config(repetitions=3)
     assert run_sweep(config, workers=3) == run_sweep(config, workers=1)
+
+
+@pytest.mark.parametrize("workers, pool_sizes", [(8, [2]), (2, [2]), (1, []), (None, [])])
+def test_run_sweep_asks_for_no_more_workers_than_tasks(monkeypatch, workers, pool_sizes):
+    # Two tasks: the cells of one seed pair up across the objectives.
+    config = small_config(num_honeypots=(2,), repetitions=2)
+    serial = run_sweep(config)
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    assert run_sweep(config, workers=workers) == serial
+    assert sizes == pool_sizes
+    assert run_sweep(small_config(num_honeypots=(2,), seeds=(42,)), workers=4)
+    assert sizes == pool_sizes  # one task runs serially
 
 
 def test_run_sweep_annotates_failing_cell():
