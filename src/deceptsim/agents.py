@@ -59,7 +59,6 @@ from dataclasses import dataclass, field
 from .engine import SCAN_FIELDS, Action, ActionKind, Observation, same_stream_shuffle
 from .scenario import AccessLevel, Address, Scenario
 
-AGENT_KINDS = ("careful", "standard", "aggressive")
 # Members read on every decision, as globals: on Python 3.11 a read off an
 # Enum class costs about 0.1 us more than a global read.
 _SUBNET_SCAN, _PROCESS_SCAN, _WIRETAP = (
@@ -388,6 +387,7 @@ class AggressiveAgent(ScriptedAgent):
 
 
 _AGENT_CLASSES = {cls.kind: cls for cls in (CarefulAgent, StandardAgent, AggressiveAgent)}
+AGENT_KINDS = tuple(_AGENT_CLASSES)
 
 
 def make_agent(kind: str, scenario: Scenario, rng: random.Random) -> ScriptedAgent:

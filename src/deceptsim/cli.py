@@ -76,11 +76,10 @@ _TABLE_NAMES = {
     "num_subnets": "subnets",
 }
 FIXED_KEYS = {
-    _TABLE_NAMES.get(spec.name, spec.name): spec.name
+    _TABLE_NAMES.get(spec.name, spec.name): spec
     for spec in dataclasses.fields(GeneratorParams)
     if spec.name not in CELL_FIELDS
 }
-_FIXED_TYPES = {spec.name: spec.type for spec in dataclasses.fields(GeneratorParams)}
 
 # Scalar config keys, each an integer. Only sweep takes repetitions and workers.
 SCALAR_KEYS = ("repetitions", "master_seed", "workers")
@@ -307,19 +306,19 @@ def _split_entries(entries: dict[str, str], args):
     scalars: dict[str, int] = {}
     for key, raw in {**entries, **flags}.items():
         if key == "num_creds":
-            # Credentials are not modeled; the key is accepted for table
+            # Credentials are not modelled; the key is accepted for table
             # compatibility but only with the value none.
-            if raw.strip().lower() != "none":
-                raise ConfigError("num_creds: credentials are not modeled, only 'none' is accepted")
-            continue
+            if raw.strip().lower() == "none":
+                continue
+            raise ConfigError(f"num_creds: not modelled, only 'none' is accepted, got {raw!r}")
         if key in LIST_KEYS:
             name = LIST_KEYS[key]
             lists[name] = tuple(
                 parse_value(name, token, SWEPT_TYPES[name]) for token in raw.split(",")
             )
         elif key in FIXED_KEYS:
-            name = FIXED_KEYS[key]
-            fixed[name] = parse_value(name, raw, _FIXED_TYPES[name])
+            spec = FIXED_KEYS[key]
+            fixed[spec.name] = parse_value(spec.name, raw, spec.type)
         elif key in SCALAR_KEYS:
             scalars[key] = parse_value(key, raw, "int")
         else:
@@ -367,7 +366,13 @@ def resolve_single_episode(entries: dict[str, str], args) -> tuple[Cell, Generat
         elif len(lists[name]) != 1:
             raise ConfigError(f"{name}: run takes a single value, got {len(lists[name])}")
     config = _validated_sweep(lists, fixed, scalars)
-    repetition = args.repetition if args.repetition is not None else 0
+    return _episode(config, args.repetition if args.repetition is not None else 0)
+
+
+def _episode(config: SweepConfig, repetition: int) -> tuple[Cell, GeneratorParams, int, int]:
+    """A run's episode: the one cell of ``config``, at a repetition a sweep could play."""
+    if repetition < 0:
+        raise ConfigError(f"repetition must be non-negative, got {repetition}")
     return config.cells()[0], config.fixed, config.master_seed, repetition
 
 
@@ -382,17 +387,21 @@ def resolve_workers(flag_value: int | None, config_value: int | None) -> int:
     return value
 
 
-def normalize_group_by(spec: str | None) -> tuple[str, ...]:
+def normalize_group_by(spec: str | list[str] | None) -> tuple[str, ...]:
+    """The fields a ``--group-by`` string or a manifest's ``group_by`` list
+    names, aliases resolved, each at most once."""
     if spec is None:
         return CELL_FIELDS
     fields = []
-    for token in spec.split(","):
+    for token in spec.split(",") if isinstance(spec, str) else spec:
         name = token.strip()
         if name not in GROUP_ALIASES:
             raise ConfigError(
                 f"unknown group-by field {name!r}; expected one of: "
                 + ", ".join(sorted(set(GROUP_ALIASES)))
             )
+        if GROUP_ALIASES[name] in fields:
+            raise ConfigError(f"group-by repeats the field {GROUP_ALIASES[name]!r}")
         fields.append(GROUP_ALIASES[name])
     if not fields:
         raise ConfigError("group-by needs at least one field")
@@ -453,6 +462,13 @@ class _TokenMemo(dict):
         return value
 
 
+class _IntColumn(dict):
+    """The episode_seed column, whose tokens are distinct per row: each is
+    parsed as an int on lookup and nothing is kept."""
+
+    __missing__ = staticmethod(int)
+
+
 def _data_lines(handle, path: str, manifests: list):
     """The lines of a records file that hold CSV; each manifest line met on
     the way is parsed into ``manifests``, and other comment lines dropped."""
@@ -479,6 +495,7 @@ def read_records_csv(path: str) -> tuple[list[EpisodeRecord], dict | None]:
             # a short row fails where the first missing field would be read.
             indexes = [header.index(column) for column in RECORD_COLUMNS]
             memos = [_TokenMemo(parse) for parse in RECORD_PARSERS.values()]
+            memos[RECORD_COLUMNS.index("episode_seed")] = _IntColumn()
             getitem, make, append = operator.getitem, EpisodeRecord._make, records.append
             try:
                 for index, row in enumerate(rows, start=1):
@@ -505,19 +522,14 @@ def run_config_dict(cell: Cell, fixed: GeneratorParams, master_seed: int,
 def _cell_from_run_config(config: dict) -> tuple[Cell, GeneratorParams, int, int]:
     """A run manifest's episode, validated as the one-cell sweep it is."""
     try:
-        sweep = SweepConfig(
-            **{name: (config[cell_field],) for name, cell_field in zip(SWEPT_TYPES, CELL_FIELDS)},
-            master_seed=config["master_seed"],
-            fixed=GeneratorParams(**config["fixed"]),
-        )
-        repetition = config["repetition"]
-        check_type("repetition", repetition, "int")
+        lists = {name: (config[cell_field],) for name, cell_field in zip(SWEPT_TYPES, CELL_FIELDS)}
+        check_type("repetition", config["repetition"], "int")
+        sweep = _validated_sweep(lists, config["fixed"], {"master_seed": config["master_seed"]})
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"manifest config is incomplete: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _validate_sweep(sweep)
-    return sweep.cells()[0], sweep.fixed, sweep.master_seed, repetition
+    return _episode(sweep, config["repetition"])
 
 
 def cmd_run(args) -> int:
@@ -587,7 +599,7 @@ def cmd_aggregate(args) -> int:
     if args.from_manifest:
         manifest = load_manifest(args.from_manifest, "aggregate")
         records_path = manifest["records"]
-        group_by = tuple(manifest["group_by"])
+        group_by = normalize_group_by(manifest["group_by"])
         out_path = args.out if args.out is not None else manifest["outputs"][0]
         timestamp = manifest.get("timestamp")
     else:

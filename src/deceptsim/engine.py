@@ -140,7 +140,7 @@ class NetworkState:
 
 
 def new_network_state(scenario: Scenario, rng: random.Random) -> NetworkState:
-    addresses = [addr for _, addr in sorted(scenario.initial_address_map.items())]
+    addresses = list(scenario.initial_addresses)
     return NetworkState(
         scenario=scenario,
         addresses=addresses,

@@ -34,12 +34,6 @@ from .agents import AGENT_KINDS, make_agent
 from .engine import new_network_state, run_scans, step as engine_step
 from .scenario import GeneratorParams, Scenario, check_type, generate_scenario
 
-DEFAULT_NUM_HONEYPOTS = (0, 2, 4, 6, 9, 10)
-DEFAULT_MOVEMENT_TIMES = (None, 25, 50, 75, 100)
-DEFAULT_NUM_HOSTS = (10, 50)
-DEFAULT_ONE_GOAL = (False, True)
-DEFAULT_SEEDS = (1234, 42, 24121997)
-DEFAULT_REPETITIONS = 100
 
 class SweepError(RuntimeError):
     """A cell of the sweep could not be generated or run."""
@@ -64,13 +58,13 @@ CELL_FIELDS = tuple(spec.name for spec in dataclasses.fields(Cell))
 class SweepConfig:
     """The experiment grid: swept value lists plus fixed world parameters."""
 
-    num_honeypots: tuple[int, ...] = DEFAULT_NUM_HONEYPOTS
-    movement_time: tuple[int | None, ...] = DEFAULT_MOVEMENT_TIMES
-    num_hosts: tuple[int, ...] = DEFAULT_NUM_HOSTS
-    one_goal: tuple[bool, ...] = DEFAULT_ONE_GOAL
-    seeds: tuple[int, ...] = DEFAULT_SEEDS
+    num_honeypots: tuple[int, ...] = (0, 2, 4, 6, 9, 10)
+    movement_time: tuple[int | None, ...] = (None, 25, 50, 75, 100)
+    num_hosts: tuple[int, ...] = (10, 50)
+    one_goal: tuple[bool, ...] = (False, True)
+    seeds: tuple[int, ...] = (1234, 42, 24121997)
     agents: tuple[str, ...] = AGENT_KINDS
-    repetitions: int = DEFAULT_REPETITIONS
+    repetitions: int = 100
     master_seed: int = 0
     fixed: GeneratorParams = GeneratorParams()
 
@@ -158,14 +152,11 @@ def _substream(episode_seed: int, label: str) -> random.Random:
 
 
 def scenario_params(fixed: GeneratorParams, cell: Cell) -> GeneratorParams:
-    return dataclasses.replace(
-        fixed,
-        num_honeypots=cell.num_honeypots,
-        movement_time=cell.movement_time,
-        num_hosts=cell.num_hosts,
-        one_goal=cell.one_goal,
-        seed=cell.seed,
-    )
+    """``fixed`` with the cell's fields laid over it: all but the agent
+    are GeneratorParams fields."""
+    world = dataclasses.asdict(cell)
+    del world["agent"]
+    return dataclasses.replace(fixed, **world)
 
 
 def run_episode(

@@ -19,7 +19,6 @@ from functools import cached_property
 # every other address lives in the single target subnet.
 Address = tuple[int, int]
 
-ATTACKER_SUBNET = 0
 TARGET_SUBNET = 1
 
 
@@ -206,8 +205,10 @@ class PrivEscDef:
 class Scenario:
     """An immutable generated world, shared read-only across episodes.
 
-    Host ids are list indices. The address map is a bijection between all
-    non-attacker hosts (empty fillers included) and target-subnet addresses.
+    Host ids are tuple indices. ``initial_addresses`` holds each host's
+    first address, indexed by host id as ``engine.NetworkState.addresses``
+    is: a bijection between all non-attacker hosts (empty fillers included)
+    and target-subnet addresses.
     """
 
     params: GeneratorParams
@@ -215,7 +216,7 @@ class Scenario:
     exploits: tuple[ExploitDef, ...]
     privescs: tuple[PrivEscDef, ...]
     subnets: tuple[int, ...]
-    initial_address_map: dict[int, Address]
+    initial_addresses: tuple[Address, ...]
 
     @cached_property
     def sensitive_ids(self) -> tuple[int, ...]:
@@ -299,7 +300,6 @@ def generate_scenario(params: GeneratorParams) -> Scenario:
 
     addresses = [(TARGET_SUBNET, i) for i in range(capacity)]
     rng.shuffle(addresses)
-    address_map = {host.id: addresses[host.id] for host in hosts}
 
     return Scenario(
         params=params,
@@ -307,7 +307,7 @@ def generate_scenario(params: GeneratorParams) -> Scenario:
         exploits=exploits,
         privescs=privescs,
         subnets=(1, capacity),
-        initial_address_map=address_map,
+        initial_addresses=tuple(addresses),
     )
 
 
@@ -347,42 +347,22 @@ def _ensure_rootable(rng, exploits, privescs, services, os_id, processes, vulns)
     return services, os_id, processes, vulns
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
+def _json_fields(pairs) -> dict:
+    """A dataclass's fields as JSON values: sets sorted, access levels by
+    lower-case name."""
     return {
-        "params": asdict(scenario.params),
-        "hosts": [
-            {
-                "id": h.id,
-                "kind": h.kind.value,
-                "services": sorted(h.services),
-                "os": h.os,
-                "processes": sorted(h.processes),
-                "vulns": sorted(h.vulns),
-                "value": h.value,
-            }
-            for h in scenario.hosts
-        ],
-        "exploits": [
-            {
-                "id": e.id,
-                "required_service": e.required_service,
-                "required_vuln": e.required_vuln,
-                "required_os": e.required_os,
-                "grants": e.grants.name.lower(),
-                "prob": e.prob,
-            }
-            for e in scenario.exploits
-        ],
-        "privescs": [
-            {"id": p.id, "required_process": p.required_process, "prob": p.prob}
-            for p in scenario.privescs
-        ],
-        "subnets": list(scenario.subnets),
-        "address_map": [
-            [host_id, subnet, index]
-            for host_id, (subnet, index) in sorted(scenario.initial_address_map.items())
-        ],
+        name: sorted(value) if isinstance(value, frozenset)
+        else value.name.lower() if isinstance(value, AccessLevel)
+        else value
+        for name, value in pairs
     }
+
+
+def scenario_to_dict(scenario: Scenario) -> dict:
+    data = asdict(scenario, dict_factory=_json_fields)
+    addresses = data.pop("initial_addresses")
+    data["address_map"] = [[host_id, *address] for host_id, address in enumerate(addresses)]
+    return data
 
 
 def scenario_to_json(scenario: Scenario) -> str:

@@ -99,7 +99,7 @@ def build_world(
             PrivEscDef(i, process, prob) for i, (process, prob) in enumerate(privescs)
         ),
         subnets=(1, len(hosts)),
-        initial_address_map={h.id: (TARGET_SUBNET, h.id) for h in hosts},
+        initial_addresses=tuple((TARGET_SUBNET, h.id) for h in hosts),
     )
 
 

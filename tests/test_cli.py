@@ -233,6 +233,7 @@ SMALL_SWEEP_CONFIG = (
     ("uniform = false", "uniform"),
     ("host_discovery_value = 2.0", "host_discovery_value"),
     ("subnets = 3", "num_subnets"),
+    ("num_creds = 3", "num_creds"),
 ])
 def test_sweep_mistyped_config_value_exits_1(tmp_path, capsys, line, field):
     # The small grid keeps a wrongly accepted value from running long; the
@@ -243,6 +244,15 @@ def test_sweep_mistyped_config_value_exits_1(tmp_path, capsys, line, field):
     assert run_cli("sweep", "--config", str(config), "--out", str(out)) == 1
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_num_creds_other_than_none_is_not_modelled(tmp_path, capsys):
+    config = tmp_path / "grid.cfg"
+    config.write_text(SMALL_SWEEP_CONFIG + "num_creds = 3\n")
+    assert run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "r.csv")) == 1
+    assert capsys.readouterr().err == (
+        "error: num_creds: not modelled, only 'none' is accepted, got '3'\n"
+    )
 
 
 def test_float_field_spelled_as_integer_writes_the_same_file(tmp_path, capsys):
@@ -281,11 +291,20 @@ def test_run_flag_takes_one_value_of_its_fields_type(capsys, argv, field):
     assert field in capsys.readouterr().err
 
 
+def test_run_negative_repetition_exits_1(capsys):
+    # No sweep plays a negative repetition, so no run may claim one.
+    assert run_cli("run", "--agent", "standard", "--repetition", "-1") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "repetition" in captured.err
+
+
 @pytest.mark.parametrize("good, bad, field", [
     ('"num_sensitive":3', '"num_sensitive":2.5', "num_sensitive"),
     ('"agent":"standard"', '"agent":"bogus"', "agent"),
     ('"master_seed":0', '"master_seed":"abc"', "master_seed"),
     ('"repetition":0', '"repetition":true', "repetition"),
+    ('"repetition":0', '"repetition":-1', "repetition"),
 ])
 def test_run_from_manifest_with_bad_value_exits_1(tmp_path, capsys, good, bad, field):
     trace = tmp_path / "trace.jsonl"
@@ -528,6 +547,37 @@ def test_aggregate_unknown_group_by_exits_1(tmp_path, capsys):
     assert run_cli("aggregate", "--records", str(records_path),
                    "--group-by", "colour") == 1
     assert "colour" in capsys.readouterr().err
+
+
+def _no_records_read(path):
+    raise AssertionError(f"{path} was read before the group-by was checked")
+
+
+@pytest.mark.parametrize("spec, field", [
+    ("agent,agent", "agent"),
+    ("agent,agents,honeypots,num_honeypots", "agent"),
+    ("hosts,seed,num_hosts", "num_hosts"),
+])
+def test_aggregate_repeated_group_by_exits_1(tmp_path, capsys, monkeypatch, spec, field):
+    records_path = sweep_two_agents(tmp_path)
+    monkeypatch.setattr(cli, "read_records_csv", _no_records_read)
+    assert run_cli("aggregate", "--records", str(records_path), "--group-by", spec) == 1
+    assert f"group-by repeats the field {field!r}" in capsys.readouterr().err
+
+
+def test_aggregate_manifest_with_repeated_group_by_exits_1(tmp_path, capsys, monkeypatch):
+    records_path = sweep_two_agents(tmp_path)
+    out = tmp_path / "agg.csv"
+    assert run_cli("aggregate", "--records", str(records_path),
+                   "--group-by", "agent,mtd_on", "--out", str(out)) == 0
+    manifest, rest = out.read_text().split("\n", 1)
+    good = '"group_by":["agent","mtd_on"]'
+    assert good in manifest
+    out.write_text(manifest.replace(good, '"group_by":["agent","mtd_on","agent"]') + "\n" + rest)
+    monkeypatch.setattr(cli, "read_records_csv", _no_records_read)
+    capsys.readouterr()
+    assert run_cli("aggregate", "--from-manifest", str(out)) == 1
+    assert "group-by repeats the field 'agent'" in capsys.readouterr().err
 
 
 def test_aggregate_requires_records_argument(capsys):

@@ -114,7 +114,7 @@ def test_sweep_manifest_config_round_trips(config):
 
 
 @settings(max_examples=150, deadline=None)
-@given(cell=CELLS, fixed=PARAMS, master_seed=INTS, repetition=INTS)
+@given(cell=CELLS, fixed=PARAMS, master_seed=INTS, repetition=st.integers(0, 2**70))
 def test_run_manifest_config_round_trips(cell, fixed, master_seed, repetition):
     data = through_json(cli.run_config_dict(cell, fixed, master_seed, repetition))
     assert cli._cell_from_run_config(data) == (cell, fixed, master_seed, repetition)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from deceptsim.scenario import (
     ParameterError,
     Scenario,
     generate_scenario,
+    scenario_to_dict,
     scenario_to_json,
 )
 
@@ -84,8 +86,8 @@ def test_empty_hosts_have_blank_configuration():
 
 def test_address_map_is_a_bijection():
     scenario = generate_scenario(GeneratorParams(num_honeypots=9, seed=24121997))
-    addresses = list(scenario.initial_address_map.values())
-    assert set(scenario.initial_address_map) == set(range(255))
+    addresses = scenario.initial_addresses
+    assert len(addresses) == len(scenario.hosts) == 255
     assert len(set(addresses)) == 255
     assert all(subnet == TARGET_SUBNET and 0 <= idx < 255 for subnet, idx in addresses)
 
@@ -194,3 +196,62 @@ def test_golden_world_is_stable():
     assert scenario_to_json(scenario) == golden
     # Keep the golden file honest too.
     assert json.loads(golden)["params"]["num_honeypots"] == 2
+
+
+def reference_scenario_dict(scenario: Scenario) -> dict:
+    """The world JSON with every field written out by hand: the reference
+    the dataclass-derived ``scenario_to_dict`` is checked against."""
+    return {
+        "params": dataclasses.asdict(scenario.params),
+        "hosts": [
+            {
+                "id": h.id,
+                "kind": h.kind.value,
+                "services": sorted(h.services),
+                "os": h.os,
+                "processes": sorted(h.processes),
+                "vulns": sorted(h.vulns),
+                "value": h.value,
+            }
+            for h in scenario.hosts
+        ],
+        "exploits": [
+            {
+                "id": e.id,
+                "required_service": e.required_service,
+                "required_vuln": e.required_vuln,
+                "required_os": e.required_os,
+                "grants": e.grants.name.lower(),
+                "prob": e.prob,
+            }
+            for e in scenario.exploits
+        ],
+        "privescs": [
+            {"id": p.id, "required_process": p.required_process, "prob": p.prob}
+            for p in scenario.privescs
+        ],
+        "subnets": list(scenario.subnets),
+        "address_map": [
+            [host_id, subnet, index]
+            for host_id, (subnet, index) in enumerate(scenario.initial_addresses)
+        ],
+    }
+
+
+def _drawn_params(draw: int) -> GeneratorParams:
+    rng = random.Random(draw)
+    return GeneratorParams(
+        num_os=rng.randint(1, 3),
+        num_privescs=rng.choice((0, rng.randint(1, 12))),
+        num_honeypots=rng.randint(0, 10),
+        num_sensitive=rng.randint(0, 3),
+        num_hosts=rng.randint(0, 50),
+        seed=rng.getrandbits(32),
+    )
+
+
+@pytest.mark.parametrize("draw", range(40))
+def test_scenario_to_dict_matches_the_hand_written_reference(draw):
+    scenario = generate_scenario(_drawn_params(draw))
+    expected = json.dumps(reference_scenario_dict(scenario), sort_keys=True)
+    assert json.dumps(scenario_to_dict(scenario), sort_keys=True) == expected
