@@ -20,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import operator
 import os
@@ -48,6 +49,7 @@ from .scenario import FIELD_TYPES, GeneratorParams, check_type, generate_scenari
 MANIFEST_PREFIX = "# deceptsim-manifest: "
 WORKERS_ENV_VAR = "DECEPTSIM_WORKERS"
 TIMESTAMP_ENV_VAR = "SOURCE_DATE_EPOCH"
+CHUNK_ROWS = 4096  # rows per column-wise pass of the records reader
 
 RECORD_COLUMNS = EpisodeRecord._fields
 STATS_COLUMNS = tuple(
@@ -186,14 +188,19 @@ def read_config_file(path: str) -> dict[str, str]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     entries: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key, _, value = map(str.strip, line.partition("="))
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key} is set twice, on lines {set_on[key]} "
+                              f"and {lineno}")
+        set_on[key] = lineno
+        entries[key] = value
     return entries
 
 
@@ -412,6 +419,14 @@ def normalize_group_by(spec: str | list[str] | None) -> tuple[str, ...]:
 # Output writing and reading
 
 
+def check_output_path(path: str) -> None:
+    """Exit 1 naming ``path`` if its directory is missing or not writable,
+    before any record is read or episode simulated."""
+    directory = os.path.dirname(path) or "."
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise ConfigError(f"cannot write {path}: {directory} is not a writable directory")
+
+
 def write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
@@ -462,13 +477,6 @@ class _TokenMemo(dict):
         return value
 
 
-class _IntColumn(dict):
-    """The episode_seed column, whose tokens are distinct per row: each is
-    parsed as an int on lookup and nothing is kept."""
-
-    __missing__ = staticmethod(int)
-
-
 def _data_lines(handle, path: str, manifests: list):
     """The lines of a records file that hold CSV; each manifest line met on
     the way is parsed into ``manifests``, and other comment lines dropped."""
@@ -479,11 +487,34 @@ def _data_lines(handle, path: str, manifests: list):
             manifests.append(_parse_manifest_json(line, path))
 
 
-def read_records_csv(path: str) -> tuple[list[EpisodeRecord], dict | None]:
-    """The records of a records CSV, read in one streamed pass, and its
-    manifest. Columns are found by header name; blank rows are skipped,
-    before the header too."""
-    manifests, records = [], []
+def _read_chunk(rows, plan: list, path: str, first: int) -> int:
+    """Parse the next CHUNK_ROWS rows, the first numbered ``first``, onto the
+    record columns, one ``map`` per column; return how many were read. A
+    chunk that fails, or that a read error cut short, is replayed row by row
+    in field order to name its first bad row."""
+    chunk = []
+    try:
+        chunk.extend(itertools.islice(rows, CHUNK_ROWS))
+    finally:
+        try:
+            for index, parse, column in plan:
+                column.extend(map(parse, map(operator.itemgetter(index), chunk)))
+        except (IndexError, ValueError):
+            for number, row in enumerate(chunk, start=first):
+                try:
+                    for index, parse, _ in plan:
+                        parse(row[index])
+                except (IndexError, ValueError) as exc:
+                    raise ConfigError(f"{path}: bad record row {number}: {exc}") from exc
+    return len(chunk)
+
+
+def read_records_csv(path: str) -> tuple[dict[str, list], dict | None]:
+    """The records of a records CSV, one list per RECORD_COLUMNS field, read
+    in one streamed pass a chunk at a time, and its manifest. Columns are
+    found by header name; blank rows are skipped, before the header too."""
+    manifests = []
+    columns = {column: [] for column in RECORD_COLUMNS}
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             rows = filter(None, csv.reader(_data_lines(handle, path, manifests)))
@@ -491,22 +522,16 @@ def read_records_csv(path: str) -> tuple[list[EpisodeRecord], dict | None]:
             missing = [column for column in RECORD_COLUMNS if column not in header]
             if missing:
                 raise ConfigError(f"{path}: missing record columns: {', '.join(missing)}")
-            # A row's fields are fetched and parsed lazily in field order, so
-            # a short row fails where the first missing field would be read.
-            indexes = [header.index(column) for column in RECORD_COLUMNS]
-            memos = [_TokenMemo(parse) for parse in RECORD_PARSERS.values()]
-            memos[RECORD_COLUMNS.index("episode_seed")] = _IntColumn()
-            getitem, make, append = operator.getitem, EpisodeRecord._make, records.append
-            try:
-                for index, row in enumerate(rows, start=1):
-                    append(make(map(getitem, memos, map(row.__getitem__, indexes))))
-            except UnicodeDecodeError:
-                raise
-            except (IndexError, ValueError) as exc:
-                raise ConfigError(f"{path}: bad record row {index}: {exc}") from exc
+            # Each distinct token is parsed once; episode seeds are distinct per row.
+            parsers = [parse if name == "episode_seed" else _TokenMemo(parse).__getitem__
+                       for name, parse in RECORD_PARSERS.items()]
+            plan = list(zip(map(header.index, RECORD_COLUMNS), parsers, columns.values()))
+            first = 1
+            while _read_chunk(rows, plan, path, first) == CHUNK_ROWS:
+                first += CHUNK_ROWS
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read records file {path}: {exc}") from exc
-    return records, manifests[-1] if manifests else None
+    return columns, manifests[-1] if manifests else None
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +570,8 @@ def cmd_run(args) -> int:
         cell, fixed, master_seed, repetition = resolve_single_episode(entries, args)
         timestamp = default_timestamp()
         trace_path = args.trace
+    if trace_path:
+        check_output_path(trace_path)
     episode_seed = derive_episode_seed(master_seed, cell, repetition)
     scenario = generate_scenario(scenario_params(fixed, cell))
     trace_rows = []
@@ -587,6 +614,7 @@ def cmd_sweep(args) -> int:
         config, config_workers = resolve_sweep(entries, args)
         timestamp = default_timestamp()
         out_path = args.out if args.out is not None else "records.csv"
+    check_output_path(out_path)
     workers = resolve_workers(args.workers, config_workers)
     records = run_sweep(config, workers=workers)
     manifest = build_manifest("sweep", sweep_config_to_dict(config), [out_path], timestamp)
@@ -607,11 +635,13 @@ def cmd_aggregate(args) -> int:
         group_by = normalize_group_by(args.group_by)
         out_path = args.out if args.out is not None else "-"
         timestamp = default_timestamp()
-    records, source_manifest = read_records_csv(records_path)
-    if not records:
+    if out_path != "-":
+        check_output_path(out_path)
+    columns, source_manifest = read_records_csv(records_path)
+    if not columns["outcome"]:
         raise ConfigError(f"{records_path}: no records to aggregate")
     try:
-        stats = aggregate(records, group_by)
+        stats = aggregate(columns, group_by)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     source_config = source_manifest.get("config") if source_manifest else None

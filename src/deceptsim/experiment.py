@@ -1,9 +1,9 @@
 """Monte-Carlo harness.
 
 Expands the swept parameter grid into cells, runs seeded episode batches
-(serially or across processes), and aggregates outcome statistics, reading
-each group-by field off all records in one ``map``: no Python call per record
-for a cell field. Episode seeds are a pure hash of (master seed, cell,
+(serially or across processes), and aggregates outcome statistics over
+record columns, zipping group keys from whole columns: no Python call per
+record for a field. Episode seeds are a pure hash of (master seed, cell,
 repetition), so any subset of the grid reproduces identical records in any
 execution order. The cell key deliberately excludes the objective flag: cells
 differing only in one_goal share episode seeds, which makes their win
@@ -274,41 +274,44 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[EpisodeRe
     ]
 
 
-# How aggregate() reads each grouping field off a record: every cell field,
-# and two derived dimensions.
-GROUP_GETTERS = {name: operator.attrgetter(name) for name in CELL_FIELDS}
+# How aggregate() reads each grouping field's column off the record columns:
+# every cell field, and two derived dimensions.
+GROUP_GETTERS = {name: operator.itemgetter(name) for name in CELL_FIELDS}
 GROUP_GETTERS.update(
-    honeypots_on=lambda record: record.num_honeypots > 0,
-    mtd_on=lambda record: record.movement_time is not None,
+    honeypots_on=lambda columns: map(operator.gt, columns["num_honeypots"], itertools.repeat(0)),
+    mtd_on=lambda columns: map(operator.is_not, columns["movement_time"], itertools.repeat(None)),
 )
 
 
 def aggregate(records, group_by: tuple[str, ...] = CELL_FIELDS) -> list[AggregateStats]:
     """Group records and compute outcome fractions and step quartiles.
 
-    Quartiles use inclusive linear interpolation. Output order follows the
-    sorted group keys, so it is independent of record order.
+    ``records`` are EpisodeRecords, transposed here, or their columns by
+    field name, as ``cli.read_records_csv`` returns them; a group holds row
+    indexes. Quartiles use inclusive linear interpolation. Output order
+    follows the sorted group keys, so it is independent of record order.
     """
-    records = list(records)
-    if not records:
+    columns = records if isinstance(records, dict) \
+        else dict(zip(EpisodeRecord._fields, zip(*records)))
+    if not columns.get("outcome"):
         raise ValueError("no records to aggregate")
     for name in group_by:
         if name not in GROUP_GETTERS:
             raise ValueError(
                 f"unknown group-by field {name!r}; expected any of: {', '.join(GROUP_GETTERS)}"
             )
-    columns = [map(GROUP_GETTERS[name], records) for name in group_by]
-    keys = zip(*columns) if columns else itertools.repeat(())
-    groups: defaultdict[tuple, list[EpisodeRecord]] = defaultdict(list)
-    for key, record in zip(keys, records):
-        groups[key].append(record)
+    keys = zip(*(GROUP_GETTERS[name](columns) for name in group_by)) if group_by \
+        else itertools.repeat((), len(columns["outcome"]))
+    groups: defaultdict[tuple, list[int]] = defaultdict(list)
+    for index, key in enumerate(keys):
+        groups[key].append(index)
 
     stats = []
     for key in sorted(groups, key=lambda k: tuple((v is None, v) for v in k)):
         members = groups[key]
         n = len(members)
-        outcomes = list(map(operator.attrgetter("outcome"), members))
-        steps = sorted(map(operator.attrgetter("steps"), members))
+        outcomes = list(map(columns["outcome"].__getitem__, members))
+        steps = sorted(map(columns["steps"].__getitem__, members))
         if len(steps) > 1:
             q1, median, q3 = statistics.quantiles(steps, n=4, method="inclusive")
         else:

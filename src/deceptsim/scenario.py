@@ -121,7 +121,9 @@ class GeneratorParams:
                     f"{spec.name}: not modelled, only the default {spec.default!r} "
                     f"is accepted, got {value!r}"
                 )
+        # A negative seed would draw the world of its absolute value.
         counts = {
+            "seed": self.seed,
             "num_hosts": self.num_hosts,
             "num_honeypots": self.num_honeypots,
             "num_sensitive": self.num_sensitive,

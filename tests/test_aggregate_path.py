@@ -1,13 +1,17 @@
 """The records reader and ``aggregate`` against the straightforward path.
 
-``cli.read_records_csv`` streams the file through ``csv`` and parses each
-distinct token of a column once, through a per-column memo; ``aggregate``
-reads its group keys with one ``map`` per field. The references below are
+``cli.read_records_csv`` streams the file through ``csv``, takes the rows a
+chunk of ``cli.CHUNK_ROWS`` at a time, and parses each column of a chunk with
+one ``map`` into one list per field, each distinct token once, through a
+per-column memo. ``aggregate`` groups those columns: its keys are zipped from
+the group-by columns, and a group holds row indexes. The references below are
 the row-by-row reader and the per-record, per-field grouping they replaced.
-The reader is kept as it was, except that it takes its column parsers from
+The reader parses each row, field by field, as it is met in the file (so the
+first error in the file is the one named), takes its column parsers from
 ``cli.RECORD_PARSERS`` (which checks outcomes), skips blank rows before the
-header as after it, and reports an undecodable file as the streamed reader
-does. Both paths must give the same records and
+header as after it, and reports an unreadable file as the streamed reader
+does. Every reader check runs at chunk sizes 1, 2, 3 and the default, so
+chunk boundaries fall everywhere. Both paths must give the same records and
 manifest, or the same error text, and the same aggregate statistics.
 """
 
@@ -36,6 +40,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 GOLDEN = Path(__file__).parent / "data" / "golden_records.csv"
 OUTCOMES = ("win", "loss_honeypot", "timeout")
 MANIFEST = cli.MANIFEST_PREFIX + '{"command":"sweep","config":{"master_seed":3}}'
+CHUNK_SIZES = (1, 2, 3, cli.CHUNK_ROWS)
 
 
 # ---------------------------------------------------------------------------
@@ -43,21 +48,26 @@ MANIFEST = cli.MANIFEST_PREFIX + '{"command":"sweep","config":{"master_seed":3}}
 
 
 def reference_read(path):
-    """Read the whole file, split it into lines, and parse every field of
-    every row with its column's parser."""
+    """Read the file line by line, and parse every field of every row with
+    its column's parser as the row is met."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
-            lines = handle.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+            return reference_rows(handle, path)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise cli.ConfigError(f"cannot read records file {path}: {exc}") from exc
-    manifest = None
-    data = []
-    for line in lines:
-        if line.startswith(cli.MANIFEST_PREFIX):
-            manifest = cli._parse_manifest_json(line, path)
-        elif not line.startswith("#"):
-            data.append(line)
-    rows = filter(None, csv.reader(data))
+
+
+def reference_rows(handle, path):
+    manifests = []
+
+    def data_lines():
+        for line in handle:
+            if line.startswith(cli.MANIFEST_PREFIX):
+                manifests.append(cli._parse_manifest_json(line, path))
+            elif not line.startswith("#"):
+                yield line
+
+    rows = filter(None, csv.reader(data_lines()))
     header = next(rows, [])
     missing = [column for column in cli.RECORD_COLUMNS if column not in header]
     if missing:
@@ -69,7 +79,7 @@ def reference_read(path):
             records.append(EpisodeRecord(*[parse(row[i]) for i, parse in plan]))
         except (IndexError, ValueError) as exc:
             raise cli.ConfigError(f"{path}: bad record row {index}: {exc}") from exc
-    return records, manifest
+    return records, manifests[-1] if manifests else None
 
 
 def reference_field(record, name):
@@ -111,6 +121,20 @@ def reference_aggregate(records, group_by):
     return stats
 
 
+def column_read(path):
+    """``cli.read_records_csv``'s columns, one full list per record field,
+    as records."""
+    columns, manifest = cli.read_records_csv(path)
+    assert tuple(columns) == cli.RECORD_COLUMNS
+    assert len({len(column) for column in columns.values()}) == 1
+    return [EpisodeRecord(*row) for row in zip(*columns.values())], manifest
+
+
+def as_columns(records):
+    """Records transposed by hand, as the reader's columns."""
+    return {name: [getattr(record, name) for record in records] for name in cli.RECORD_COLUMNS}
+
+
 def result(read, path):
     """What ``read`` makes of ``path``: the records, with each field's type
     (a memo must not hand ``1`` for ``True``), and the manifest; or the
@@ -123,8 +147,13 @@ def result(read, path):
 
 
 def assert_reads_alike(path):
+    """The reader at every chunk size in CHUNK_SIZES reads ``path`` as the
+    reference does."""
     expected = result(reference_read, path)
-    assert result(cli.read_records_csv, path) == expected
+    for rows in CHUNK_SIZES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "CHUNK_ROWS", rows)
+            assert result(column_read, path) == expected, f"CHUNK_ROWS = {rows}"
     return expected
 
 
@@ -176,7 +205,7 @@ def test_reordered_and_extra_columns(tmp_path):
     path = write(tmp_path, "\n".join([",".join(["extra", *(columns[i] for i in order), "more"]),
                                       *shuffled]))
     records, _, _ = assert_reads_alike(path)
-    assert records == cli.read_records_csv(str(GOLDEN))[0]
+    assert records == column_read(str(GOLDEN))[0]
 
 
 def set_field(row, column, token):
@@ -216,6 +245,67 @@ def test_undecodable_bytes_past_the_first_chunk_name_the_file(tmp_path):
         kind, message = result(read, path)
         assert kind == "error" and message.startswith(f"cannot read records file {path}: ")
         assert "can't decode byte 0xff" in message
+
+
+# ---------------------------------------------------------------------------
+# Reader: errors beside chunk boundaries
+
+
+def many_rows(count):
+    """The golden header, and ``count`` data rows cycled from the golden file."""
+    header, *rows = golden_lines()
+    return header, [rows[index % len(rows)] for index in range(count)]
+
+
+def test_multi_chunk_file_reads_alike(tmp_path):
+    header, rows = many_rows(2 * cli.CHUNK_ROWS + 5)
+    rows[cli.CHUNK_ROWS:cli.CHUNK_ROWS] = ["", "# a comment", MANIFEST]
+    records, _, manifest = assert_reads_alike(write(tmp_path, "\n".join([header, *rows]) + "\n"))
+    assert len(records) == 2 * cli.CHUNK_ROWS + 5 and manifest is not None
+
+
+@pytest.mark.parametrize("row", [1, 4, 7, cli.CHUNK_ROWS - 1])
+def test_bad_late_field_is_named_before_a_bad_early_field_in_the_next_row(tmp_path, row):
+    # Rows ``row`` and ``row + 1`` share a chunk at every size but 1, and
+    # the chunk's columns are parsed first to last.
+    header, rows = many_rows(cli.CHUNK_ROWS + 3)
+    rows[row - 1] = set_field(rows[row - 1], "episode_seed", "x")
+    rows[row] = set_field(rows[row], "num_honeypots", "y")
+    path = write(tmp_path, "\n".join([header, *rows]) + "\n")
+    kind, message = assert_reads_alike(path)
+    assert message == f"{path}: bad record row {row}: invalid literal for int() with base 10: 'x'"
+
+
+@pytest.mark.parametrize("row", [1, 2, 3, 4, 6, 7, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1])
+def test_short_row_on_a_chunk_boundary_is_named_alike(tmp_path, row):
+    header, rows = many_rows(cli.CHUNK_ROWS + 3)
+    rows[row - 1] = rows[row - 1].rsplit(",", 2)[0]
+    rows[row] = set_field(rows[row], "num_honeypots", "y")
+    path = write(tmp_path, "\n".join([header, *rows]) + "\n")
+    kind, message = assert_reads_alike(path)
+    assert message == f"{path}: bad record row {row}: list index out of range"
+
+
+@pytest.mark.parametrize("bad_row", [True, False])
+@pytest.mark.parametrize("trailer", ["undecodable", "oversized"])
+def test_read_error_later_in_the_chunk_does_not_hide_an_earlier_bad_row(tmp_path, trailer,
+                                                                        bad_row):
+    header, rows = many_rows(1000)
+    if bad_row:
+        rows[10] = set_field(rows[10], "outcome", "lost")
+    if trailer == "oversized":
+        rows.insert(600, "x" * (csv.field_size_limit() + 1))
+    text = ("\n".join([header, *rows]) + "\n").encode("utf-8")
+    if trailer == "undecodable":
+        # Far past the block of bytes decoded with row 11.
+        text = text[:-4000] + b"\xff" + text[-4000:]
+    path = tmp_path / "records.csv"
+    path.write_bytes(text)
+    kind, message = assert_reads_alike(path)
+    if bad_row:
+        assert message.startswith(f"{path}: bad record row 11: outcome: expected one of ")
+    else:
+        assert message.startswith(f"cannot read records file {path}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +401,24 @@ GROUP_BYS = st.lists(st.sampled_from(list(GROUP_GETTERS)), unique=True, max_size
 @settings(max_examples=300, deadline=None)
 @given(records=RECORDS, group_by=GROUP_BYS)
 def test_drawn_records_aggregate_alike(records, group_by):
-    assert aggregate(records, group_by) == reference_aggregate(records, group_by)
+    expected = reference_aggregate(records, group_by)
+    assert aggregate(as_columns(records), group_by) == expected
+    assert aggregate(records, group_by) == expected
 
 
 @pytest.mark.parametrize("group_by", [(name,) for name in GROUP_GETTERS] + [(), CELL_FIELDS])
 def test_golden_records_aggregate_alike(group_by):
-    records, _ = cli.read_records_csv(str(GOLDEN))
-    assert aggregate(records, group_by) == reference_aggregate(records, group_by)
+    columns, _ = cli.read_records_csv(str(GOLDEN))
+    records, _ = reference_read(str(GOLDEN))
+    expected = reference_aggregate(records, group_by)
+    assert aggregate(columns, group_by) == expected
+    assert aggregate(records, group_by) == expected
 
 
 def test_golden_aggregate_text_alike():
-    records, _ = cli.read_records_csv(str(GOLDEN))
+    columns, _ = cli.read_records_csv(str(GOLDEN))
+    records, _ = reference_read(str(GOLDEN))
     for group_by in (("agent", "num_honeypots"), ("agent", "movement_time"),
                      ("honeypots_on", "mtd_on"), ("agent", "one_goal", "seed"), ("mtd_on",)):
-        assert cli.aggregates_csv_text({}, group_by, aggregate(records, group_by)) == \
+        assert cli.aggregates_csv_text({}, group_by, aggregate(columns, group_by)) == \
             cli.aggregates_csv_text({}, group_by, reference_aggregate(records, group_by))

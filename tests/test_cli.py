@@ -237,9 +237,13 @@ SMALL_SWEEP_CONFIG = (
 ])
 def test_sweep_mistyped_config_value_exits_1(tmp_path, capsys, line, field):
     # The small grid keeps a wrongly accepted value from running long; the
-    # bad line comes last, so it replaces any key of that grid.
+    # bad line takes the place of the grid's line for its key, since a key
+    # set twice exits 1 of itself.
+    key = line.partition("=")[0].strip()
+    kept = [entry for entry in SMALL_SWEEP_CONFIG.splitlines(keepends=True)
+            if entry.partition("=")[0].strip() != key]
     config = tmp_path / "grid.cfg"
-    config.write_text(SMALL_SWEEP_CONFIG + line + "\n")
+    config.write_text("".join(kept) + line + "\n")
     out = tmp_path / "r.csv"
     assert run_cli("sweep", "--config", str(config), "--out", str(out)) == 1
     assert field in capsys.readouterr().err
@@ -429,11 +433,6 @@ def test_sweep_repeated_swept_value_exits_1(tmp_path, capsys, source, field, fla
     err = capsys.readouterr().err
     assert f"swept value list {field} repeats a value" in err
     assert (out.read_bytes() if out.exists() else None) == before
-
-
-def test_sweep_unwritable_path_exits_2(tmp_path, capsys):
-    missing_dir = tmp_path / "no" / "such" / "dir" / "r.csv"
-    assert run_cli("sweep", "--out", str(missing_dir), *SMALL_SWEEP) == 2
 
 
 def test_workers_env_var_is_honored(tmp_path, capsys, monkeypatch):
@@ -652,3 +651,79 @@ def test_source_date_epoch_sets_manifest_timestamp(tmp_path, capsys, monkeypatch
     assert manifest["timestamp"] == "2025-08-15T00:00:00Z"
     monkeypatch.setenv(cli.TIMESTAMP_ENV_VAR, "not-a-time")
     assert run_cli("sweep", "--out", str(out), *SMALL_SWEEP) == 1
+
+
+@pytest.mark.parametrize("command, out_flag", [("run", "--trace"), ("sweep", "--out")])
+def test_config_key_set_twice_exits_1_naming_both_lines(tmp_path, capsys, command, out_flag):
+    config = tmp_path / "grid.cfg"
+    config.write_text("num_hosts_options = 10\n# hosts\nagents = standard\nnum_hosts_options=50\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(config), out_flag, str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"{config}:4: num_hosts_options is set twice, on lines 1 and 4" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", *SMALL_SWEEP, "--seeds", "5,-5"),
+    ("run", "--agent", "standard", "--seed", "-5"),
+])
+def test_negative_seed_exits_1_naming_seed(tmp_path, capsys, monkeypatch, argv):
+    # random.Random seeds by absolute value: -5 would draw seed 5's world.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 1
+    assert "seed must be non-negative, got -5" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# output paths, checked before any work
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work began before the output path was checked")
+
+
+def test_run_trace_into_a_missing_directory_exits_1_before_playing(tmp_path, capsys,
+                                                                   monkeypatch):
+    monkeypatch.setattr(cli, "run_episode", _no_work)
+    trace = tmp_path / "missing" / "trace.jsonl"
+    assert run_cli("run", "--agent", "standard", "--trace", str(trace)) == 1
+    assert f"error: cannot write {trace}: " in capsys.readouterr().err
+    assert not trace.parent.exists()
+
+
+def test_replayed_trace_into_a_missing_directory_exits_1_before_playing(tmp_path, capsys,
+                                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "traces").mkdir()
+    assert run_cli("run", "--agent", "standard", "--trace", "traces/trace.jsonl") == 0
+    (tmp_path / "traces" / "trace.jsonl").rename(tmp_path / "kept.jsonl")
+    (tmp_path / "traces").rmdir()
+    monkeypatch.setattr(cli, "run_episode", _no_work)
+    capsys.readouterr()
+    assert run_cli("run", "--from-manifest", "kept.jsonl") == 1
+    assert "error: cannot write traces/trace.jsonl: " in capsys.readouterr().err
+    assert not (tmp_path / "traces").exists()
+
+
+@pytest.mark.parametrize("parent", ["missing", "a_file"])
+def test_sweep_out_into_a_missing_directory_exits_1_before_simulating(tmp_path, capsys,
+                                                                      monkeypatch, parent):
+    (tmp_path / "a_file").write_text("")
+    monkeypatch.setattr(cli, "run_sweep", _no_work)
+    out = tmp_path / parent / "records.csv"
+    assert run_cli("sweep", "--out", str(out), *SMALL_SWEEP) == 1
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+def test_aggregate_out_into_a_missing_directory_exits_1_before_reading(tmp_path, capsys,
+                                                                       monkeypatch):
+    records_path = sweep_two_agents(tmp_path)
+    monkeypatch.setattr(cli, "read_records_csv", _no_records_read)
+    out = tmp_path / "missing" / "agg.csv"
+    capsys.readouterr()
+    assert run_cli("aggregate", "--records", str(records_path), "--group-by", "agent",
+                   "--out", str(out)) == 1
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert not out.parent.exists()

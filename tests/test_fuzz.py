@@ -48,6 +48,9 @@ def test_resolve_single_episode_raises_only_config_errors(flags, entries):
 
 
 INTS = st.integers(min_value=-(2**70), max_value=2**70)
+# Scenario seeds are non-negative: a negative one would draw the world of
+# its absolute value.
+SEEDS = st.integers(min_value=0, max_value=2**70)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 PROBABILITIES = st.floats(min_value=0.0, max_value=1.0)
 # Parameters that pass validation, the not-modelled ones left at their
@@ -58,7 +61,7 @@ PARAMS = st.builds(
     num_honeypots=st.integers(0, 10),
     movement_time=st.none() | st.integers(1, 10**6),
     one_goal=st.booleans(),
-    seed=INTS,
+    seed=SEEDS,
     num_sensitive=st.integers(0, 10),
     num_services=st.integers(1, 20),
     num_os=st.integers(1, 4),
@@ -80,7 +83,7 @@ CELLS = st.builds(
     movement_time=st.none() | st.integers(1, 10**6),
     num_hosts=st.integers(0, 60),
     one_goal=st.booleans(),
-    seed=INTS,
+    seed=SEEDS,
     agent=st.sampled_from(AGENT_KINDS),
 )
 
@@ -95,7 +98,7 @@ SWEEPS = st.builds(
     movement_time=tuples(st.none() | st.integers(1, 10**6)),
     num_hosts=tuples(st.integers(0, 60)),
     one_goal=tuples(st.booleans()),
-    seeds=tuples(INTS),
+    seeds=tuples(SEEDS),
     agents=tuples(st.sampled_from(AGENT_KINDS)),
     repetitions=st.integers(1, 10**6),
     master_seed=INTS,
