@@ -487,9 +487,28 @@ def _data_lines(handle, path: str, manifests: list):
             manifests.append(_parse_manifest_json(line, path))
 
 
+def _split_chunk(chunk: list, plan: list, width: int) -> int | None:
+    """Parse a chunk of data lines onto the record columns by splitting them
+    on commas, and return its row count; or None, for csv to read the chunk,
+    if csv could read it otherwise or a token does not parse."""
+    rows = list(filter("\n".__ne__, chunk))
+    text = "".join(rows)
+    if ('"' in text or "\r" in text or "\0" in text
+            or set(map(str.count, rows, itertools.repeat(","))) - {width - 1}
+            or max(map(len, rows), default=0) > csv.field_size_limit()):
+        return None
+    tokens = text.replace("\n", ",").split(",")
+    try:
+        for index, parse, column in plan:
+            column.extend(map(parse, tokens[index:width * len(rows):width]))
+    except ValueError:  # csv meets the same token, and names its row
+        return None
+    return len(rows)
+
+
 def _read_chunk(rows, plan: list, path: str, first: int) -> int:
-    """Parse the next CHUNK_ROWS rows, the first numbered ``first``, onto the
-    record columns, one ``map`` per column; return how many were read. A
+    """Parse the next CHUNK_ROWS csv rows, the first numbered ``first``, onto
+    the record columns, one ``map`` per column; return how many were read. A
     chunk that fails, or that a read error cut short, is replayed row by row
     in field order to name its first bad row."""
     chunk = []
@@ -511,14 +530,20 @@ def _read_chunk(rows, plan: list, path: str, first: int) -> int:
 
 def read_records_csv(path: str) -> tuple[dict[str, list], dict | None]:
     """The records of a records CSV, one list per RECORD_COLUMNS field, read
-    in one streamed pass a chunk at a time, and its manifest. Columns are
-    found by header name; blank rows are skipped, before the header too."""
+    in one streamed pass CHUNK_ROWS data lines at a time, and its manifest.
+    Columns are found by header name, which csv reads; blank lines are
+    skipped, before the header too. A chunk is split on commas, without csv,
+    if it holds no quote, carriage return or NUL, each non-blank line has one
+    comma fewer than the header has columns, no line is over
+    ``csv.field_size_limit()``, and every token parses. From the first chunk
+    that fails, csv reads the rest of the file, since a quoted field may span
+    chunks, and names the first bad row."""
     manifests = []
     columns = {column: [] for column in RECORD_COLUMNS}
     try:
         with open(path, encoding="utf-8", newline="") as handle:
-            rows = filter(None, csv.reader(_data_lines(handle, path, manifests)))
-            header = next(rows, [])
+            lines = _data_lines(handle, path, manifests)
+            header = next(filter(None, csv.reader(lines)), [])
             missing = [column for column in RECORD_COLUMNS if column not in header]
             if missing:
                 raise ConfigError(f"{path}: missing record columns: {', '.join(missing)}")
@@ -527,8 +552,19 @@ def read_records_csv(path: str) -> tuple[dict[str, list], dict | None]:
                        for name, parse in RECORD_PARSERS.items()]
             plan = list(zip(map(header.index, RECORD_COLUMNS), parsers, columns.values()))
             first = 1
-            while _read_chunk(rows, plan, path, first) == CHUNK_ROWS:
-                first += CHUNK_ROWS
+            while True:
+                chunk = []
+                try:
+                    chunk.extend(itertools.islice(lines, CHUNK_ROWS))
+                finally:  # a read error still has the lines before it checked
+                    count = _split_chunk(chunk, plan, len(header))
+                    if count is None:  # csv reads the rest: a quoted field may span chunks
+                        rows = filter(None, csv.reader(itertools.chain(chunk, lines)))
+                        while _read_chunk(rows, plan, path, first) == CHUNK_ROWS:
+                            first += CHUNK_ROWS
+                if count is None or len(chunk) < CHUNK_ROWS:
+                    break
+                first += count
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read records file {path}: {exc}") from exc
     return columns, manifests[-1] if manifests else None
@@ -637,6 +673,9 @@ def cmd_aggregate(args) -> int:
         timestamp = default_timestamp()
     if out_path != "-":
         check_output_path(out_path)
+        if os.path.exists(out_path) and os.path.exists(records_path) \
+                and os.path.samefile(out_path, records_path):
+            raise ConfigError(f"cannot write {out_path}: it is the records file {records_path}")
     columns, source_manifest = read_records_csv(records_path)
     if not columns["outcome"]:
         raise ConfigError(f"{records_path}: no records to aggregate")

@@ -26,7 +26,6 @@ import operator
 import random
 import statistics
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -262,6 +261,9 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[EpisodeRe
     # A pool starts all its workers at once, so idle ones would be forked.
     workers = min(workers or 1, len(tasks))
     if workers > 1:
+        # Imported here: a serial sweep, run and aggregate load no multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_run_cells, tasks))
     else:

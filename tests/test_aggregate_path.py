@@ -1,22 +1,31 @@
 """The records reader and ``aggregate`` against the straightforward path.
 
-``cli.read_records_csv`` streams the file through ``csv``, takes the rows a
-chunk of ``cli.CHUNK_ROWS`` at a time, and parses each column of a chunk with
-one ``map`` into one list per field, each distinct token once, through a
-per-column memo. ``aggregate`` groups those columns: its keys are zipped from
-the group-by columns, and a group holds row indexes. The references below are
-the row-by-row reader and the per-record, per-field grouping they replaced.
-The reader parses each row, field by field, as it is met in the file (so the
-first error in the file is the one named), takes its column parsers from
-``cli.RECORD_PARSERS`` (which checks outcomes), skips blank rows before the
-header as after it, and reports an unreadable file as the streamed reader
-does. Every reader check runs at chunk sizes 1, 2, 3 and the default, so
-chunk boundaries fall everywhere. Both paths must give the same records and
-manifest, or the same error text, and the same aggregate statistics.
+``cli.read_records_csv`` reads the header through ``csv``, then takes the
+data lines a chunk of ``cli.CHUNK_ROWS`` at a time. A chunk with no quote,
+carriage return or NUL, with one comma fewer than the header has columns on
+each non-blank line, with no line over ``csv.field_size_limit()``, and whose
+tokens all parse, is split on commas; from the first chunk that fails any of
+these, ``csv`` reads the rest of the file. Either way each column of a chunk
+is parsed with one ``map`` into one list per field, each distinct token once,
+through a per-column memo. ``aggregate`` groups those columns: its keys are
+zipped from the group-by columns, and a group holds row indexes. The
+references below are the row-by-row ``csv`` reader and the per-record,
+per-field grouping they replaced. The reader parses each row, field by
+field, as it is met in the file (so the first error in the file is the one
+named), takes its column parsers from ``cli.RECORD_PARSERS`` (which checks
+outcomes), skips blank rows before the header as after it, and reports an
+unreadable file as the streamed reader does. Every reader check runs at
+chunk sizes 1, 2, 3 and the default, so chunk boundaries, and the hand-off
+to ``csv``, fall everywhere. Drawn files hold what only ``csv`` reads as
+meant (quoted fields, a quoted comma or line break, CRLF and CR line ends,
+NUL, lines over the field limit), often first after the first chunk. Both
+paths must give the same records and manifest, or the same error text, and
+the same aggregate statistics.
 """
 
 import csv
 import dataclasses
+import operator
 import random
 import statistics
 from pathlib import Path
@@ -185,6 +194,24 @@ def golden_lines():
     return GOLDEN.read_text(encoding="utf-8").splitlines()
 
 
+def test_golden_data_rows_never_reach_csv(monkeypatch):
+    # Only the header is csv's to read: a records file that sweep writes
+    # needs none of its rules, so every chunk is split on commas.
+    reader, handed = csv.reader, []
+
+    def counting_reader(lines):
+        return reader(handed.append(line) or line for line in lines)
+
+    header = golden_lines()[0] + "\n"
+    expected = result(reference_read, GOLDEN)
+    monkeypatch.setattr(csv, "reader", counting_reader)
+    for rows in CHUNK_SIZES:
+        monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
+        handed.clear()
+        assert result(column_read, GOLDEN) == expected, f"CHUNK_ROWS = {rows}"
+        assert handed == [header], f"CHUNK_ROWS = {rows}"
+
+
 def test_blank_comment_and_manifest_lines_anywhere(tmp_path):
     header, *rows = golden_lines()
     for blank in ([], [""]):
@@ -309,6 +336,38 @@ def test_read_error_later_in_the_chunk_does_not_hide_an_earlier_bad_row(tmp_path
 
 
 # ---------------------------------------------------------------------------
+# Reader: what only csv reads as meant, from any row on
+
+LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize("row", [1, 4, cli.CHUNK_ROWS + 1])
+@pytest.mark.parametrize("agent, ending", [
+    pytest.param(',"care""ful"', "\n", id="quote"),
+    pytest.param(',"care,ful"', "\n", id="quoted-comma"),
+    pytest.param(',"care\nful"', "\n", id="quoted-line-break"),  # one field on two lines
+    pytest.param(",care\0ful", "\n", id="nul"),  # csv rejects it before Python 3.11
+    pytest.param("," + "x" * (LIMIT - 20), "\n", id="line-over-limit"),
+    pytest.param("," + "x" * (LIMIT + 1), "\n", id="field-over-limit"),
+    pytest.param(",careful,extra", "\n", id="extra-field"),
+    pytest.param("", "\n", id="short-row"),
+    pytest.param(",careful", "\r\n", id="crlf"),
+    pytest.param(",careful", "\r", id="cr"),
+])
+def test_csv_only_spellings_read_alike_from_any_row(tmp_path, agent, ending, row):
+    # agent, which parses whatever csv reads, is moved last, so a split line's
+    # end falls in its token. Row ``row`` ends in ``agent`` (with its comma),
+    # and from it on, lines end in ``ending``.
+    header, rows = many_rows(cli.CHUNK_ROWS + 3)
+    index = cli.RECORD_COLUMNS.index("agent")
+    lines = [",".join([*fields[:index], *fields[index + 1:], fields[index]])
+             for fields in (line.split(",") for line in [header, *rows])]
+    lines[row] = lines[row].rsplit(",", 1)[0] + agent
+    endings = ["\n"] * row + [ending] * (len(lines) - row)
+    assert_reads_alike(write(tmp_path, "".join(map(operator.add, lines, endings))))
+
+
+# ---------------------------------------------------------------------------
 # Reader: drawn files
 
 # Tokens the csv module reads back unchanged from a one-line field: no quote,
@@ -342,6 +401,18 @@ def good_tokens(column):
     return st.integers(0, 2**64 - 1).map(str)
 
 
+def quoted(token):
+    return '"' + token.replace('"', '""') + '"'
+
+
+# A quoted token that holds a comma, a quote or a line break, so it may span
+# lines; an agent may be any str token.
+QUOTED = st.tuples(SAFE, st.sampled_from([",", '"', "\n", "\r\n", "\r", ",\n"]),
+                   SAFE).map("".join).map(quoted)
+# From a drawn line on, lines may end in CRLF or CR.
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
 def row_tokens(columns):
     return st.tuples(*(
         st.one_of(good_tokens(column), good_tokens(column), SAFE) for column in columns
@@ -351,6 +422,8 @@ def row_tokens(columns):
 @st.composite
 def records_files(draw):
     columns = list(draw(st.permutations(cli.RECORD_COLUMNS)))
+    if draw(st.booleans()):  # a line's end then falls in agent's token
+        columns.append(columns.pop(columns.index("agent")))
     for extra in draw(st.lists(st.sampled_from(["extra", "note"]), unique=True, max_size=2)):
         columns.insert(draw(st.integers(0, len(columns))), extra)
     lines = [",".join(columns)]
@@ -358,6 +431,19 @@ def records_files(draw):
         row = draw(row_tokens(columns))
         if draw(st.integers(0, 9)) == 0:
             row = row[:draw(st.integers(1, len(row)))]  # a short row
+        # Spellings only csv reads as meant, in one row in four; half of them
+        # in agent, the column that parses whatever csv reads.
+        edit, index = draw(st.integers(0, 15)), draw(st.integers(0, len(row) - 1))
+        if edit < 4 and "agent" in columns[:len(row)] and draw(st.booleans()):
+            index = columns.index("agent")
+        if edit == 0:
+            row[index] = quoted(row[index])
+        elif edit == 1:
+            row[index] = draw(QUOTED)
+        elif edit == 2:
+            row[index] += "\0"  # csv rejects NUL before Python 3.11
+        elif edit == 3:  # a line over the field limit, or a field over it
+            row[index] = "x" * draw(st.sampled_from([LIMIT - 20, LIMIT + 1]))
         lines.append(",".join(row))
         kind = draw(st.integers(0, 9))
         if kind == 0:
@@ -369,7 +455,11 @@ def records_files(draw):
     lines[:0] = [""] * draw(st.integers(0, 2))  # blank lines before the header
     if draw(st.booleans()):
         lines.insert(0, MANIFEST)
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    plain = draw(st.integers(0, 2 * len(lines)))
+    endings = [draw(ENDINGS) if number >= plain else "\n" for number in range(len(lines))]
+    if draw(st.booleans()):
+        endings[-1] = ""
+    return "".join(map(operator.add, lines, endings))
 
 
 @settings(max_examples=300, deadline=None)

@@ -727,3 +727,39 @@ def test_aggregate_out_into_a_missing_directory_exits_1_before_reading(tmp_path,
                    "--out", str(out)) == 1
     assert f"error: cannot write {out}: " in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+def test_aggregate_out_onto_its_own_records_exits_1_before_reading(tmp_path, capsys,
+                                                                   monkeypatch):
+    records_path = sweep_two_agents(tmp_path)
+    before = read_bytes(records_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "read_records_csv", _no_records_read)
+    capsys.readouterr()
+    for out in (str(records_path), "./records.csv"):
+        assert run_cli("aggregate", "--records", str(records_path), "--group-by", "agent",
+                       "--out", out) == 1
+        assert f"error: cannot write {out}: it is the records file " in capsys.readouterr().err
+    assert read_bytes(records_path) == before
+
+
+@pytest.mark.parametrize("out_flag", [False, True])
+def test_replayed_aggregate_onto_its_own_records_exits_1_before_reading(tmp_path, capsys,
+                                                                        monkeypatch, out_flag):
+    monkeypatch.chdir(tmp_path)
+    sweep_two_agents(tmp_path)
+    assert run_cli("aggregate", "--records", "records.csv", "--group-by", "agent",
+                   "--out", "agg.csv") == 0
+    if not out_flag:
+        manifest, rest = (tmp_path / "agg.csv").read_text().split("\n", 1)
+        assert '"outputs":["agg.csv"]' in manifest
+        (tmp_path / "agg.csv").write_text(
+            manifest.replace('"outputs":["agg.csv"]', '"outputs":["records.csv"]') + "\n" + rest)
+    before = read_bytes(tmp_path / "records.csv")
+    monkeypatch.setattr(cli, "read_records_csv", _no_records_read)
+    capsys.readouterr()
+    argv = ["--out", "records.csv"] if out_flag else []
+    assert run_cli("aggregate", "--from-manifest", "agg.csv", *argv) == 1
+    assert "error: cannot write records.csv: it is the records file records.csv" in \
+        capsys.readouterr().err
+    assert read_bytes(tmp_path / "records.csv") == before

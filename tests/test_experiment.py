@@ -1,7 +1,11 @@
 """Harness tests: grid expansion, seed pairing, parallel determinism, stats."""
 
+import concurrent.futures
 import dataclasses
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from helpers import degenerate_world
@@ -161,11 +165,21 @@ def test_run_sweep_asks_for_no_more_workers_than_tasks(monkeypatch, workers, poo
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert run_sweep(config, workers=workers) == serial
     assert sizes == pool_sizes
     assert run_sweep(small_config(num_honeypots=(2,), seeds=(42,)), workers=4)
     assert sizes == pool_sizes  # one task runs serially
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Only a sweep over more than one worker needs the pool.
+    package_root = Path(experiment.__file__).resolve().parents[1]
+    code = ("import sys; import deceptsim.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], cwd=package_root, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_run_sweep_annotates_failing_cell():
