@@ -420,8 +420,10 @@ def normalize_group_by(spec: str | list[str] | None) -> tuple[str, ...]:
 
 
 def check_output_path(path: str) -> None:
-    """Exit 1 naming ``path`` if its directory is missing or not writable,
-    before any record is read or episode simulated."""
+    """Exit 1 naming ``path`` if it is a directory, or its directory is
+    missing or not writable, before any record is read or episode simulated."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
     directory = os.path.dirname(path) or "."
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
         raise ConfigError(f"cannot write {path}: {directory} is not a writable directory")

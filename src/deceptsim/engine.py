@@ -11,6 +11,9 @@ returns it so call sites can chain functionally if they prefer.
 ``step`` plays one action; ``run_scans`` plays, in one loop, the host scans
 an agent has committed to, each as ``step`` and ``observe`` would. Both
 reject a malformed action (``_checked_host``) before any counter moves.
+The address index covers only the non-empty hosts: any other address in
+the target subnet holds an empty filler, and fillers, host id None, all
+answer alike.
 
 The terminal check runs only when its answer can have changed: after an
 action gains access, and once the step limit is reached. Replies are
@@ -30,8 +33,8 @@ from typing import NamedTuple
 from .scenario import (
     AccessLevel,
     Address,
-    HostKind,
     Scenario,
+    address_pair,
 )
 
 
@@ -93,7 +96,7 @@ _ACCESS_GAINED = {
 # Members read on every step, as globals: on Python 3.11 a read off an Enum
 # class costs about 0.1 us more than a global read.
 _SUBNET_SCAN, _EXPLOIT, _PRIVESC = ActionKind.SUBNET_SCAN, ActionKind.EXPLOIT, ActionKind.PRIVESC
-_NONE, _USER, _ROOT, _EMPTY = AccessLevel.NONE, AccessLevel.USER, AccessLevel.ROOT, HostKind.EMPTY
+_NONE, _USER, _ROOT = AccessLevel.NONE, AccessLevel.USER, AccessLevel.ROOT
 # The host configuration field each host scan reports.
 SCAN_FIELDS = {
     ActionKind.SERVICE_SCAN: "services",
@@ -121,7 +124,7 @@ class NetworkState:
     """Mutable per-episode state; confined to a single episode runner."""
 
     scenario: Scenario
-    # Every host's address, indexed by host id, and its inverse.
+    # Every host's address, by host id, and the inverse for non-empty hosts.
     addresses: list[Address]
     addr_to_host: dict[Address, int]
     rng: random.Random
@@ -141,12 +144,8 @@ class NetworkState:
 
 def new_network_state(scenario: Scenario, rng: random.Random) -> NetworkState:
     addresses = list(scenario.initial_addresses)
-    return NetworkState(
-        scenario=scenario,
-        addresses=addresses,
-        addr_to_host=dict(zip(addresses, range(len(addresses)))),
-        rng=rng,
-    )
+    index = {addresses[host_id]: host_id for host_id in scenario.non_empty_ids}
+    return NetworkState(scenario, addresses, index, rng)
 
 
 def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState]:
@@ -206,10 +205,11 @@ def run_scans(state: NetworkState, run, knowledge, reset, trace_sink=None) -> No
     addr_to_host = state.addr_to_host
     for kind, address in run:
         name = SCAN_FIELDS.get(kind)
-        host_id = addr_to_host.get(address)
+        host_id = addr_to_host.get(address) if type(address) is int else None
         if name is None or host_id is None:
-            _checked_host(state, Action(kind, address))
-            raise InvalidActionError(f"a scan run holds {kind!r}, which is not a host scan")
+            host_id = _checked_host(state, Action(kind, address))
+            if name is None:
+                raise InvalidActionError(f"a scan run holds {kind!r}, which is not a host scan")
         state.steps_taken += 1
         state.steps_since_mutation += 1
         obs = replies.get((host_id, kind)) or _scan_reply(scenario, host_id, kind)
@@ -228,9 +228,10 @@ def run_scans(state: NetworkState, run, knowledge, reset, trace_sink=None) -> No
 
 
 def _checked_host(state: NetworkState, action: Action) -> int | None:
-    """The targeted host's id (None for a subnet scan). Raises on a terminal
-    state, an unknown kind, a host action without a target in the target
-    subnet, or an unknown exploit or privesc id. run_scans asks only on a miss."""
+    """The targeted host's id, None for a subnet scan or an empty filler.
+    Raises on a terminal state, an unknown kind, a host action without a
+    target in the target subnet, or an unknown exploit or privesc id.
+    run_scans asks only on a miss."""
     if state.outcome is not None:
         raise EpisodeTerminatedError(
             f"episode already ended with {state.outcome.kind.value} "
@@ -239,9 +240,11 @@ def _checked_host(state: NetworkState, action: Action) -> int | None:
     kind, target, exploit_id, privesc_id = action
     if type(kind) is not ActionKind:
         raise InvalidActionError(f"unknown action kind {kind!r}")
-    host_id = state.addr_to_host.get(target)
+    # An int test first: True and 0.0 hash and compare as addresses do.
+    host_id = state.addr_to_host.get(target) if type(target) is int else None
     if host_id is None and (target is not None or kind is not _SUBNET_SCAN):
-        raise InvalidActionError(f"target address {target} is not in the target subnet")
+        if type(target) is not int or not 0 <= target < len(state.addresses):
+            raise InvalidActionError(f"target address {target} is not in the target subnet")
     if kind is _EXPLOIT:
         if type(exploit_id) is not int or not 0 <= exploit_id < len(state.scenario.exploits):
             raise InvalidActionError(f"unknown exploit id {exploit_id!r}")
@@ -251,14 +254,13 @@ def _checked_host(state: NetworkState, action: Action) -> int | None:
     return host_id
 
 
-def _scan_reply(scenario: Scenario, host_id: int, kind: ActionKind) -> Observation:
+def _scan_reply(scenario: Scenario, host_id: int | None, kind: ActionKind) -> Observation:
     """A host scan's reply, built once and kept in ``scan_replies``."""
-    host = scenario.hosts[host_id]
-    if host.kind is _EMPTY:
+    if host_id is None:
         reply = _CONNECTION_FAILED
     else:
         name = SCAN_FIELDS[kind]
-        reply = Observation(success=True, **{name: getattr(host, name)})
+        reply = Observation(success=True, **{name: getattr(scenario.hosts[host_id], name)})
     scenario.scan_replies[host_id, kind] = reply
     return reply
 
@@ -268,15 +270,15 @@ def _apply(state: NetworkState, action: Action, host_id: int | None) -> Observat
     kind = action.kind
     if kind is _SUBNET_SCAN:
         if state.subnet_reply is None:
-            discovered = sorted(map(state.addresses.__getitem__, scenario.non_empty_ids))
-            state.subnet_reply = Observation(success=True, discovered_addresses=tuple(discovered))
+            discovered = tuple(sorted(state.addr_to_host))
+            state.subnet_reply = Observation(success=True, discovered_addresses=discovered)
         return state.subnet_reply
 
     if kind in SCAN_FIELDS:
         return scenario.scan_replies.get((host_id, kind)) or _scan_reply(scenario, host_id, kind)
-    host = scenario.hosts[host_id]
-    if host.kind is _EMPTY:
+    if host_id is None:
         return _CONNECTION_FAILED
+    host = scenario.hosts[host_id]
 
     if kind is _EXPLOIT:
         exploit = scenario.exploits[action.exploit_id]
@@ -311,11 +313,13 @@ def mutate_addresses(state: NetworkState, rng: random.Random) -> NetworkState:
     Empty hosts move too, so the effective mutation space is the whole
     subnet. Access levels and host configurations are untouched; only the
     hosts' addresses (and the attacker's stale knowledge of them) change.
-    The address list and its inverse are both updated in place.
+    The address list is shuffled and the index rebuilt, both in place.
     """
-    addresses = state.addresses
+    addresses, addr_to_host = state.addresses, state.addr_to_host
     same_stream_shuffle(addresses, rng)
-    state.addr_to_host.update(zip(addresses, range(len(addresses))))
+    addr_to_host.clear()
+    for host_id in state.scenario.non_empty_ids:
+        addr_to_host[addresses[host_id]] = host_id
     state.subnet_reply = None
     return state
 
@@ -385,7 +389,7 @@ def trace_record(step_index: int, action: Action, obs: Observation,
         "success": obs.success,
     }
     if action.target is not None:
-        record["target"] = list(action.target)
+        record["target"] = address_pair(action.target)
     if action.exploit_id is not None:
         record["exploit_id"] = action.exploit_id
     if action.privesc_id is not None:

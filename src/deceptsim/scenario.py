@@ -15,11 +15,16 @@ from dataclasses import asdict, dataclass, fields
 from enum import Enum, IntEnum
 from functools import cached_property
 
-# An address is a (subnet, index) pair. Subnet 0 holds only the attacker;
-# every other address lives in the single target subnet.
-Address = tuple[int, int]
+# An address is its index in the target subnet; subnet 0 holds only the
+# attacker. Traces and the world JSON write it as a pair (address_pair).
+Address = int
 
 TARGET_SUBNET = 1
+
+
+def address_pair(address: Address) -> list[int]:
+    """``address`` as traces and the world JSON write it: [subnet, index]."""
+    return [TARGET_SUBNET, address]
 
 
 class ParameterError(ValueError):
@@ -210,7 +215,7 @@ class Scenario:
     Host ids are tuple indices. ``initial_addresses`` holds each host's
     first address, indexed by host id as ``engine.NetworkState.addresses``
     is: a bijection between all non-attacker hosts (empty fillers included)
-    and target-subnet addresses.
+    and the target-subnet addresses ``range(params.target_capacity)``.
     """
 
     params: GeneratorParams
@@ -235,8 +240,9 @@ class Scenario:
     @cached_property
     def scan_replies(self) -> dict:
         """The engine's immutable scan replies, keyed by (host id, scan
-        kind) and filled as hosts are scanned. A reply depends only on the
-        host, so every episode on this world shares them."""
+        kind), with id None for every empty filler, and filled as hosts are
+        scanned. A reply depends only on the host, so every episode on this
+        world shares them."""
         return {}
 
 
@@ -300,7 +306,7 @@ def generate_scenario(params: GeneratorParams) -> Scenario:
             )
         hosts.append(HostSpec(host_id, kind, services, os_id, processes, vulns, values[kind]))
 
-    addresses = [(TARGET_SUBNET, i) for i in range(capacity)]
+    addresses = list(range(capacity))
     rng.shuffle(addresses)
 
     return Scenario(
@@ -363,7 +369,7 @@ def _json_fields(pairs) -> dict:
 def scenario_to_dict(scenario: Scenario) -> dict:
     data = asdict(scenario, dict_factory=_json_fields)
     addresses = data.pop("initial_addresses")
-    data["address_map"] = [[host_id, *address] for host_id, address in enumerate(addresses)]
+    data["address_map"] = [[host_id, *address_pair(a)] for host_id, a in enumerate(addresses)]
     return data
 
 

@@ -11,7 +11,6 @@ from collections import deque
 from deceptsim.engine import ActionKind
 from deceptsim.experiment import run_episode
 from deceptsim.scenario import (
-    TARGET_SUBNET,
     AccessLevel,
     ExploitDef,
     GeneratorParams,
@@ -99,7 +98,7 @@ def build_world(
             PrivEscDef(i, process, prob) for i, (process, prob) in enumerate(privescs)
         ),
         subnets=(1, len(hosts)),
-        initial_addresses=tuple((TARGET_SUBNET, h.id) for h in hosts),
+        initial_addresses=tuple(h.id for h in hosts),
     )
 
 

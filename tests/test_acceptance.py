@@ -25,7 +25,6 @@ from deceptsim.engine import (
 )
 from deceptsim.experiment import SweepConfig, aggregate, run_episode, run_sweep
 from deceptsim.scenario import (
-    TARGET_SUBNET,
     AccessLevel,
     GeneratorParams,
     HostKind,
@@ -273,7 +272,7 @@ def random_invariant_params(rng: random.Random) -> GeneratorParams:
 
 def random_walk_action(rng: random.Random, scenario) -> Action:
     capacity = scenario.params.num_addresses - 1
-    target = (TARGET_SUBNET, rng.randrange(capacity))
+    target = rng.randrange(capacity)
     kind = rng.choice(tuple(ActionKind))
     if kind is ActionKind.SUBNET_SCAN:
         return Action(ActionKind.SUBNET_SCAN)
@@ -289,7 +288,7 @@ def check_invariant_episode(scenario, walk_rng, engine_rng) -> list:
     state = new_network_state(scenario, engine_rng)
     movement_time = scenario.params.movement_time
     capacity = scenario.params.num_addresses - 1
-    all_addresses = {(TARGET_SUBNET, index) for index in range(capacity)}
+    all_addresses = set(range(capacity))
     violations = []
     prev_map = list(state.addresses)
     prev_access = dict(state.access)

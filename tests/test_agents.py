@@ -19,7 +19,7 @@ MISMATCHED_EXPLOIT = (5, 0, 0, AccessLevel.ROOT, 1.0)  # no host runs service 5
 
 
 def addr(i):
-    return (1, i)
+    return i
 
 
 def new_agent(kind, scenario, seed=0):

@@ -1,6 +1,7 @@
 """Command-line behavior: config ingestion, outputs, manifests, exit codes."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -117,6 +118,25 @@ def test_run_from_manifest_reproduces_trace(tmp_path, capsys):
     assert run_cli("run", "--from-manifest", str(trace_path)) == 0
     assert capsys.readouterr().out == first_stdout
     assert read_bytes(trace_path) == original
+
+
+# The sha256 of each trace, manifest line included; a row writes its target
+# as [subnet, index]. A change to how the engine holds addresses, plays an
+# episode or writes a row must leave these bytes alone.
+TRACE_SHA256 = {
+    ("--agent", "standard"):
+        "66e5e6e9bf95642eab4a94d27e93eeb15337a2de1b3636595455c34d964bf4bc",
+    ("--agent", "careful", "--hosts", "10", "--honeypots", "2", "--movement-time", "25"):
+        "de4fdce7a8639e23808fba6ab7ed2de9c67db152aa86e1deb98539a564429397",
+}
+
+
+@pytest.mark.parametrize("argv", TRACE_SHA256, ids=["static_standard", "mtd_careful"])
+def test_trace_bytes_are_pinned(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.TIMESTAMP_ENV_VAR, raising=False)
+    assert run_cli("run", *argv, "--trace", "trace.jsonl") == 0
+    assert hashlib.sha256(read_bytes("trace.jsonl")).hexdigest() == TRACE_SHA256[argv]
 
 
 # ---------------------------------------------------------------------------
@@ -763,3 +783,33 @@ def test_replayed_aggregate_onto_its_own_records_exits_1_before_reading(tmp_path
     assert "error: cannot write records.csv: it is the records file records.csv" in \
         capsys.readouterr().err
     assert read_bytes(tmp_path / "records.csv") == before
+
+
+# Each command, its flags writing an output at "adir", and the work that must
+# not begin when "adir" is a directory.
+OUTPUT_AT_ADIR = {
+    "run": (("--agent", "standard", "--trace", "adir"), "run_episode"),
+    "sweep": (("--out", "adir", *SMALL_SWEEP), "run_sweep"),
+    "aggregate": (("--records", "records.csv", "--group-by", "agent", "--out", "adir"),
+                  "read_records_csv"),
+}
+
+
+@pytest.mark.parametrize("replay", [False, True], ids=["flag", "manifest"])
+@pytest.mark.parametrize("command", OUTPUT_AT_ADIR)
+def test_output_naming_a_directory_exits_1_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           command, replay):
+    monkeypatch.chdir(tmp_path)
+    if command == "aggregate":
+        sweep_two_agents(tmp_path)
+    argv, work = OUTPUT_AT_ADIR[command]
+    if replay:
+        assert run_cli(command, *argv) == 0
+        (tmp_path / "adir").rename(tmp_path / "kept")
+        argv = ("--from-manifest", "kept")
+    (tmp_path / "adir").mkdir()
+    monkeypatch.setattr(cli, work, _no_work)
+    capsys.readouterr()
+    assert run_cli(command, *argv) == 1
+    assert "error: cannot write adir: it is a directory" in capsys.readouterr().err
+    assert not any((tmp_path / "adir").iterdir())

@@ -37,7 +37,7 @@ def fresh(scenario, seed=0):
 
 
 def addr(i):
-    return (1, i)
+    return i
 
 
 def test_step_and_cost_accounting():
@@ -331,7 +331,9 @@ def test_mutation_preserves_bijection_and_access():
         assert set(state.addresses) == all_addresses
         assert len(state.addresses) == len(set(state.addresses))
         assert state.access == accesses
-        assert state.addr_to_host == {a: h for h, a in enumerate(state.addresses)}
+        assert state.addr_to_host == {
+            a: h for h, a in enumerate(state.addresses) if h in scenario.non_empty_ids
+        }
 
 
 def test_mutation_skipped_on_terminal_step():

@@ -89,7 +89,7 @@ def test_address_map_is_a_bijection():
     addresses = scenario.initial_addresses
     assert len(addresses) == len(scenario.hosts) == 255
     assert len(set(addresses)) == 255
-    assert all(subnet == TARGET_SUBNET and 0 <= idx < 255 for subnet, idx in addresses)
+    assert sorted(addresses) == list(range(255))
 
 
 @pytest.mark.parametrize("seed", [1234, 42, 24121997])
@@ -232,8 +232,8 @@ def reference_scenario_dict(scenario: Scenario) -> dict:
         ],
         "subnets": list(scenario.subnets),
         "address_map": [
-            [host_id, subnet, index]
-            for host_id, (subnet, index) in enumerate(scenario.initial_addresses)
+            [host_id, TARGET_SUBNET, index]
+            for host_id, index in enumerate(scenario.initial_addresses)
         ],
     }
 
