@@ -24,6 +24,7 @@ import itertools
 import json
 import operator
 import os
+import stat
 import sys
 from datetime import datetime, timezone
 
@@ -430,8 +431,35 @@ def check_output_path(path: str) -> None:
 
 
 def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    """Write ``text`` to ``path`` whole or not at all.
+
+    The text goes to a new temporary file in the target's directory, which
+    then replaces the target, so a failed or interrupted write leaves the
+    old file or none. A symlinked path is resolved first: the target is
+    replaced and the link kept. The file gets the mode ``open(path, "w")``
+    gives it: an existing file keeps its own, a new one 0o666 under the
+    umask. A pipe or a device, such as /dev/stdout, is written in place.
+    """
+    try:
+        info = os.stat(path)
+    except FileNotFoundError:
+        info = None
+    if info is not None and not stat.S_ISREG(info.st_mode):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        return
+    directory, name = os.path.split(os.path.realpath(path))
+    temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(descriptor, "w", encoding="utf-8", newline="") as handle:
+            if info is not None:
+                os.fchmod(descriptor, stat.S_IMODE(info.st_mode))
+            handle.write(text)
+        os.replace(temporary, os.path.join(directory, name))
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def records_csv_text(manifest: dict, records) -> str:

@@ -15,12 +15,15 @@ The address index covers only the non-empty hosts: any other address in
 the target subnet holds an empty filler, and fillers, host id None, all
 answer alike.
 
-The terminal check runs only when its answer can have changed: after an
-action gains access, and once the step limit is reached. Replies are
-immutable ``Observation`` values and are shared: the failure replies and the
-access-gained replies are module constants, a host's scan replies are built
-once per scenario, and the subnet-scan reply is kept until the next address
-mutation.
+The terminal check runs only when its answer can have changed: after any
+access gained on a honeypot or root gained on a sensitive host, and once
+the step limit is reached. A gain on any other host, a user gain on a
+sensitive host and a scan cannot end the episode.
+
+Replies are immutable ``Observation`` values and are shared: the failure
+replies and the access-gained replies are module constants, a host's scan
+replies are built once per scenario, and the subnet-scan reply is kept
+until the next address mutation.
 """
 
 from __future__ import annotations
@@ -151,11 +154,12 @@ def new_network_state(scenario: Scenario, rng: random.Random) -> NetworkState:
 def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState]:
     """Execute one action: count the step, apply semantics, check terminals.
 
-    ``check_termination`` runs only when the action gained access or the
-    step limit is reached; no other step can end the episode, because the
-    outcome depends on nothing but access levels and the step count. A step
-    that gains root access also notes ``one_goal_win`` if it is the first
-    to root a sensitive host.
+    ``check_termination`` runs only after a gain that can end the episode,
+    or once the step limit is reached. The outcome depends on nothing but
+    access levels and the step count, and only two gains can change it: any
+    access to a honeypot (a loss) and root access to a sensitive host (a
+    win under either objective). A step that roots a sensitive host also
+    notes ``one_goal_win`` if it is the first to do so.
     The mutation clock is evaluated last and only on non-terminal states, so
     a win or loss on the mutation boundary is never masked by the mutation.
     The returned observation is an immutable reply that may be shared with
@@ -168,16 +172,20 @@ def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState
 
     obs = _apply(state, action, host_id)
 
-    params = state.scenario.params
-    if obs.access_gained is not None or state.steps_taken >= params.step_limit:
-        if (
-            obs.access_gained is _ROOT
-            and state.one_goal_win is None
-            and host_id in state.scenario.sensitive_ids
-        ):
-            state.one_goal_win = EpisodeOutcome(
-                OutcomeKind.WIN, state.steps_taken, episode_score(state)
-            )
+    scenario = state.scenario
+    params = scenario.params
+    gained = obs.access_gained
+    can_end = False
+    if gained is not None:
+        if host_id in scenario.honeypot_ids:
+            can_end = True
+        elif gained is _ROOT and host_id in scenario.sensitive_ids:
+            can_end = True
+            if state.one_goal_win is None:
+                state.one_goal_win = EpisodeOutcome(
+                    OutcomeKind.WIN, state.steps_taken, episode_score(state)
+                )
+    if can_end or state.steps_taken >= params.step_limit:
         state.outcome = check_termination(state)
         if state.outcome is not None:
             return obs, state

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum, IntEnum
 from functools import cached_property
 
@@ -246,8 +246,32 @@ class Scenario:
         return {}
 
 
+# generate_scenario's one-entry memo: the last world drawn, by its key.
+_last_world: tuple[str, Scenario] | None = None
+
+
 def generate_scenario(params: GeneratorParams) -> Scenario:
-    """Build a randomized world from ``params``; deterministic per seed.
+    """Validate ``params`` and return their world; deterministic per seed.
+
+    The world is ``draw_world``'s, taken from a one-entry memo when the last
+    call drew the same one. The movement time and the objective never enter
+    generation, so the memo is keyed by the params with both reset to their
+    defaults, and the agents and objectives of a sweep's world share one
+    draw. The key is the repr of those params: ``1 == 1.0``, but a world
+    carries ``exploit_prob`` and ``privesc_prob`` into its catalog as
+    given. Every call returns a new ``Scenario`` that holds the caller's
+    params, and its own per-world caches, such as ``scan_replies``.
+    """
+    global _last_world
+    params.validate()
+    key = repr(replace(params, movement_time=None, one_goal=False))
+    if _last_world is None or _last_world[0] != key:
+        _last_world = key, draw_world(params)
+    return replace(_last_world[1], params=params)
+
+
+def draw_world(params: GeneratorParams) -> Scenario:
+    """Draw the world of valid ``params`` afresh, with no memo.
 
     Host configurations are uniform draws over service/process/vulnerability
     subsets. Sensitive and honeypot hosts are drawn from the same
@@ -256,7 +280,6 @@ def generate_scenario(params: GeneratorParams) -> Scenario:
     privilege escalation); without that guarantee a seed could produce an
     unwinnable world. Leftover target-subnet addresses become empty hosts.
     """
-    params.validate()
     rng = random.Random(params.seed)
 
     exploits = tuple(

@@ -157,12 +157,15 @@ def result(read, path):
 
 def assert_reads_alike(path):
     """The reader at every chunk size in CHUNK_SIZES reads ``path`` as the
-    reference does."""
+    reference does. Records are compared by repr, under which a ``nan``
+    score equals itself."""
     expected = result(reference_read, path)
     for rows in CHUNK_SIZES:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "CHUNK_ROWS", rows)
-            assert result(column_read, path) == expected, f"CHUNK_ROWS = {rows}"
+            got = result(column_read, path)
+            assert (repr(got[0]), *got[1:]) == (repr(expected[0]), *expected[1:]), \
+                f"CHUNK_ROWS = {rows}"
     return expected
 
 

@@ -1,8 +1,14 @@
 """Command-line behavior: config ingestion, outputs, manifests, exit codes."""
 
+import contextlib
 import csv
+import errno
 import hashlib
 import json
+import os
+import signal
+import stat
+import threading
 
 import pytest
 
@@ -813,3 +819,80 @@ def test_output_naming_a_directory_exits_1_before_any_work(tmp_path, capsys, mon
     assert run_cli(command, *argv) == 1
     assert "error: cannot write adir: it is a directory" in capsys.readouterr().err
     assert not any((tmp_path / "adir").iterdir())
+
+
+# ---------------------------------------------------------------------------
+# Writes are whole or not at all
+
+
+@contextlib.contextmanager
+def file_size_limit(limit):
+    """Writes past ``limit`` bytes fail with EFBIG in this process, as they
+    would on a full disk."""
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    previous = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, previous)
+
+
+def test_a_write_that_fails_midway_leaves_the_old_records(tmp_path):
+    out = sweep_two_agents(tmp_path)
+    before = read_bytes(out)
+    text = before.decode() * (2**20 // len(before) + 1)
+    with file_size_limit(2**18), pytest.raises(OSError) as caught:
+        cli.write_text(str(out), text)
+    assert caught.value.errno == errno.EFBIG
+    assert read_bytes(out) == before
+    assert os.listdir(tmp_path) == ["records.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask_022", "umask_027"])
+def test_a_written_file_has_the_mode_open_gives_it(tmp_path, umask):
+    existing = tmp_path / "existing.csv"
+    existing.write_text("old\n")
+    existing.chmod(0o640)
+    previous = os.umask(umask)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        cli.write_text(str(tmp_path / "new.csv"), "new\n")
+        cli.write_text(str(existing), "new\n")
+    finally:
+        os.umask(previous)
+    reference_mode = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+    assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == reference_mode
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+    assert existing.read_text() == "new\n"
+
+
+def test_a_symlinked_output_replaces_its_target_and_keeps_the_link(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    target = data / "records.csv"
+    target.write_text("old\n")
+    link, dangling = tmp_path / "link.csv", tmp_path / "dangling.csv"
+    link.symlink_to(target)
+    dangling.symlink_to(data / "missing.csv")
+    cli.write_text(str(link), "new\n")
+    cli.write_text(str(dangling), "created\n")
+    assert os.readlink(link) == str(target) and target.read_text() == "new\n"
+    assert (data / "missing.csv").read_text() == "created\n"
+    assert sorted(os.listdir(tmp_path)) == ["dangling.csv", "data", "link.csv"]
+    assert sorted(os.listdir(data)) == ["missing.csv", "records.csv"]
+
+
+def test_a_pipe_is_written_in_place(tmp_path):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+    reader.start()
+    cli.write_text(str(pipe), "records\n")
+    reader.join(timeout=10)
+    assert received == ["records\n"]
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)

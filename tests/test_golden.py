@@ -128,7 +128,8 @@ def test_golden_manifest_lines_are_byte_identical():
 
 
 def test_skipped_termination_checks_never_hide_an_outcome():
-    # step() runs check_termination only after access is gained or at the
+    # step() runs check_termination only after a gain that can end the
+    # episode (any access to a honeypot, root on a sensitive host) or at the
     # step limit; the full check after every step must agree with it.
     mismatches = []
     outcomes = set()
