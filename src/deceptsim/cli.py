@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -40,6 +41,7 @@ from .experiment import (
     EpisodeRecord,
     SweepConfig,
     aggregate,
+    aggregate_fields,
     derive_episode_seed,
     run_episode,
     run_sweep,
@@ -506,33 +508,80 @@ class _TokenMemo(dict):
         value = self[token] = self.parse(token)
         return value
 
+    def check(self, tokens: list) -> None:
+        """Parse the distinct tokens of ``tokens`` not met before."""
+        new = set(tokens).difference(self)
+        self.update(zip(new, map(self.parse, new)))
 
-def _data_lines(handle, path: str, manifests: list):
-    """The lines of a records file that hold CSV; each manifest line met on
-    the way is parsed into ``manifests``, and other comment lines dropped."""
-    for line in handle:
+
+def _check_ints(tokens: list) -> None:
+    """Raise ValueError unless every token parses as an int: at once if each
+    is a run of ASCII digits no longer than int() takes, else by int() token
+    by token (which also takes signs, spaces, underscores and other digits)."""
+    digits = "".join(tokens)  # non-ASCII characters encode to no ASCII digit
+    lengths = set(map(len, tokens))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not (digits.encode().isdigit() and 0 not in lengths
+            and (not limit or max(lengths) <= limit)):
+        for token in tokens:
+            int(token)
+
+
+def _column_plan(header: list, columns: dict) -> list:
+    """For each record column, in field order, its index in ``header`` and
+    what takes a list of its tokens: parses them onto its list in
+    ``columns``, or, for a column not stored, only checks them."""
+    plan = []
+    for name, parse in RECORD_PARSERS.items():
+        # Each distinct token is parsed once; episode seeds are distinct per row.
+        memo = None if name == "episode_seed" else _TokenMemo(parse)
+        if name in columns:
+            take = functools.partial(_extend_parsed, columns[name],
+                                     parse if memo is None else memo.__getitem__)
+        else:
+            take = _check_ints if memo is None else memo.check
+        plan.append((header.index(name), take))
+    return plan
+
+
+def _extend_parsed(column: list, parse, tokens: list) -> None:
+    column.extend(map(parse, tokens))
+
+
+def _data_lines(lines, path: str, manifests: list):
+    """The ``lines`` of a records file that hold CSV; each manifest line met
+    on the way is parsed into ``manifests``, and other comment lines dropped."""
+    for line in lines:
         if not line.startswith("#"):
             yield line
         elif line.startswith(MANIFEST_PREFIX):
             manifests.append(_parse_manifest_json(line, path))
 
 
-def _split_chunk(chunk: list, plan: list, width: int) -> int | None:
-    """Parse a chunk of data lines onto the record columns by splitting them
-    on commas, and return its row count; or None, for csv to read the chunk,
-    if csv could read it otherwise or a token does not parse."""
+def _split_chunk(chunk: list, plan: list, width: int, path: str, manifests: list) -> int | None:
+    """Parse a chunk of lines onto the record columns by splitting them on
+    commas, then parse its manifest lines into ``manifests``, and return its
+    row count; or None, for csv to read the chunk, if csv could read it
+    otherwise or a token does not parse."""
     rows = list(filter("\n".__ne__, chunk))
     text = "".join(rows)
+    comments = []
+    if "#" in text:
+        comments = [line for line in rows if line.startswith("#")]
+        rows = [line for line in rows if not line.startswith("#")]
+        text = "".join(rows)
     if ('"' in text or "\r" in text or "\0" in text
             or set(map(str.count, rows, itertools.repeat(","))) - {width - 1}
             or max(map(len, rows), default=0) > csv.field_size_limit()):
         return None
     tokens = text.replace("\n", ",").split(",")
     try:
-        for index, parse, column in plan:
-            column.extend(map(parse, tokens[index:width * len(rows):width]))
+        for index, take in plan:
+            take(tokens[index:width * len(rows):width])
     except ValueError:  # csv meets the same token, and names its row
         return None
+    manifests.extend(_parse_manifest_json(line, path)
+                     for line in comments if line.startswith(MANIFEST_PREFIX))
     return len(rows)
 
 
@@ -546,50 +595,58 @@ def _read_chunk(rows, plan: list, path: str, first: int) -> int:
         chunk.extend(itertools.islice(rows, CHUNK_ROWS))
     finally:
         try:
-            for index, parse, column in plan:
-                column.extend(map(parse, map(operator.itemgetter(index), chunk)))
+            for index, take in plan:
+                take(list(map(operator.itemgetter(index), chunk)))
         except (IndexError, ValueError):
             for number, row in enumerate(chunk, start=first):
                 try:
-                    for index, parse, _ in plan:
-                        parse(row[index])
+                    for index, take in plan:
+                        take([row[index]])
                 except (IndexError, ValueError) as exc:
                     raise ConfigError(f"{path}: bad record row {number}: {exc}") from exc
     return len(chunk)
 
 
-def read_records_csv(path: str) -> tuple[dict[str, list], dict | None]:
-    """The records of a records CSV, one list per RECORD_COLUMNS field, read
-    in one streamed pass CHUNK_ROWS data lines at a time, and its manifest.
-    Columns are found by header name, which csv reads; blank lines are
-    skipped, before the header too. A chunk is split on commas, without csv,
-    if it holds no quote, carriage return or NUL, each non-blank line has one
-    comma fewer than the header has columns, no line is over
-    ``csv.field_size_limit()``, and every token parses. From the first chunk
-    that fails, csv reads the rest of the file, since a quoted field may span
-    chunks, and names the first bad row."""
+def read_records_csv(
+    path: str, fields: tuple[str, ...] = RECORD_COLUMNS
+) -> tuple[dict[str, list], dict | None]:
+    """The records of a records CSV, one list per record column named in
+    ``fields``, read in one streamed pass CHUNK_ROWS lines at a time, and its
+    manifest (the last manifest line). Every token of every record column is
+    checked, stored or not. Columns are found by header name, which csv
+    reads; a header that lacks a record column or repeats one is refused.
+    Blank lines are skipped, before the header too. Chunks are taken straight
+    from the file; only one that holds a "#" is searched for comment lines.
+    A chunk is split on commas, without csv, if it holds no quote, carriage
+    return or NUL, each data line has one comma fewer than the header has
+    columns, no line is over ``csv.field_size_limit()``, and every token
+    parses: an unstored column's distinct tokens are parsed, and episode
+    seeds are checked as runs of ASCII digits, or else each by int(). From
+    the first chunk that fails, csv reads the rest of the file, since a
+    quoted field may span chunks, and names the first bad row."""
     manifests = []
-    columns = {column: [] for column in RECORD_COLUMNS}
+    columns = {name: [] for name in fields}
     try:
         with open(path, encoding="utf-8", newline="") as handle:
-            lines = _data_lines(handle, path, manifests)
-            header = next(filter(None, csv.reader(lines)), [])
+            header = next(filter(None, csv.reader(_data_lines(handle, path, manifests))), [])
             missing = [column for column in RECORD_COLUMNS if column not in header]
             if missing:
                 raise ConfigError(f"{path}: missing record columns: {', '.join(missing)}")
-            # Each distinct token is parsed once; episode seeds are distinct per row.
-            parsers = [parse if name == "episode_seed" else _TokenMemo(parse).__getitem__
-                       for name, parse in RECORD_PARSERS.items()]
-            plan = list(zip(map(header.index, RECORD_COLUMNS), parsers, columns.values()))
+            repeated = [column for column in RECORD_COLUMNS if header.count(column) > 1]
+            if repeated:
+                raise ConfigError(f"{path}: repeated record columns: {', '.join(repeated)}")
+            plan = _column_plan(header, columns)
             first = 1
             while True:
-                chunk = []
+                chunk, rest = [], ()
                 try:
-                    chunk.extend(itertools.islice(lines, CHUNK_ROWS))
+                    chunk.extend(itertools.islice(handle, CHUNK_ROWS))
+                    rest = handle  # after a read error, csv reads no further
                 finally:  # a read error still has the lines before it checked
-                    count = _split_chunk(chunk, plan, len(header))
+                    count = _split_chunk(chunk, plan, len(header), path, manifests)
                     if count is None:  # csv reads the rest: a quoted field may span chunks
-                        rows = filter(None, csv.reader(itertools.chain(chunk, lines)))
+                        lines = _data_lines(itertools.chain(chunk, rest), path, manifests)
+                        rows = filter(None, csv.reader(lines))
                         while _read_chunk(rows, plan, path, first) == CHUNK_ROWS:
                             first += CHUNK_ROWS
                 if count is None or len(chunk) < CHUNK_ROWS:
@@ -706,7 +763,7 @@ def cmd_aggregate(args) -> int:
         if os.path.exists(out_path) and os.path.exists(records_path) \
                 and os.path.samefile(out_path, records_path):
             raise ConfigError(f"cannot write {out_path}: it is the records file {records_path}")
-    columns, source_manifest = read_records_csv(records_path)
+    columns, source_manifest = read_records_csv(records_path, aggregate_fields(group_by))
     if not columns["outcome"]:
         raise ConfigError(f"{records_path}: no records to aggregate")
     try:

@@ -264,8 +264,10 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[EpisodeRe
         # Imported here: a serial sweep, run and aggregate load no multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
+        # Tasks that differ only by agent are consecutive and share a world;
+        # one chunk per world lets a worker draw it once (generate_scenario).
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_cells, tasks))
+            batches = list(pool.map(_run_cells, tasks, chunksize=len(config.agents)))
     else:
         batches = [_run_cells(task) for task in tasks]
     by_group = dict(zip(groups, batches))
@@ -277,21 +279,32 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[EpisodeRe
 
 
 # How aggregate() reads each grouping field's column off the record columns:
-# every cell field, and two derived dimensions.
+# every cell field, and two derived dimensions; and the record column each
+# one reads.
 GROUP_GETTERS = {name: operator.itemgetter(name) for name in CELL_FIELDS}
 GROUP_GETTERS.update(
     honeypots_on=lambda columns: map(operator.gt, columns["num_honeypots"], itertools.repeat(0)),
     mtd_on=lambda columns: map(operator.is_not, columns["movement_time"], itertools.repeat(None)),
 )
+GROUP_SOURCES = {name: name for name in CELL_FIELDS}
+GROUP_SOURCES.update(honeypots_on="num_honeypots", mtd_on="movement_time")
+
+
+def aggregate_fields(group_by: tuple[str, ...]) -> tuple[str, ...]:
+    """The record columns ``aggregate(columns, group_by)`` reads, in record
+    order: the group-by fields' sources, ``outcome`` and ``steps``."""
+    read = {"outcome", "steps", *map(GROUP_SOURCES.__getitem__, group_by)}
+    return tuple(name for name in EpisodeRecord._fields if name in read)
 
 
 def aggregate(records, group_by: tuple[str, ...] = CELL_FIELDS) -> list[AggregateStats]:
     """Group records and compute outcome fractions and step quartiles.
 
     ``records`` are EpisodeRecords, transposed here, or their columns by
-    field name, as ``cli.read_records_csv`` returns them; a group holds row
-    indexes. Quartiles use inclusive linear interpolation. Output order
-    follows the sorted group keys, so it is independent of record order.
+    field name, as ``cli.read_records_csv`` returns them (at least those
+    that ``aggregate_fields(group_by)`` names); a group holds row indexes.
+    Quartiles use inclusive linear interpolation. Output order follows the
+    sorted group keys, so it is independent of record order.
     """
     columns = records if isinstance(records, dict) \
         else dict(zip(EpisodeRecord._fields, zip(*records)))

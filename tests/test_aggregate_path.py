@@ -1,26 +1,36 @@
 """The records reader and ``aggregate`` against the straightforward path.
 
-``cli.read_records_csv`` reads the header through ``csv``, then takes the
-data lines a chunk of ``cli.CHUNK_ROWS`` at a time. A chunk with no quote,
-carriage return or NUL, with one comma fewer than the header has columns on
-each non-blank line, with no line over ``csv.field_size_limit()``, and whose
-tokens all parse, is split on commas; from the first chunk that fails any of
-these, ``csv`` reads the rest of the file. Either way each column of a chunk
-is parsed with one ``map`` into one list per field, each distinct token once,
-through a per-column memo. ``aggregate`` groups those columns: its keys are
-zipped from the group-by columns, and a group holds row indexes. The
-references below are the row-by-row ``csv`` reader and the per-record,
-per-field grouping they replaced. The reader parses each row, field by
-field, as it is met in the file (so the first error in the file is the one
-named), takes its column parsers from ``cli.RECORD_PARSERS`` (which checks
-outcomes), skips blank rows before the header as after it, and reports an
-unreadable file as the streamed reader does. Every reader check runs at
-chunk sizes 1, 2, 3 and the default, so chunk boundaries, and the hand-off
-to ``csv``, fall everywhere. Drawn files hold what only ``csv`` reads as
-meant (quoted fields, a quoted comma or line break, CRLF and CR line ends,
-NUL, lines over the field limit), often first after the first chunk. Both
+``cli.read_records_csv(path, fields)`` reads the header through ``csv``,
+then takes lines straight from the file a chunk of ``cli.CHUNK_ROWS`` at a
+time; only a chunk that holds a ``#`` is searched for comment and manifest
+lines. A chunk with no quote, carriage return or NUL, with one comma fewer
+than the header has columns on each data line, with no line over
+``csv.field_size_limit()``, and whose tokens all parse, is split on commas;
+from the first chunk that fails any of these, ``csv`` reads the rest of the
+file. Either way each column of a chunk is taken with one call: a column in
+``fields`` is parsed with one ``map`` into its list, each distinct token
+once, through a per-column memo; any other is only checked, its distinct
+tokens through the same memo and episode seeds as runs of ASCII digits, or
+else each by ``int()``. ``cmd_aggregate`` asks only for the columns that
+``experiment.aggregate_fields`` names. ``aggregate`` groups those columns:
+its keys are zipped from the group-by columns, and a group holds row
+indexes.
+
+The references below are the row-by-row ``csv`` reader and the per-record,
+per-field grouping they replaced, and the full read, which stores every
+column. The reference reader parses each row, field by field, as it is met
+in the file (so the first error in the file is the one named), takes its
+column parsers from ``cli.RECORD_PARSERS`` (which checks outcomes), refuses
+a header that lacks or repeats a record column, skips blank rows before the
+header as after it, and reports an unreadable file as the streamed reader
+does. Every reader check runs at chunk sizes 1, 2, 3 and the default, so
+chunk boundaries, and the hand-off to ``csv``, fall everywhere. Drawn files
+hold what only ``csv`` reads as meant (quoted fields, a quoted comma or line
+break, CRLF and CR line ends, NUL, lines over the field limit), often first
+after the first chunk, and episode seeds that only ``int()`` decides. Both
 paths must give the same records and manifest, or the same error text, and
-the same aggregate statistics.
+the same aggregate statistics; a read of fewer columns must give the full
+read's lists for them, or its error text.
 """
 
 import csv
@@ -41,6 +51,7 @@ from deceptsim.experiment import (
     Cell,
     EpisodeRecord,
     aggregate,
+    aggregate_fields,
 )
 
 pytest.importorskip("hypothesis")
@@ -81,6 +92,9 @@ def reference_rows(handle, path):
     missing = [column for column in cli.RECORD_COLUMNS if column not in header]
     if missing:
         raise cli.ConfigError(f"{path}: missing record columns: {', '.join(missing)}")
+    repeated = [column for column in cli.RECORD_COLUMNS if header.count(column) > 1]
+    if repeated:
+        raise cli.ConfigError(f"{path}: repeated record columns: {', '.join(repeated)}")
     plan = [(header.index(name), parse) for name, parse in cli.RECORD_PARSERS.items()]
     records = []
     for index, row in enumerate(rows, start=1):
@@ -215,6 +229,28 @@ def test_golden_data_rows_never_reach_csv(monkeypatch):
         assert handed == [header], f"CHUNK_ROWS = {rows}"
 
 
+def test_comment_lines_keep_no_data_row_from_the_split(tmp_path, monkeypatch):
+    # A chunk that holds comment lines drops them and is still split on
+    # commas: only the header reaches csv.
+    header, *rows = golden_lines()
+    rows[50:50] = ["# a comment", MANIFEST.replace(":3", ":5")]
+    rows[5:5] = [MANIFEST]
+    path = write(tmp_path, "\n".join(["# above", header, "#", *rows]) + "\n")
+    reader, handed = csv.reader, []
+
+    def counting_reader(lines):
+        return reader(handed.append(line) or line for line in lines)
+
+    expected = result(reference_read, path)
+    assert expected[2] == {"command": "sweep", "config": {"master_seed": 5}}
+    monkeypatch.setattr(csv, "reader", counting_reader)
+    for size in CHUNK_SIZES:
+        monkeypatch.setattr(cli, "CHUNK_ROWS", size)
+        handed.clear()
+        assert result(column_read, path) == expected, f"CHUNK_ROWS = {size}"
+        assert handed == [header + "\n"], f"CHUNK_ROWS = {size}"
+
+
 def test_blank_comment_and_manifest_lines_anywhere(tmp_path):
     header, *rows = golden_lines()
     for blank in ([], [""]):
@@ -262,6 +298,22 @@ def test_first_bad_row_is_named_alike(tmp_path, edit, row):
 def test_missing_columns_and_empty_file_alike(tmp_path):
     assert assert_reads_alike(write(tmp_path, ""))[0] == "error"
     assert assert_reads_alike(write(tmp_path, "\nnum_hosts,agent\n"))[0] == "error"
+
+
+@pytest.mark.parametrize("extra, error", [
+    (["steps"], "repeated record columns: steps"),
+    (["agent", "note", "num_honeypots", "agent"], "repeated record columns: num_honeypots, agent"),
+    (["note", "note"], None),  # an unknown column may repeat: nothing reads it
+])
+def test_repeated_record_columns_alike(tmp_path, extra, error):
+    header, *rows = golden_lines()
+    path = write(tmp_path, "\n".join([",".join([header, *extra]),
+                                      *(",".join([row, *["0"] * len(extra)]) for row in rows)]))
+    got = assert_reads_alike(path)
+    if error:
+        assert got == ("error", f"{path}: {error}")
+    else:
+        assert got[0] != "error"
 
 
 def test_undecodable_bytes_past_the_first_chunk_name_the_file(tmp_path):
@@ -338,6 +390,19 @@ def test_read_error_later_in_the_chunk_does_not_hide_an_earlier_bad_row(tmp_path
         assert message.startswith(f"cannot read records file {path}: ")
 
 
+def test_csv_reads_no_further_than_a_read_error(tmp_path):
+    # A quoted token hands the chunk to csv; it must stop where the read
+    # error fell, not resume the file after it and meet the bad row there.
+    header, rows = many_rows(1000)
+    rows[10] = set_field(rows[10], "agent", '"careful"')
+    rows[-2] = set_field(rows[-2], "outcome", "lost")
+    text = ("\n".join([header, *rows]) + "\n").encode("utf-8")
+    path = tmp_path / "records.csv"
+    path.write_bytes(text[:-4000] + b"\xff" + text[-4000:])
+    kind, message = assert_reads_alike(path)
+    assert message.startswith(f"cannot read records file {path}: ")
+
+
 # ---------------------------------------------------------------------------
 # Reader: what only csv reads as meant, from any row on
 
@@ -388,6 +453,14 @@ def spellings(*words):
     ]))
 
 
+# Episode seed tokens that only int() decides: it takes a sign, spaces,
+# underscores and non-ASCII digits, and rejects a superscript digit, an
+# empty token and one longer than sys.get_int_max_str_digits() (4300).
+SEED_SPELLINGS = ("+5", " 5", "5_0", "-5", "\u0665", "\u00b2", "", "9" * 4300, "9" * 4301)
+SEED_IDS = ("plus", "space", "underscore", "minus", "arabic-indic-5", "superscript-2", "empty",
+            "4300-digits", "4301-digits")
+
+
 def good_tokens(column):
     if column in ("num_honeypots", "num_hosts", "seed", "repetition", "steps"):
         return st.sampled_from(["0", "2", "10", "1234", " 5", "+7", "-1"])
@@ -401,7 +474,7 @@ def good_tokens(column):
         return st.one_of(st.sampled_from(OUTCOMES), spellings(*OUTCOMES))
     if column == "score":
         return st.sampled_from(["0.0", "3006.0", "-1000", "1e3", " 2.5", "nan"])
-    return st.integers(0, 2**64 - 1).map(str)
+    return st.one_of(st.integers(0, 2**64 - 1).map(str), st.sampled_from(SEED_SPELLINGS))
 
 
 def quoted(token):
@@ -469,6 +542,96 @@ def records_files(draw):
 @given(text=records_files())
 def test_drawn_files_read_alike(tmp_path_factory, text):
     assert_reads_alike(write(tmp_path_factory.mktemp("drawn"), text))
+
+
+# ---------------------------------------------------------------------------
+# Reader: only the columns that aggregate reads
+
+# Each group-by field alone, and none: together they store each record
+# column that aggregate reads, and leave each other one unstored.
+STORED_GROUP_BYS = [(name,) for name in GROUP_GETTERS] + [()]
+# A token that the column's parser rejects, in each column but agent, which
+# takes any str.
+BAD_TOKENS = {
+    "num_honeypots": "x", "movement_time": "never", "num_hosts": "1.5", "one_goal": "yes",
+    "seed": "", "repetition": "r", "outcome": "lost", "steps": "9.", "score": "high",
+    "episode_seed": "\u00b2",
+}
+
+
+def test_aggregate_fields_name_the_columns_aggregate_reads():
+    assert aggregate_fields(()) == ("outcome", "steps")
+    assert aggregate_fields(("agent", "num_honeypots")) == \
+        ("num_honeypots", "agent", "outcome", "steps")
+    assert aggregate_fields(("honeypots_on", "mtd_on")) == \
+        ("num_honeypots", "movement_time", "outcome", "steps")
+    assert set().union(*map(aggregate_fields, STORED_GROUP_BYS)) == set(cli.RECORD_COLUMNS) \
+        - {"repetition", "score", "episode_seed"}
+
+
+def assert_stored_columns_read_alike(path):
+    """At every chunk size in CHUNK_SIZES, reading only the columns that
+    ``aggregate`` reads for each of STORED_GROUP_BYS gives the full read's
+    lists for those columns and its manifest, and the same aggregate; or,
+    where the full read fails, the same error text."""
+    for rows in CHUNK_SIZES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "CHUNK_ROWS", rows)
+            try:
+                full, expected = cli.read_records_csv(str(path)), None
+            except cli.ConfigError as exc:
+                full, expected = None, str(exc)
+            for group_by in STORED_GROUP_BYS:
+                fields = aggregate_fields(group_by)
+                try:
+                    columns, manifest = cli.read_records_csv(str(path), fields)
+                except cli.ConfigError as exc:
+                    assert str(exc) == expected, f"CHUNK_ROWS = {rows}, {fields}"
+                    continue
+                assert full is not None, f"CHUNK_ROWS = {rows}, {fields}: {expected}"
+                assert tuple(columns) == fields
+                # By repr, so that True and 1 differ.
+                assert repr(columns) == repr({name: full[0][name] for name in fields}), \
+                    f"CHUNK_ROWS = {rows}, {fields}"
+                assert manifest == full[1]
+                if columns["outcome"]:
+                    assert aggregate(columns, group_by) == aggregate(full[0], group_by)
+    return expected
+
+
+def test_golden_file_stores_only_the_aggregated_columns_alike():
+    assert assert_stored_columns_read_alike(GOLDEN) is None
+
+
+@pytest.mark.parametrize("row", [2, 95])
+@pytest.mark.parametrize("token", SEED_SPELLINGS, ids=SEED_IDS)
+def test_seeds_that_only_int_decides_read_alike(tmp_path, token, row):
+    header, *rows = golden_lines()
+    rows[row - 1] = set_field(rows[row - 1], "episode_seed", token)
+    path = write(tmp_path, "\n".join([header, *rows]) + "\n")
+    error = assert_stored_columns_read_alike(path)
+    try:
+        int(token)
+    except ValueError as exc:
+        assert error == f"{path}: bad record row {row}: {exc}"
+    else:
+        assert error is None
+
+
+@pytest.mark.parametrize("row", [3, 95])
+@pytest.mark.parametrize("column", BAD_TOKENS)
+def test_bad_token_in_any_column_fails_alike(tmp_path, column, row):
+    # Most reads below leave ``column`` unstored, and must still check it.
+    header, *rows = golden_lines()
+    rows[row - 1] = set_field(rows[row - 1], column, BAD_TOKENS[column])
+    path = write(tmp_path, "\n".join([header, *rows]) + "\n")
+    assert assert_stored_columns_read_alike(path).startswith(f"{path}: bad record row {row}: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=records_files())
+def test_drawn_files_store_only_the_aggregated_columns_alike(tmp_path_factory, text):
+    assert_stored_columns_read_alike(write(tmp_path_factory.mktemp("drawn"), text))
 
 
 # ---------------------------------------------------------------------------

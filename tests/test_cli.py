@@ -574,7 +574,7 @@ def test_aggregate_unknown_group_by_exits_1(tmp_path, capsys):
     assert "colour" in capsys.readouterr().err
 
 
-def _no_records_read(path):
+def _no_records_read(path, *fields):
     raise AssertionError(f"{path} was read before the group-by was checked")
 
 
@@ -615,6 +615,26 @@ def test_aggregate_schema_mismatch_exits_1(tmp_path, capsys):
     bad.write_text("a,b\n1,2\n")
     assert run_cli("aggregate", "--records", str(bad), "--group-by", "agent") == 1
     assert "missing record columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [
+    "4,none,10,false,1234,careful,0,win,10,3.0,1,12",
+    "x,none,10,false,1234,careful,0,lost,10,3.0,1,12",  # read, it would be named
+])
+def test_aggregate_header_repeating_a_record_column_exits_1(tmp_path, capsys, row):
+    records_path = tmp_path / "records.csv"
+    records_path.write_text(",".join([*cli.RECORD_COLUMNS, "steps"]) + "\n" + row + "\n")
+    assert run_cli("aggregate", "--records", str(records_path), "--group-by", "agent") == 1
+    assert capsys.readouterr().err == \
+        f"error: {records_path}: repeated record columns: steps\n"
+
+
+def test_aggregate_header_repeating_an_unknown_column_reads(tmp_path, capsys):
+    records_path = tmp_path / "records.csv"
+    records_path.write_text(",".join([*cli.RECORD_COLUMNS, "note", "note"]) + "\n"
+                            + "4,none,10,false,1234,careful,0,win,10,3.0,1,a,b\n")
+    assert run_cli("aggregate", "--records", str(records_path), "--group-by", "agent") == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("careful,1,1,0,0,10,")
 
 
 def test_aggregate_missing_file_exits_1(tmp_path, capsys):

@@ -162,7 +162,7 @@ def test_run_sweep_asks_for_no_more_workers_than_tasks(monkeypatch, workers, poo
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -170,6 +170,40 @@ def test_run_sweep_asks_for_no_more_workers_than_tasks(monkeypatch, workers, poo
     assert sizes == pool_sizes
     assert run_sweep(small_config(num_honeypots=(2,), seeds=(42,)), workers=4)
     assert sizes == pool_sizes  # one task runs serially
+
+
+@pytest.mark.parametrize("agents", [("aggressive",), ("careful", "standard", "aggressive")])
+def test_parallel_sweep_hands_each_world_to_one_worker(monkeypatch, agents):
+    # The tasks of one world differ only by agent; each chunk that the pool
+    # hands a worker must hold exactly those, so the worker draws it once.
+    config = small_config(movement_time=(None, 25), agents=agents, repetitions=1)
+    serial = run_sweep(config)
+    chunks = []
+
+    class ChunkRecordingPool:
+        """Runs in process; records the chunks a process pool would hand out."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            chunks.extend(tasks[start:start + chunksize]
+                          for start in range(0, len(tasks), chunksize))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ChunkRecordingPool)
+    assert run_sweep(config, workers=2) == serial
+    worlds = [{dataclasses.replace(cell, agent="") for _, cell, *_ in chunk} for chunk in chunks]
+    assert all(len(world) == 1 for world in worlds)
+    assert len(set().union(*worlds)) == len(chunks) == 2 * 2 * 2
+    assert all(tuple(cell.agent for _, cell, *_ in chunk) == agents for chunk in chunks)
 
 
 def test_importing_the_cli_loads_no_process_pool():
