@@ -37,7 +37,10 @@ all. ``failures`` counts the failed entries per ``(kind, id)``, each pair
 once. ``failed`` is a subset of the known addresses × the catalog, and the
 addresses are distinct, because a subnet scan that changes the address set
 wipes the knowledge first; so an entry has an untried address exactly when
-its count is below the number of known addresses.
+its count is below the number of known addresses. ``exhausted`` counts the
+entries whose count reached that number, and ``epoch`` the wipes: the
+aggressive agent's viable entries change only when one of the two or the
+address count does.
 
 ``scan_run()`` hands over the host scans the agent is committed to next, as
 ``(kind, address)`` pairs, or None. ``engine.run_scans`` plays them up to
@@ -90,6 +93,9 @@ class Knowledge:
     # Indexes over beliefs and failed; see the module docstring.
     options: dict[Address, Action | None] = field(default_factory=dict)
     failures: dict[tuple[ActionKind, int], int] = field(default_factory=dict)
+    # Entries whose count reached the number of known addresses, and wipes.
+    exhausted: int = 0
+    epoch: int = 0
 
     def learn(self, address: Address, name: str, seen) -> bool:
         """Fold one host-scan reply; False if it contradicts an earlier one."""
@@ -108,7 +114,9 @@ class Knowledge:
     def fail(self, address: Address, kind: ActionKind, ident: int) -> None:
         if (address, kind, ident) not in self.failed:
             self.failed.add((address, kind, ident))
-            self.failures[kind, ident] = self.failures.get((kind, ident), 0) + 1
+            count = self.failures[kind, ident] = self.failures.get((kind, ident), 0) + 1
+            if count == len(self.addresses):
+                self.exhausted += 1
         self.options.pop(address, None)
 
     def clear(self) -> None:
@@ -117,6 +125,8 @@ class Knowledge:
         self.failed.clear()
         self.options.clear()
         self.failures.clear()
+        self.exhausted = 0
+        self.epoch += 1
 
 
 class ScriptedAgent:
@@ -340,6 +350,7 @@ class AggressiveAgent(ScriptedAgent):
         self.catalog += [(_PRIVESC, p.id) for p in self.privescs]
         self.current: tuple[ActionKind, int] | None = None
         self.sweep: deque[Address] = deque()
+        self.viable_memo: tuple[tuple[int, int, int], list] | None = None
 
     def _choose(self) -> Action | None:
         failed = self.knowledge.failed
@@ -362,9 +373,18 @@ class AggressiveAgent(ScriptedAgent):
 
     def _viable(self) -> list[tuple[ActionKind, int]]:
         """Catalog entries with an untried known address: fewer failures than
-        known addresses (see the module docstring)."""
-        failures, known = self.knowledge.failures, len(self.knowledge.addresses)
-        return [spec for spec in self.catalog if failures.get(spec, 0) < known]
+        known addresses (see the module docstring). The last list is kept
+        until an entry is exhausted, the address count changes or the
+        knowledge is wiped, the only events that change the answer."""
+        knowledge = self.knowledge
+        known = len(knowledge.addresses)
+        key = (knowledge.epoch, known, knowledge.exhausted)
+        memo = self.viable_memo
+        if memo is None or memo[0] != key:
+            failures = knowledge.failures
+            memo = self.viable_memo = key, [
+                spec for spec in self.catalog if failures.get(spec, 0) < known]
+        return memo[1]
 
     def _new_sweep(self) -> None:
         order = list(self.knowledge.addresses)

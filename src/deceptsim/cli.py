@@ -286,13 +286,42 @@ def sweep_config_to_dict(config: SweepConfig) -> dict:
     return data
 
 
+# The keys each replayed manifest's config holds, as the writers write them.
+SWEEP_CONFIG_KEYS = (*LIST_KEYS, "repetitions", "master_seed", "fixed")
+RUN_CONFIG_KEYS = (*CELL_FIELDS, "master_seed", "repetition", "fixed")
+_PARAM_FIELDS = {spec.name: spec for spec in dataclasses.fields(GeneratorParams)}
+
+
+def _checked_fixed(config: dict, keys: tuple[str, ...]) -> dict:
+    """A replayed config's ``fixed`` entries, once no key of the config
+    would be ignored: every key is one of ``keys``, and every key of
+    ``fixed`` a GeneratorParams field. Each cell sets the swept fields, so
+    ``fixed`` holds them only at their defaults, as the writers write them."""
+    for key in config:
+        if key not in keys:
+            raise ConfigError(f"unknown manifest config key {key!r}")
+    fixed = config["fixed"]
+    if not isinstance(fixed, dict):
+        raise ConfigError("manifest config is incomplete: fixed is not a JSON object")
+    for key, value in fixed.items():
+        spec = _PARAM_FIELDS.get(key)
+        if spec is None:
+            raise ConfigError(f"unknown manifest config key 'fixed.{key}'")
+        if key in CELL_FIELDS and (type(value) is not type(spec.default) or value != spec.default):
+            raise ConfigError(
+                f"manifest config key 'fixed.{key}': each cell sets this field, so only its "
+                f"default {spec.default!r} is accepted, got {value!r}"
+            )
+    return fixed
+
+
 def sweep_config_from_dict(data: dict) -> SweepConfig:
     try:
         return SweepConfig(
             **{name: tuple(data[key]) for key, name in LIST_KEYS.items()},
             repetitions=data["repetitions"],
             master_seed=data["master_seed"],
-            fixed=GeneratorParams(**data["fixed"]),
+            fixed=GeneratorParams(**_checked_fixed(data, SWEEP_CONFIG_KEYS)),
         )
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"manifest config is incomplete: {exc}") from exc
@@ -337,9 +366,12 @@ def _split_entries(entries: dict[str, str], args):
 
 
 def _validate_sweep(config: SweepConfig) -> None:
+    """Exit 1 with the first error a cell's params raise, in cell order.
+    Cells that differ only by agent share their params, and the agent
+    varies fastest, so the first agent's cells check each params once."""
     try:
         config.validate()
-        for cell in config.cells():
+        for cell in dataclasses.replace(config, agents=config.agents[:1]).cells():
             scenario_params(config.fixed, cell).validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -386,12 +418,21 @@ def _episode(config: SweepConfig, repetition: int) -> tuple[Cell, GeneratorParam
     return config.cells()[0], config.fixed, config.master_seed, repetition
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on, or the machine's where the
+    platform cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_workers(flag_value: int | None, config_value: int | None) -> int:
-    """The flag, else the config key, else the environment variable, else 1."""
+    """The flag, else the config key, else the environment variable, else
+    the available CPUs."""
     value = flag_value if flag_value is not None else config_value
     if value is None:
         env = os.environ.get(WORKERS_ENV_VAR)
-        value = 1 if env is None else parse_value(WORKERS_ENV_VAR, env, "int")
+        value = available_cpus() if env is None else parse_value(WORKERS_ENV_VAR, env, "int")
     if value < 1:
         raise ConfigError(f"workers must be a positive integer, got {value!r}")
     return value
@@ -672,7 +713,8 @@ def _cell_from_run_config(config: dict) -> tuple[Cell, GeneratorParams, int, int
     try:
         lists = {name: (config[cell_field],) for name, cell_field in zip(SWEPT_TYPES, CELL_FIELDS)}
         check_type("repetition", config["repetition"], "int")
-        sweep = _validated_sweep(lists, config["fixed"], {"master_seed": config["master_seed"]})
+        fixed = _checked_fixed(config, RUN_CONFIG_KEYS)
+        sweep = _validated_sweep(lists, fixed, {"master_seed": config["master_seed"]})
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"manifest config is incomplete: {exc}") from exc
     except ValueError as exc:
@@ -827,7 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", help="key = value config file")
     sweep.add_argument("--out", help="records CSV path (default records.csv)")
     sweep.add_argument("--workers", type=int,
-                       help=f"parallel worker processes (default ${WORKERS_ENV_VAR} or 1)")
+                       help=f"parallel worker processes (default ${WORKERS_ENV_VAR}, "
+                       "else the CPUs this process may use)")
     sweep.add_argument("--honeypots", help="comma-separated honeypot counts")
     sweep.add_argument("--movement-times", help="comma-separated intervals, none allowed")
     sweep.add_argument("--hosts", help="comma-separated normal host counts")

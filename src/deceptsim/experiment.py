@@ -153,9 +153,10 @@ def _substream(episode_seed: int, label: str) -> random.Random:
 def scenario_params(fixed: GeneratorParams, cell: Cell) -> GeneratorParams:
     """``fixed`` with the cell's fields laid over it: all but the agent
     are GeneratorParams fields."""
-    world = dataclasses.asdict(cell)
-    del world["agent"]
-    return dataclasses.replace(fixed, **world)
+    return dataclasses.replace(
+        fixed, num_honeypots=cell.num_honeypots, movement_time=cell.movement_time,
+        num_hosts=cell.num_hosts, one_goal=cell.one_goal, seed=cell.seed,
+    )
 
 
 def run_episode(

@@ -152,11 +152,10 @@ class GeneratorParams:
                 raise ParameterError(f"{name} must be in [0, 1], got {prob}")
         if self.step_limit < 1:
             raise ParameterError(f"step_limit must be at least 1, got {self.step_limit}")
-        if self.num_sensitive + self.num_honeypots > 0:
-            if self.num_exploits < 1:
-                raise ParameterError("at least one exploit is required to reach goal hosts")
-            if self.num_services < 1 or self.num_vulns < 1:
-                raise ParameterError("exploits need at least one service and one vulnerability")
+        if self.num_sensitive + self.num_honeypots > 0 and self.num_exploits < 1:
+            raise ParameterError("at least one exploit is required to reach goal hosts")
+        if self.num_exploits > 0 and (self.num_services < 1 or self.num_vulns < 1):
+            raise ParameterError("exploits need at least one service and one vulnerability")
         if self.num_privescs > 0 and self.num_processes < 1:
             raise ParameterError("privilege escalations need at least one process")
         real_hosts = self.num_sensitive + self.num_hosts + self.num_honeypots
@@ -298,27 +297,18 @@ def draw_world(params: GeneratorParams) -> Scenario:
         for i in range(params.num_privescs)
     )
 
-    capacity = params.target_capacity
-    num_empty = capacity - (params.num_sensitive + params.num_hosts + params.num_honeypots)
     kinds = (
         [HostKind.SENSITIVE] * params.num_sensitive
         + [HostKind.NORMAL] * params.num_hosts
         + [HostKind.HONEYPOT] * params.num_honeypots
-        + [HostKind.EMPTY] * num_empty
     )
     values = {
         HostKind.SENSITIVE: float(params.r_sensitive),
         HostKind.NORMAL: float(params.base_host_value),
         HostKind.HONEYPOT: float(params.r_honeypot),
-        HostKind.EMPTY: 0.0,
     }
     hosts = []
     for host_id, kind in enumerate(kinds):
-        if kind is HostKind.EMPTY:
-            hosts.append(
-                HostSpec(host_id, kind, frozenset(), 0, frozenset(), frozenset(), 0.0)
-            )
-            continue
         services = _draw_subset(rng, params.num_services)
         os_id = rng.randrange(params.num_os)
         processes = _draw_subset(rng, params.num_processes)
@@ -328,6 +318,8 @@ def draw_world(params: GeneratorParams) -> Scenario:
                 rng, exploits, privescs, services, os_id, processes, vulns
             )
         hosts.append(HostSpec(host_id, kind, services, os_id, processes, vulns, values[kind]))
+    capacity = params.target_capacity
+    hosts += _empty_fillers(len(hosts), capacity)
 
     addresses = list(range(capacity))
     rng.shuffle(addresses)
@@ -342,12 +334,36 @@ def draw_world(params: GeneratorParams) -> Scenario:
     )
 
 
+# Immutable parts that recur across worlds, built once per process. A
+# world's empty filler depends only on its host id, so _fillers[i] is host
+# i's. A subset depends only on its mask, whose set bits are its elements;
+# masks below SUBSET_MEMO_LIMIT are kept, which bounds the memo however
+# large a draw's range is.
+_fillers: list[HostSpec] = []
+_subsets: dict[int, frozenset[int]] = {}
+SUBSET_MEMO_LIMIT = 1 << 12
+
+
+def _empty_fillers(start: int, stop: int) -> list[HostSpec]:
+    """The empty fillers of host ids ``start`` to ``stop - 1``."""
+    for host_id in range(len(_fillers), stop):
+        _fillers.append(
+            HostSpec(host_id, HostKind.EMPTY, frozenset(), 0, frozenset(), frozenset(), 0.0)
+        )
+    return _fillers[start:stop]
+
+
 def _draw_subset(rng: random.Random, n: int) -> frozenset[int]:
     """Uniform draw over all subsets of range(n), one bit per element."""
     if n <= 0:
         return frozenset()
     mask = rng.getrandbits(n)
-    return frozenset(i for i in range(n) if mask >> i & 1)
+    subset = _subsets.get(mask)
+    if subset is None:
+        subset = frozenset(i for i in range(n) if mask >> i & 1)
+        if mask < SUBSET_MEMO_LIMIT:
+            _subsets[mask] = subset
+    return subset
 
 
 def _ensure_rootable(rng, exploits, privescs, services, os_id, processes, vulns):

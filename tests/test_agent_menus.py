@@ -8,6 +8,10 @@ those indexes; every step of every checked episode compares the two. Steps
 of a scan run reach no decision, so the check runs from the trace sink,
 after every step, rather than before each decision.
 
+The aggressive agent also keeps its last viable list until an entry is
+exhausted, the address count changes or the knowledge is wiped; the check
+counts the steps at which the kept list is the one compared.
+
 The standard agent attacks its focus with the careful agent's per-address
 rule, which picks what standard's own rule picked only while the focus is
 fully scanned and below root; every standard choice checks that it is.
@@ -98,6 +102,8 @@ def check_menus(agent, seen: Counter) -> None:
     knowledge = agent.knowledge
     failures = Counter((kind, ident) for _, kind, ident in knowledge.failed)
     assert {spec: n for spec, n in knowledge.failures.items() if n} == failures
+    known = len(knowledge.addresses)
+    assert knowledge.exhausted == sum(n >= known for n in failures.values())
     seen[agent.kind, "steps"] += 1
     seen[agent.kind, "failed"] += bool(knowledge.failed)
     if agent.kind == "careful":
@@ -105,9 +111,14 @@ def check_menus(agent, seen: Counter) -> None:
         assert menu == reference_attack_options(agent)
         seen["careful", "menu"] += bool(menu)
     elif agent.kind == "aggressive":
+        memo = agent.viable_memo
         viable = agent._viable()
+        agent.viable_memo = memo  # the check must not refresh the agent's list
         assert viable == reference_viable(agent)
         seen["aggressive", "spent"] += len(viable) < len(agent.catalog)
+        if memo is not None and viable is memo[1]:
+            seen["aggressive", "hit"] += 1
+            seen["aggressive", "hit_after_reset"] += agent.resets > 0
 
 
 def check_focus(agent, seen: Counter) -> None:
@@ -173,11 +184,14 @@ def test_golden_grid_menus_match_the_reference(movement_time):
     # The grid reaches the states the indexes must follow: careful menus to
     # choose from and, once addresses move, aggressive's spent entries.
     # Careful's failed attempts need exploit probabilities below 1, which
-    # the random worlds below draw.
+    # the random worlds below draw. Aggressive's kept list is the one
+    # compared, under mutation also after a wipe.
     assert seen["careful", "menu"] > 0
     assert seen["standard", "focus"] > 0
+    assert seen["aggressive", "hit"] > 0
     if movement_time is not None:
         assert seen["aggressive", "spent"] > 0
+        assert seen["aggressive", "hit_after_reset"] > 0
 
 
 def test_random_worlds_menus_match_the_reference():
@@ -211,6 +225,7 @@ def test_random_worlds_menus_match_the_reference():
     assert seen_total["careful", "failed"] > 0
     assert seen_total["standard", "focus"] > 0
     assert seen_total["aggressive", "spent"] > 0
+    assert seen_total["aggressive", "hit"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -239,3 +254,14 @@ def test_a_failure_observed_twice_counts_once(kind):
         agent.observe(attack, Observation(success=False))
         check_menus(agent, seen)
     assert sum(agent.knowledge.failures.values()) == 1
+
+
+def test_aggressive_viable_list_follows_the_address_count():
+    # A list kept while no address was known is not the answer once some are.
+    scenario = generate_scenario(GeneratorParams(num_hosts=1, num_sensitive=1))
+    state = new_network_state(scenario, random.Random(0))
+    agent = make_agent("aggressive", scenario, random.Random(0))
+    assert agent._viable() == []
+    obs, _ = engine_step(state, Action(ActionKind.SUBNET_SCAN))
+    agent.observe(Action(ActionKind.SUBNET_SCAN), obs)
+    assert agent._viable() == reference_viable(agent) == agent.catalog

@@ -12,8 +12,8 @@ import threading
 
 import pytest
 
-from deceptsim import cli
-from deceptsim.experiment import Cell, derive_episode_seed
+from deceptsim import cli, experiment
+from deceptsim.experiment import Cell, SweepConfig, derive_episode_seed, scenario_params
 
 SMALL_SWEEP = (
     "--honeypots", "0,2",
@@ -134,10 +134,17 @@ TRACE_SHA256 = {
         "66e5e6e9bf95642eab4a94d27e93eeb15337a2de1b3636595455c34d964bf4bc",
     ("--agent", "careful", "--hosts", "10", "--honeypots", "2", "--movement-time", "25"):
         "de4fdce7a8639e23808fba6ab7ed2de9c67db152aa86e1deb98539a564429397",
+    # Aggressive re-plans its sweep after every gain and exhausted sweep, and
+    # under mutation after each of its resets.
+    ("--agent", "aggressive"):
+        "343c22bc5d0ed58c3a88b09ae8cf6d3265b876e7f944777ca08ab47f049a6fde",
+    ("--agent", "aggressive", "--movement-time", "25"):
+        "b8c03660d4d5bd63cb1fd00dda9ee40f512b450afdaec25072efb0c647e7fc14",
 }
 
 
-@pytest.mark.parametrize("argv", TRACE_SHA256, ids=["static_standard", "mtd_careful"])
+@pytest.mark.parametrize("argv", TRACE_SHA256, ids=[
+    "static_standard", "mtd_careful", "static_aggressive", "mtd_aggressive"])
 def test_trace_bytes_are_pinned(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(cli.TIMESTAMP_ENV_VAR, raising=False)
@@ -376,6 +383,45 @@ def test_malformed_manifest_exits_1_naming_it(tmp_path, capsys, command, edit):
     assert str(path) in capsys.readouterr().err
 
 
+def _set(**entries):
+    return lambda config: config.update(entries)
+
+
+def _set_fixed(**entries):
+    return lambda config: config["fixed"].update(entries)
+
+
+@pytest.mark.parametrize("command, edit, named", [
+    pytest.param("sweep", _set(bogus=1), "'bogus'", id="sweep-config-key"),
+    pytest.param("run", _set(bogus=1), "'bogus'", id="run-config-key"),
+    pytest.param("sweep", _set_fixed(num_honeypots=7, num_hosts=33), "fixed.num_honeypots",
+                 id="sweep-swept-field"),
+    pytest.param("run", _set_fixed(num_honeypots=5, seed=99), "fixed.num_honeypots",
+                 id="run-swept-field"),
+    # The default's value, but not its type: the writer never writes it.
+    pytest.param("sweep", _set_fixed(one_goal=0), "fixed.one_goal", id="sweep-swept-type"),
+    pytest.param("sweep", _set_fixed(bogus=1), "fixed.bogus", id="sweep-fixed-key"),
+    pytest.param("run", _set_fixed(bogus=1), "fixed.bogus", id="run-fixed-key"),
+])
+def test_replay_refuses_what_it_would_ignore(tmp_path, capsys, command, edit, named):
+    path = tmp_path / "output"
+    if command == "run":
+        assert run_cli("run", "--agent", "standard", "--trace", str(path)) == 0
+    else:
+        assert run_cli("sweep", "--out", str(path), *SMALL_SWEEP) == 0
+    line, rest = path.read_text().split("\n", 1)
+    manifest = json.loads(line[len(cli.MANIFEST_PREFIX):])
+    edit(manifest["config"])
+    path.write_text(cli.MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
+    before = read_bytes(path)
+    capsys.readouterr()
+    assert run_cli(command, "--from-manifest", str(path)) == 1
+    err = capsys.readouterr().err
+    assert named in err
+    assert "GeneratorParams" not in err
+    assert read_bytes(path) == before
+
+
 @pytest.mark.parametrize("command, flags", [
     ("sweep", ("--honeypots", "5", "--agents", "careful", "--repetitions", "9",
                "--config", "x.conf")),
@@ -412,6 +458,33 @@ def test_sweep_oversized_network_exits_1(tmp_path, capsys):
     assert run_cli("sweep", "--out", str(tmp_path / "r.csv"),
                    "--hosts", "300", "--agents", "standard") == 1
     assert "hosts" in capsys.readouterr().err
+
+
+def test_sweep_validation_names_the_first_bad_cell_before_any_episode(tmp_path, capsys,
+                                                                     monkeypatch):
+    # Two params sets overflow the subnet, each under every agent; the sweep
+    # checks each params set once, and must name the same first error as
+    # checking every cell in cell order.
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode was played")
+
+    monkeypatch.setattr(experiment, "run_episode", no_episode)
+    config = SweepConfig(num_honeypots=(0, 2, 4), movement_time=(None, 25),
+                         num_hosts=(10, 251), repetitions=1)
+    expected = None
+    for cell in config.cells():
+        try:
+            scenario_params(config.fixed, cell).validate()
+        except ValueError as exc:
+            expected = str(exc)
+            break
+    assert expected == "256 hosts do not fit the 255 target-subnet addresses"
+    out = tmp_path / "r.csv"
+    assert run_cli("sweep", "--out", str(out), "--honeypots", "0,2,4",
+                   "--movement-times", "none,25", "--hosts", "10,251",
+                   "--repetitions", "1", "--workers", "1") == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not out.exists()
 
 
 def test_sweep_unknown_agent_exits_1(tmp_path, capsys):
@@ -463,13 +536,40 @@ def test_sweep_repeated_swept_value_exits_1(tmp_path, capsys, source, field, fla
 
 def test_workers_env_var_is_honored(tmp_path, capsys, monkeypatch):
     out = tmp_path / "records.csv"
-    assert run_cli("sweep", "--out", str(out), *SMALL_SWEEP) == 0
+    assert run_cli("sweep", "--out", str(out), "--workers", "1", *SMALL_SWEEP) == 0
     serial = read_bytes(out)
     monkeypatch.setenv(cli.WORKERS_ENV_VAR, "2")
     assert run_cli("sweep", "--out", str(out), *SMALL_SWEEP) == 0
     assert read_bytes(out) == serial
     monkeypatch.setenv(cli.WORKERS_ENV_VAR, "soon")
     assert run_cli("sweep", "--out", str(out), *SMALL_SWEEP) == 1
+
+
+def test_workers_default_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv(cli.WORKERS_ENV_VAR, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert cli.resolve_workers(None, None) == 3
+    # The flag, the config key and the environment variable come first.
+    assert cli.resolve_workers(4, 2) == 4
+    assert cli.resolve_workers(None, 2) == 2
+    monkeypatch.setenv(cli.WORKERS_ENV_VAR, "1")
+    assert cli.resolve_workers(None, None) == 1
+    monkeypatch.delenv(cli.WORKERS_ENV_VAR)
+    # Where the platform has no affinity, the machine's CPUs, or one.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert cli.resolve_workers(None, None) == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli.resolve_workers(None, None) == 1
+
+
+def test_sweep_runs_on_the_default_workers(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.WORKERS_ENV_VAR, raising=False)
+    monkeypatch.setattr(cli, "available_cpus", lambda: 3)
+    asked = []
+    monkeypatch.setattr(cli, "run_sweep", lambda config, workers: asked.append(workers) or [])
+    assert run_cli("sweep", "--out", str(tmp_path / "r.csv"), *SMALL_SWEEP) == 0
+    assert asked == [3]
 
 
 # ---------------------------------------------------------------------------

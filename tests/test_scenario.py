@@ -160,11 +160,22 @@ def test_capacity_error():
         {"num_exploits": 0},
         {"num_services": 0},
         {"num_vulns": 0},
+        # Exploits need a service and a vulnerability to require, goal
+        # hosts or not.
+        {"num_sensitive": 0, "num_services": 0},
+        {"num_sensitive": 0, "num_vulns": 0},
     ],
 )
 def test_invalid_parameters_rejected(overrides):
     with pytest.raises(ParameterError):
         generate_scenario(GeneratorParams(**overrides))
+
+
+def test_a_world_without_exploits_needs_no_services():
+    scenario = generate_scenario(GeneratorParams(
+        num_sensitive=0, num_exploits=0, num_services=0, num_vulns=0))
+    assert scenario.exploits == ()
+    assert all(host.services == frozenset() for host in scenario.hosts)
 
 
 def test_movement_time_none_and_positive_accepted():

@@ -1,4 +1,5 @@
-"""``generate_scenario``'s world memo against drawing every world afresh.
+"""``generate_scenario``'s world memo, and ``draw_world``'s per-process
+caches, against drawing every world afresh.
 
 ``generate_scenario`` keeps the last world it drew, keyed by its params
 with the movement time and the objective reset, and hands it to the next
@@ -6,6 +7,11 @@ call whose params differ from those only in those two fields. The reference
 is the straightforward path: validate the params, then ``draw_world``. For
 every call of a sequence, both must give the same world JSON, the caller's
 own params, and the same error text.
+
+``draw_world`` takes each empty filler from a cache by host id, and each
+drawn subset from a cache by its mask. A sequence of worlds drawn with the
+caches as earlier draws left them must match the same worlds each drawn
+with both caches emptied first.
 """
 
 import dataclasses
@@ -13,7 +19,7 @@ import dataclasses
 import pytest
 
 from deceptsim import scenario as scenario_module
-from deceptsim.experiment import scenario_params
+from deceptsim.experiment import SweepConfig, scenario_params
 from deceptsim.scenario import (
     GeneratorParams,
     ParameterError,
@@ -106,5 +112,56 @@ def test_drawn_call_sequences_match_fresh_worlds():
     @hypothesis.given(calls=call_sequences())
     def check(calls):
         check_sequence(calls)
+
+    check()
+
+
+def cold(params):
+    """The reference drawn with the filler and subset caches emptied first."""
+    scenario_module._fillers.clear()
+    scenario_module._subsets.clear()
+    return reference(params)
+
+
+def check_caches(calls):
+    # Every warm draw first, so no cold draw refills the caches it reads.
+    calls = list(calls)
+    warm = [result(generate_scenario, params) for params in calls]
+    assert warm == [result(cold, params) for params in calls]
+
+
+def test_default_grid_in_sweep_order_matches_cold_draws():
+    # Neither the agent, the movement time nor the objective enters a draw,
+    # so these are the default grid's 36 worlds, in sweep order.
+    config = dataclasses.replace(
+        SweepConfig(), movement_time=(None,), one_goal=(False,), agents=("careful",))
+    check_caches(scenario_params(config.fixed, cell) for cell in config.cells())
+
+
+def test_drawn_worlds_match_cold_draws():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # Subsets over ranges above and below the memo's 12 bits, and empty
+    # ones; subnets small enough to overflow, and big enough to grow the
+    # filler cache.
+    worlds = st.builds(
+        GeneratorParams,
+        seed=st.integers(0, 2**40),
+        num_hosts=st.integers(0, 40),
+        num_honeypots=st.integers(0, 5),
+        num_sensitive=st.integers(0, 4),
+        num_services=st.sampled_from((0, 1, 3, 10, 12, 13, 40)),
+        num_processes=st.sampled_from((0, 1, 10, 13)),
+        num_vulns=st.sampled_from((0, 2, 10, 16)),
+        num_os=st.integers(1, 3),
+        num_exploits=st.integers(0, 12),
+        num_privescs=st.integers(0, 12),
+        num_addresses=st.sampled_from((16, 48, 256, 300)),
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(calls=st.lists(worlds, min_size=1, max_size=6))
+    def check(calls):
+        check_caches(calls)
 
     check()
