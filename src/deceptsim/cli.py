@@ -27,7 +27,6 @@ import operator
 import os
 import stat
 import sys
-from datetime import datetime, timezone
 
 from . import __version__
 from .agents import AGENT_KINDS
@@ -211,6 +210,8 @@ def default_timestamp() -> str | None:
     epoch = os.environ.get(TIMESTAMP_ENV_VAR)
     if epoch is None:
         return None
+    from datetime import datetime, timezone  # loaded only when a timestamp is asked for
+
     try:
         moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
     except (ValueError, OverflowError, OSError) as exc:
@@ -271,9 +272,13 @@ def load_manifest(path: str, command: str) -> dict:
     outputs = manifest.get("outputs")
     if not _is_names(outputs) or (command != "run" and not outputs):
         raise ConfigError(f"{path}: the manifest's outputs must list the written paths")
+    if "" in outputs:
+        raise ConfigError(f"{path}: the manifest's outputs hold an empty path")
     if command == "aggregate":
         if not isinstance(manifest.get("records"), str) or not _is_names(manifest.get("group_by")):
             raise ConfigError(f"{path}: the manifest needs a records path and a group_by list")
+        if not manifest["records"]:
+            raise ConfigError(f"{path}: the manifest's records path is empty")
     elif not isinstance(manifest.get("config"), dict):
         raise ConfigError(f"{path}: the manifest's config must be a JSON object")
     return manifest
@@ -294,9 +299,11 @@ _PARAM_FIELDS = {spec.name: spec for spec in dataclasses.fields(GeneratorParams)
 
 def _checked_fixed(config: dict, keys: tuple[str, ...]) -> dict:
     """A replayed config's ``fixed`` entries, once no key of the config
-    would be ignored: every key is one of ``keys``, and every key of
-    ``fixed`` a GeneratorParams field. Each cell sets the swept fields, so
-    ``fixed`` holds them only at their defaults, as the writers write them."""
+    would be ignored and none would be filled in: every key is one of
+    ``keys``, and every key of ``fixed`` a GeneratorParams field, which
+    names every field that is not swept (``FIXED_KEYS``). Each cell sets the
+    swept fields, so ``fixed`` holds them only at their defaults, as the
+    writers write them."""
     for key in config:
         if key not in keys:
             raise ConfigError(f"unknown manifest config key {key!r}")
@@ -312,6 +319,9 @@ def _checked_fixed(config: dict, keys: tuple[str, ...]) -> dict:
                 f"manifest config key 'fixed.{key}': each cell sets this field, so only its "
                 f"default {spec.default!r} is accepted, got {value!r}"
             )
+    missing = [f"fixed.{spec.name}" for spec in FIXED_KEYS.values() if spec.name not in fixed]
+    if missing:
+        raise ConfigError(f"manifest config is incomplete: it lacks {', '.join(missing)}")
     return fixed
 
 
@@ -840,6 +850,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _path(token: str) -> str:
+    """A path flag's value: an empty one would name the working directory,
+    or be taken for the flag not given."""
+    if not token:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return token
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="deceptsim",
@@ -850,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     run = subparsers.add_parser("run", help="run a single episode")
-    run.add_argument("--config", help="key = value config file")
+    run.add_argument("--config", type=_path, help="key = value config file")
     run.add_argument("--agent", help=f"attacker script: {', '.join(AGENT_KINDS)}")
     run.add_argument("--honeypots", help="number of honeypot hosts")
     run.add_argument("--movement-time", help="address mutation interval, or none")
@@ -860,14 +878,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--master-seed", help="episode seed derivation root")
     run.add_argument("--repetition", type=int, help="repetition index for seed derivation")
     run.add_argument("--step-limit", help="maximum actions before timeout")
-    run.add_argument("--trace", metavar="PATH", help="write a per-step JSONL trace")
-    run.add_argument("--from-manifest", metavar="PATH",
+    run.add_argument("--trace", metavar="PATH", type=_path, help="write a per-step JSONL trace")
+    run.add_argument("--from-manifest", metavar="PATH", type=_path,
                      help="re-run the episode recorded in an output's manifest")
     run.set_defaults(func=cmd_run)
 
     sweep = subparsers.add_parser("sweep", help="run the full parameter grid")
-    sweep.add_argument("--config", help="key = value config file")
-    sweep.add_argument("--out", help="records CSV path (default records.csv)")
+    sweep.add_argument("--config", type=_path, help="key = value config file")
+    sweep.add_argument("--out", type=_path, help="records CSV path (default records.csv)")
     sweep.add_argument("--workers", type=int,
                        help=f"parallel worker processes (default ${WORKERS_ENV_VAR}, "
                        "else the CPUs this process may use)")
@@ -880,16 +898,16 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--repetitions", help="episodes per cell")
     sweep.add_argument("--master-seed", help="episode seed derivation root")
     sweep.add_argument("--step-limit", help="maximum actions before timeout")
-    sweep.add_argument("--from-manifest", metavar="PATH",
+    sweep.add_argument("--from-manifest", metavar="PATH", type=_path,
                        help="re-run the sweep recorded in an output's manifest")
     sweep.set_defaults(func=cmd_sweep)
 
     agg = subparsers.add_parser("aggregate", help="summarize a records file")
-    agg.add_argument("--records", help="records CSV written by sweep")
+    agg.add_argument("--records", type=_path, help="records CSV written by sweep")
     agg.add_argument("--group-by",
                      help="comma-separated fields, e.g. agent,honeypots or agent,mtd_on")
-    agg.add_argument("--out", help="aggregates CSV path (default stdout)")
-    agg.add_argument("--from-manifest", metavar="PATH",
+    agg.add_argument("--out", type=_path, help="aggregates CSV path (default stdout)")
+    agg.add_argument("--from-manifest", metavar="PATH", type=_path,
                      help="recompute the aggregation recorded in an output's manifest")
     agg.set_defaults(func=cmd_aggregate)
     return parser

@@ -20,11 +20,9 @@ one-goal record from the win the engine notes at that step.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import operator
 import random
-import statistics
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,6 +30,16 @@ from typing import NamedTuple
 from .agents import AGENT_KINDS, make_agent
 from .engine import new_network_state, run_scans, step as engine_step
 from .scenario import GeneratorParams, Scenario, check_type, generate_scenario
+
+# hashlib loads OpenSSL's libcrypto; take SHA-256 from CPython's built-in
+# module where there is one, as random.py does for SHA-512.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in hashes
 
 
 class SweepError(RuntimeError):
@@ -141,12 +149,12 @@ def derive_episode_seed(master_seed: int, cell: Cell, repetition: int) -> int:
         f"{master_seed}|hp={cell.num_honeypots}|mt={cell.movement_time}"
         f"|hosts={cell.num_hosts}|seed={cell.seed}|agent={cell.agent}|rep={repetition}"
     )
-    digest = hashlib.sha256(key.encode()).digest()
+    digest = sha256(key.encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
 def _substream(episode_seed: int, label: str) -> random.Random:
-    digest = hashlib.sha256(f"{episode_seed}:{label}".encode()).digest()
+    digest = sha256(f"{episode_seed}:{label}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -298,6 +306,19 @@ def aggregate_fields(group_by: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(name for name in EpisodeRecord._fields if name in read)
 
 
+def _quartiles(data: list) -> tuple[float, float, float]:
+    """The quartiles of ``data``, already sorted, by the arithmetic of
+    ``statistics.quantiles(data, n=4, method="inclusive")``, without its
+    second sort; a single value is each quartile, as a float."""
+    if len(data) == 1:
+        return (float(data[0]),) * 3
+    quartiles = []
+    for i in range(1, 4):
+        j, delta = divmod(i * (len(data) - 1), 4)
+        quartiles.append((data[j] * (4 - delta) + data[j + 1] * delta) / 4)
+    return tuple(quartiles)
+
+
 def aggregate(records, group_by: tuple[str, ...] = CELL_FIELDS) -> list[AggregateStats]:
     """Group records and compute outcome fractions and step quartiles.
 
@@ -328,10 +349,7 @@ def aggregate(records, group_by: tuple[str, ...] = CELL_FIELDS) -> list[Aggregat
         n = len(members)
         outcomes = list(map(columns["outcome"].__getitem__, members))
         steps = sorted(map(columns["steps"].__getitem__, members))
-        if len(steps) > 1:
-            q1, median, q3 = statistics.quantiles(steps, n=4, method="inclusive")
-        else:
-            q1 = median = q3 = float(steps[0])
+        q1, median, q3 = _quartiles(steps)
         stats.append(
             AggregateStats(
                 group=tuple(zip(group_by, key)),

@@ -55,7 +55,7 @@ from deceptsim.experiment import (
 )
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "data" / "golden_records.csv"
 OUTCOMES = ("win", "loss_honeypot", "timeout")
@@ -654,8 +654,19 @@ RECORDS = st.lists(st.builds(
 GROUP_BYS = st.lists(st.sampled_from(list(GROUP_GETTERS)), unique=True, max_size=4).map(tuple)
 
 
+def one_group(size):
+    """``size`` records of one cell, their steps out of order."""
+    return [EpisodeRecord(0, None, 10, False, 1234, "careful", repetition, "win", steps, 0.0, 1)
+            for repetition, steps in enumerate([7, 3000, 2, 41, 555][:size])]
+
+
 @settings(max_examples=300, deadline=None)
 @given(records=RECORDS, group_by=GROUP_BYS)
+# Groups of 2 to 5 records: every residue of (n - 1) mod 4 in the quartiles.
+@example(records=one_group(2), group_by=())
+@example(records=one_group(3), group_by=())
+@example(records=one_group(4), group_by=())
+@example(records=one_group(5), group_by=())
 def test_drawn_records_aggregate_alike(records, group_by):
     expected = reference_aggregate(records, group_by)
     assert aggregate(as_columns(records), group_by) == expected

@@ -391,6 +391,13 @@ def _set_fixed(**entries):
     return lambda config: config["fixed"].update(entries)
 
 
+def _drop_fixed(*keys):
+    def edit(config):
+        for key in keys:
+            del config["fixed"][key]
+    return edit
+
+
 @pytest.mark.parametrize("command, edit, named", [
     pytest.param("sweep", _set(bogus=1), "'bogus'", id="sweep-config-key"),
     pytest.param("run", _set(bogus=1), "'bogus'", id="run-config-key"),
@@ -402,6 +409,10 @@ def _set_fixed(**entries):
     pytest.param("sweep", _set_fixed(one_goal=0), "fixed.one_goal", id="sweep-swept-type"),
     pytest.param("sweep", _set_fixed(bogus=1), "fixed.bogus", id="sweep-fixed-key"),
     pytest.param("run", _set_fixed(bogus=1), "fixed.bogus", id="run-fixed-key"),
+    # A missing field would replay at today's default, not the recorded value.
+    pytest.param("sweep", _drop_fixed("step_limit", "num_sensitive"),
+                 "fixed.num_sensitive, fixed.step_limit", id="sweep-missing-fixed"),
+    pytest.param("run", _drop_fixed("exploit_prob"), "fixed.exploit_prob", id="run-missing-fixed"),
 ])
 def test_replay_refuses_what_it_would_ignore(tmp_path, capsys, command, edit, named):
     path = tmp_path / "output"
@@ -795,8 +806,12 @@ def test_source_date_epoch_sets_manifest_timestamp(tmp_path, capsys, monkeypatch
     assert run_cli("sweep", "--out", str(out), *SMALL_SWEEP) == 0
     manifest = json.loads(out.read_text().splitlines()[0][len(cli.MANIFEST_PREFIX):])
     assert manifest["timestamp"] == "2025-08-15T00:00:00Z"
-    monkeypatch.setenv(cli.TIMESTAMP_ENV_VAR, "not-a-time")
-    assert run_cli("sweep", "--out", str(out), *SMALL_SWEEP) == 1
+    capsys.readouterr()
+    for epoch in ("not-a-time", "99999999999999"):  # the second is past year 9999
+        monkeypatch.setenv(cli.TIMESTAMP_ENV_VAR, epoch)
+        assert run_cli("sweep", "--out", str(out), *SMALL_SWEEP) == 1
+        assert capsys.readouterr().err == \
+            f"error: {cli.TIMESTAMP_ENV_VAR} must be a Unix timestamp, got {epoch!r}\n"
 
 
 @pytest.mark.parametrize("command, out_flag", [("run", "--trace"), ("sweep", "--out")])
@@ -939,6 +954,55 @@ def test_output_naming_a_directory_exits_1_before_any_work(tmp_path, capsys, mon
     assert run_cli(command, *argv) == 1
     assert "error: cannot write adir: it is a directory" in capsys.readouterr().err
     assert not any((tmp_path / "adir").iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--from-manifest", ""),
+    ("sweep", "--config", ""),
+    ("sweep", "--out", "", *SMALL_SWEEP),
+    ("run", "--agent", "standard", "--trace", ""),
+    ("run", "--from-manifest", ""),
+    ("run", "--config", "", "--agent", "standard"),
+    ("aggregate", "--records", ""),
+    ("aggregate", "--records", "records.csv", "--out", ""),
+    ("aggregate", "--from-manifest", ""),
+])
+def test_empty_path_flag_exits_1_naming_it_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    # An empty path would name the working directory, or pass for the flag
+    # not given.
+    monkeypatch.chdir(tmp_path)
+    for work in ("run_episode", "run_sweep", "read_records_csv"):
+        monkeypatch.setattr(cli, work, _no_work)
+    flag = argv[argv.index("") - 1]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: argument {flag}: expected a path, got ''\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, key", [
+    ("run", "outputs"), ("sweep", "outputs"), ("aggregate", "outputs"), ("aggregate", "records"),
+])
+def test_empty_path_in_a_replayed_manifest_exits_1_naming_it(tmp_path, capsys, monkeypatch,
+                                                             command, key):
+    monkeypatch.chdir(tmp_path)
+    if command == "run":
+        assert run_cli("run", "--agent", "standard", "--trace", "output") == 0
+    else:
+        sweep_two_agents(tmp_path)
+        (tmp_path / "records.csv").rename(tmp_path / "output")
+    if command == "aggregate":
+        assert run_cli("aggregate", "--records", "output", "--out", "agg.csv") == 0
+        (tmp_path / "agg.csv").rename(tmp_path / "output")
+    line, rest = (tmp_path / "output").read_text().split("\n", 1)
+    manifest = json.loads(line[len(cli.MANIFEST_PREFIX):])
+    manifest[key] = [""] if key == "outputs" else ""
+    (tmp_path / "output").write_text(cli.MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
+    for work in ("run_episode", "run_sweep", "read_records_csv"):
+        monkeypatch.setattr(cli, work, _no_work)
+    capsys.readouterr()
+    assert run_cli(command, "--from-manifest", "output") == 1
+    assert f"error: output: the manifest's {key} " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["output"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import random
 import subprocess
 import sys
@@ -206,14 +207,45 @@ def test_parallel_sweep_hands_each_world_to_one_worker(monkeypatch, agents):
     assert all(tuple(cell.agent for _, cell, *_ in chunk) == agents for chunk in chunks)
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    # Only a sweep over more than one worker needs the pool.
+def modules_the_cli_import_loads():
+    """The modules that ``import deceptsim.cli`` adds to a fresh
+    interpreter's ``sys.modules``; those its start-up (site) loaded do not
+    count."""
     package_root = Path(experiment.__file__).resolve().parents[1]
-    code = ("import sys; import deceptsim.cli; "
-            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    code = ("import sys; before = set(sys.modules); import deceptsim.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
     result = subprocess.run([sys.executable, "-c", code], cwd=package_root, check=True,
                             capture_output=True, text=True)
-    assert result.stdout.strip() == "[]"
+    loaded = set(result.stdout.split())
+    assert "deceptsim.cli" in loaded
+    return loaded
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Only a sweep over more than one worker needs the pool.
+    assert not {"concurrent.futures", "multiprocessing"} & modules_the_cli_import_loads()
+
+
+def test_importing_the_cli_loads_no_heavy_module_it_can_do_without():
+    # hashlib loads OpenSSL's libcrypto, statistics loads fractions and
+    # decimal, and only a set SOURCE_DATE_EPOCH needs datetime.
+    heavy = {"hashlib", "_hashlib", "statistics", "fractions", "decimal", "datetime"}
+    assert not heavy & modules_the_cli_import_loads()
+
+
+def test_episode_seeds_take_hashlib_sha256_digests():
+    # experiment.sha256 is CPython's built-in SHA-256 where there is one.
+    cell = Cell(2, None, 10, False, 1234, "aggressive")
+    for repetition in range(3):
+        key = f"7|hp=2|mt=None|hosts=10|seed=1234|agent=aggressive|rep={repetition}".encode()
+        assert experiment.sha256(key).digest() == hashlib.sha256(key).digest()
+        seed = derive_episode_seed(7, cell, repetition)
+        assert seed == int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+        for label in ("engine", "agent"):
+            key = f"{seed}:{label}".encode()
+            assert experiment.sha256(key).digest() == hashlib.sha256(key).digest()
+            expected = random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
+            assert experiment._substream(seed, label).getstate() == expected.getstate()
 
 
 def test_run_sweep_annotates_failing_cell():
