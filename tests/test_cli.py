@@ -800,6 +800,107 @@ def test_unknown_subcommand_exits_1(capsys):
     assert run_cli("observe") == 1
 
 
+# Each command's --help at 80 columns, as the parser prints it.
+HELP_TEXTS = {
+    "deceptsim": """\
+usage: deceptsim [-h] [--version] {run,sweep,aggregate} ...
+
+Deception-defense sizing simulator: honeypots and address mutation against
+scripted attackers.
+
+positional arguments:
+  {run,sweep,aggregate}
+    run                 run a single episode
+    sweep               run the full parameter grid
+    aggregate           summarize a records file
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    "deceptsim run": """\
+usage: deceptsim run [-h] [--config CONFIG] [--agent AGENT]
+                     [--honeypots HONEYPOTS] [--movement-time MOVEMENT_TIME]
+                     [--hosts HOSTS] [--one-goal ONE_GOAL] [--seed SEED]
+                     [--master-seed MASTER_SEED] [--repetition REPETITION]
+                     [--step-limit STEP_LIMIT] [--trace PATH]
+                     [--from-manifest PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key = value config file
+  --agent AGENT         attacker script: careful, standard, aggressive
+  --honeypots HONEYPOTS
+                        number of honeypot hosts
+  --movement-time MOVEMENT_TIME
+                        address mutation interval, or none
+  --hosts HOSTS         number of normal hosts
+  --one-goal ONE_GOAL   true: one sensitive host wins; false: all must fall
+  --seed SEED           scenario generation seed
+  --master-seed MASTER_SEED
+                        episode seed derivation root
+  --repetition REPETITION
+                        repetition index for seed derivation
+  --step-limit STEP_LIMIT
+                        maximum actions before timeout
+  --trace PATH          write a per-step JSONL trace
+  --from-manifest PATH  re-run the episode recorded in an output's manifest
+""",
+    "deceptsim sweep": """\
+usage: deceptsim sweep [-h] [--config CONFIG] [--out OUT] [--workers WORKERS]
+                       [--honeypots HONEYPOTS]
+                       [--movement-times MOVEMENT_TIMES] [--hosts HOSTS]
+                       [--one-goal ONE_GOAL] [--seeds SEEDS] [--agents AGENTS]
+                       [--repetitions REPETITIONS] [--master-seed MASTER_SEED]
+                       [--step-limit STEP_LIMIT] [--from-manifest PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key = value config file
+  --out OUT             records CSV path (default records.csv)
+  --workers WORKERS     parallel worker processes (default $DECEPTSIM_WORKERS,
+                        else the CPUs this process may use)
+  --honeypots HONEYPOTS
+                        comma-separated honeypot counts
+  --movement-times MOVEMENT_TIMES
+                        comma-separated intervals, none allowed
+  --hosts HOSTS         comma-separated normal host counts
+  --one-goal ONE_GOAL   comma-separated objective values (true,false)
+  --seeds SEEDS         comma-separated scenario seeds
+  --agents AGENTS       comma-separated agent kinds
+  --repetitions REPETITIONS
+                        episodes per cell
+  --master-seed MASTER_SEED
+                        episode seed derivation root
+  --step-limit STEP_LIMIT
+                        maximum actions before timeout
+  --from-manifest PATH  re-run the sweep recorded in an output's manifest
+""",
+    "deceptsim aggregate": """\
+usage: deceptsim aggregate [-h] [--records RECORDS] [--group-by GROUP_BY]
+                           [--out OUT] [--from-manifest PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --records RECORDS     records CSV written by sweep
+  --group-by GROUP_BY   comma-separated fields, e.g. agent,honeypots or
+                        agent,mtd_on
+  --out OUT             aggregates CSV path (default stdout)
+  --from-manifest PATH  recompute the aggregation recorded in an output's
+                        manifest
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP_TEXTS)
+def test_help_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*command.split()[1:], "--help")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == HELP_TEXTS[command]
+
+
 def test_source_date_epoch_sets_manifest_timestamp(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.TIMESTAMP_ENV_VAR, "1755216000")
     out = tmp_path / "records.csv"
