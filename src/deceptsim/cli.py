@@ -17,27 +17,19 @@ runs of the same configuration stay byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import functools
-import io
-import itertools
-import json
-import operator
 import os
 import stat
 import sys
 
 from . import __version__
 from .agents import AGENT_KINDS
-from .engine import OutcomeKind, trace_record
+from .engine import trace_record
 from .experiment import (
     CELL_FIELDS,
     GROUP_GETTERS,
     SWEPT_TYPES,
-    AggregateStats,
     Cell,
-    EpisodeRecord,
     SweepConfig,
     aggregate,
     aggregate_fields,
@@ -46,20 +38,14 @@ from .experiment import (
     run_sweep,
     scenario_params,
 )
+from .records import (
+    MANIFEST_PREFIX, RECORD_COLUMNS, RecordsError, _parse_manifest_json, aggregates_csv_text,
+    format_value, manifest_line, read_records_csv, records_csv_text, trace_jsonl_text,
+)
 from .scenario import FIELD_TYPES, GeneratorParams, check_type, generate_scenario
 
-MANIFEST_PREFIX = "# deceptsim-manifest: "
 WORKERS_ENV_VAR = "DECEPTSIM_WORKERS"
 TIMESTAMP_ENV_VAR = "SOURCE_DATE_EPOCH"
-CHUNK_ROWS = 4096  # rows per column-wise pass of the records reader
-
-RECORD_COLUMNS = EpisodeRecord._fields
-STATS_COLUMNS = tuple(
-    spec.name for spec in dataclasses.fields(AggregateStats) if spec.name != "group"
-)
-PROBABILITY_COLUMNS = frozenset(
-    {"win_probability", "loss_honeypot_fraction", "timeout_fraction"}
-)
 
 # Swept-value config keys (table names) -> SweepConfig field.
 LIST_KEYS = {
@@ -89,22 +75,29 @@ FIXED_KEYS = {
 SCALAR_KEYS = ("repetitions", "master_seed", "workers")
 SWEEP_ONLY_KEYS = ("repetitions", "workers")
 
-# Flags that override a config key, by argparse dest. run's flags name one
-# value each and fill the same keys as sweep's lists.
-_FLAG_KEYS = {
-    "honeypots": "num_honeypots_options",
-    "movement_times": "movement_time_options",
-    "movement_time": "movement_time_options",
-    "hosts": "num_hosts_options",
-    "one_goal": "one_goal_options",
-    "seeds": "seed_options",
-    "seed": "seed_options",
-    "agents": "agents",
-    "agent": "agents",
-    "repetitions": "repetitions",
-    "master_seed": "master_seed",
-    "step_limit": "step_limit",
-}
+# The flags of run and sweep that override a config key, in --help order, each
+# with its key and its help under run and under sweep (None: not taken there).
+# run's flags fill sweep's list keys with one value. --repetition sets no key: an int.
+CONFIG_FLAGS = (
+    ("--agent", "agents", f"attacker script: {', '.join(AGENT_KINDS)}", None),
+    ("--honeypots", "num_honeypots_options", "number of honeypot hosts",
+     "comma-separated honeypot counts"),
+    ("--movement-time", "movement_time_options", "address mutation interval, or none", None),
+    ("--movement-times", "movement_time_options", None, "comma-separated intervals, none allowed"),
+    ("--hosts", "num_hosts_options", "number of normal hosts",
+     "comma-separated normal host counts"),
+    ("--one-goal", "one_goal_options", "true: one sensitive host wins; false: all must fall",
+     "comma-separated objective values (true,false)"),
+    ("--seed", "seed_options", "scenario generation seed", None),
+    ("--seeds", "seed_options", None, "comma-separated scenario seeds"),
+    ("--agents", "agents", None, "comma-separated agent kinds"),
+    ("--repetitions", "repetitions", None, "episodes per cell"),
+    ("--master-seed", "master_seed", "episode seed derivation root",
+     "episode seed derivation root"),
+    ("--repetition", None, "repetition index for seed derivation", None),
+    ("--step-limit", "step_limit", "maximum actions before timeout",
+     "maximum actions before timeout"),
+)
 
 GROUP_ALIASES = {name: name for name in GROUP_GETTERS}
 GROUP_ALIASES.update({"honeypots": "num_honeypots", "hosts": "num_hosts", "agents": "agent"})
@@ -115,72 +108,18 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Value parsing and formatting
-
-
-def _parse_bool(token: str) -> bool:
-    lowered = token.lower()
-    if lowered not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {token!r}")
-    return lowered == "true"
-
-
-# How a config, flag or records token becomes a value of each field
-# annotation (the keys of scenario.FIELD_TYPES); the inverse of format_value.
-PARSERS = {
-    "int": int,
-    "int | None": lambda token: None if token.lower() == "none" else int(token),
-    "float": float,
-    "bool": _parse_bool,
-    "str": str,
-}
-
-
-def _parse_outcome(token: str) -> str:
-    outcomes = [kind.value for kind in OutcomeKind]
-    if token not in outcomes:
-        raise ValueError(f"outcome: expected one of {', '.join(outcomes)}, got {token!r}")
-    return token
-
-
-# How a records CSV token becomes the value of each EpisodeRecord field: by
-# the field's annotation (NamedTuple keeps a postponed one as a ForwardRef),
-# except that an outcome must be an engine.OutcomeKind value.
-RECORD_PARSERS = {
-    name: PARSERS[getattr(annotation, "__forward_arg__", annotation)]
-    for name, annotation in EpisodeRecord.__annotations__.items()
-}
-RECORD_PARSERS["outcome"] = _parse_outcome
+# Config files and manifests
 
 
 def parse_value(name: str, token: str, annotation: str):
     """One config, flag or environment token as a value of field ``name``'s
     annotation."""
+    parse, _, description = FIELD_TYPES[annotation]
     token = token.strip()
     try:
-        return PARSERS[annotation](token)
+        return parse(token)
     except ValueError:
-        raise ConfigError(
-            f"{name}: expected {FIELD_TYPES[annotation][1]}, got {token!r}"
-        ) from None
-
-
-def format_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def format_probability(value: float) -> str:
-    return format(value, ".6g")
-
-
-# ---------------------------------------------------------------------------
-# Config files and manifests
+        raise ConfigError(f"{name}: expected {description}, got {token!r}") from None
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -229,20 +168,6 @@ def build_manifest(command: str, config, outputs: list[str],
         "version": __version__,
     }
     manifest.update(extra)
-    return manifest
-
-
-def manifest_line(manifest: dict) -> str:
-    return MANIFEST_PREFIX + json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-
-
-def _parse_manifest_json(line: str, path: str) -> dict:
-    try:
-        manifest = json.loads(line[len(MANIFEST_PREFIX):].rstrip("\r\n"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: corrupted manifest line: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"{path}: the manifest is not a JSON object")
     return manifest
 
 
@@ -345,11 +270,8 @@ def _split_entries(entries: dict[str, str], args):
     """Lay the given flags over the raw config entries, then parse each token
     by the annotation of the field it fills, into swept lists, fixed
     parameters and scalars."""
-    flags = {
-        key: getattr(args, dest)
-        for dest, key in _FLAG_KEYS.items()
-        if getattr(args, dest, None) is not None
-    }
+    flags = {key: value for flag, key, *_ in CONFIG_FLAGS
+             if key and (value := getattr(args, flag[2:].replace("-", "_"), None)) is not None}
     lists: dict[str, tuple] = {}
     fixed: dict[str, object] = {}
     scalars: dict[str, int] = {}
@@ -470,7 +392,7 @@ def normalize_group_by(spec: str | list[str] | None) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Output writing and reading
+# Output writing
 
 
 def check_output_path(path: str) -> None:
@@ -513,199 +435,6 @@ def write_text(path: str, text: str) -> None:
     except BaseException:
         os.unlink(temporary)
         raise
-
-
-def records_csv_text(manifest: dict, records) -> str:
-    buffer = io.StringIO()
-    buffer.write(manifest_line(manifest) + "\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(RECORD_COLUMNS)
-    for record in records:
-        writer.writerow(map(format_value, record))
-    return buffer.getvalue()
-
-
-def aggregates_csv_text(manifest: dict, group_by: tuple[str, ...], stats) -> str:
-    buffer = io.StringIO()
-    buffer.write(manifest_line(manifest) + "\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(list(group_by) + list(STATS_COLUMNS))
-    for entry in stats:
-        row = [format_value(value) for _, value in entry.group]
-        for column in STATS_COLUMNS:
-            value = getattr(entry, column)
-            if column in PROBABILITY_COLUMNS:
-                row.append(format_probability(value))
-            else:
-                row.append(format_value(value))
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
-def trace_jsonl_text(manifest: dict, rows) -> str:
-    lines = [manifest_line(manifest)]
-    lines.extend(json.dumps(row, sort_keys=True) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-class _TokenMemo(dict):
-    """One records column's values by token: each distinct token is parsed
-    once, by ``parse``, when it is first looked up."""
-
-    def __init__(self, parse):
-        self.parse = parse
-
-    def __missing__(self, token: str):
-        value = self[token] = self.parse(token)
-        return value
-
-    def check(self, tokens: list) -> None:
-        """Parse the distinct tokens of ``tokens`` not met before."""
-        new = set(tokens).difference(self)
-        self.update(zip(new, map(self.parse, new)))
-
-
-def _check_ints(tokens: list) -> None:
-    """Raise ValueError unless every token parses as an int: at once if each
-    is a run of ASCII digits no longer than int() takes, else by int() token
-    by token (which also takes signs, spaces, underscores and other digits)."""
-    digits = "".join(tokens)  # non-ASCII characters encode to no ASCII digit
-    lengths = set(map(len, tokens))
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if not (digits.encode().isdigit() and 0 not in lengths
-            and (not limit or max(lengths) <= limit)):
-        for token in tokens:
-            int(token)
-
-
-def _column_plan(header: list, columns: dict) -> list:
-    """For each record column, in field order, its index in ``header`` and
-    what takes a list of its tokens: parses them onto its list in
-    ``columns``, or, for a column not stored, only checks them."""
-    plan = []
-    for name, parse in RECORD_PARSERS.items():
-        # Each distinct token is parsed once; episode seeds are distinct per row.
-        memo = None if name == "episode_seed" else _TokenMemo(parse)
-        if name in columns:
-            take = functools.partial(_extend_parsed, columns[name],
-                                     parse if memo is None else memo.__getitem__)
-        else:
-            take = _check_ints if memo is None else memo.check
-        plan.append((header.index(name), take))
-    return plan
-
-
-def _extend_parsed(column: list, parse, tokens: list) -> None:
-    column.extend(map(parse, tokens))
-
-
-def _data_lines(lines, path: str, manifests: list):
-    """The ``lines`` of a records file that hold CSV; each manifest line met
-    on the way is parsed into ``manifests``, and other comment lines dropped."""
-    for line in lines:
-        if not line.startswith("#"):
-            yield line
-        elif line.startswith(MANIFEST_PREFIX):
-            manifests.append(_parse_manifest_json(line, path))
-
-
-def _split_chunk(chunk: list, plan: list, width: int, path: str, manifests: list) -> int | None:
-    """Parse a chunk of lines onto the record columns by splitting them on
-    commas, then parse its manifest lines into ``manifests``, and return its
-    row count; or None, for csv to read the chunk, if csv could read it
-    otherwise or a token does not parse."""
-    rows = list(filter("\n".__ne__, chunk))
-    text = "".join(rows)
-    comments = []
-    if "#" in text:
-        comments = [line for line in rows if line.startswith("#")]
-        rows = [line for line in rows if not line.startswith("#")]
-        text = "".join(rows)
-    if ('"' in text or "\r" in text or "\0" in text
-            or set(map(str.count, rows, itertools.repeat(","))) - {width - 1}
-            or max(map(len, rows), default=0) > csv.field_size_limit()):
-        return None
-    tokens = text.replace("\n", ",").split(",")
-    try:
-        for index, take in plan:
-            take(tokens[index:width * len(rows):width])
-    except ValueError:  # csv meets the same token, and names its row
-        return None
-    manifests.extend(_parse_manifest_json(line, path)
-                     for line in comments if line.startswith(MANIFEST_PREFIX))
-    return len(rows)
-
-
-def _read_chunk(rows, plan: list, path: str, first: int) -> int:
-    """Parse the next CHUNK_ROWS csv rows, the first numbered ``first``, onto
-    the record columns, one ``map`` per column; return how many were read. A
-    chunk that fails, or that a read error cut short, is replayed row by row
-    in field order to name its first bad row."""
-    chunk = []
-    try:
-        chunk.extend(itertools.islice(rows, CHUNK_ROWS))
-    finally:
-        try:
-            for index, take in plan:
-                take(list(map(operator.itemgetter(index), chunk)))
-        except (IndexError, ValueError):
-            for number, row in enumerate(chunk, start=first):
-                try:
-                    for index, take in plan:
-                        take([row[index]])
-                except (IndexError, ValueError) as exc:
-                    raise ConfigError(f"{path}: bad record row {number}: {exc}") from exc
-    return len(chunk)
-
-
-def read_records_csv(
-    path: str, fields: tuple[str, ...] = RECORD_COLUMNS
-) -> tuple[dict[str, list], dict | None]:
-    """The records of a records CSV, one list per record column named in
-    ``fields``, read in one streamed pass CHUNK_ROWS lines at a time, and its
-    manifest (the last manifest line). Every token of every record column is
-    checked, stored or not. Columns are found by header name, which csv
-    reads; a header that lacks a record column or repeats one is refused.
-    Blank lines are skipped, before the header too. Chunks are taken straight
-    from the file; only one that holds a "#" is searched for comment lines.
-    A chunk is split on commas, without csv, if it holds no quote, carriage
-    return or NUL, each data line has one comma fewer than the header has
-    columns, no line is over ``csv.field_size_limit()``, and every token
-    parses: an unstored column's distinct tokens are parsed, and episode
-    seeds are checked as runs of ASCII digits, or else each by int(). From
-    the first chunk that fails, csv reads the rest of the file, since a
-    quoted field may span chunks, and names the first bad row."""
-    manifests = []
-    columns = {name: [] for name in fields}
-    try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            header = next(filter(None, csv.reader(_data_lines(handle, path, manifests))), [])
-            missing = [column for column in RECORD_COLUMNS if column not in header]
-            if missing:
-                raise ConfigError(f"{path}: missing record columns: {', '.join(missing)}")
-            repeated = [column for column in RECORD_COLUMNS if header.count(column) > 1]
-            if repeated:
-                raise ConfigError(f"{path}: repeated record columns: {', '.join(repeated)}")
-            plan = _column_plan(header, columns)
-            first = 1
-            while True:
-                chunk, rest = [], ()
-                try:
-                    chunk.extend(itertools.islice(handle, CHUNK_ROWS))
-                    rest = handle  # after a read error, csv reads no further
-                finally:  # a read error still has the lines before it checked
-                    count = _split_chunk(chunk, plan, len(header), path, manifests)
-                    if count is None:  # csv reads the rest: a quoted field may span chunks
-                        lines = _data_lines(itertools.chain(chunk, rest), path, manifests)
-                        rows = filter(None, csv.reader(lines))
-                        while _read_chunk(rows, plan, path, first) == CHUNK_ROWS:
-                            first += CHUNK_ROWS
-                if count is None or len(chunk) < CHUNK_ROWS:
-                    break
-                first += count
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"cannot read records file {path}: {exc}") from exc
-    return columns, manifests[-1] if manifests else None
 
 
 # ---------------------------------------------------------------------------
@@ -869,35 +598,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subparsers.add_parser("run", help="run a single episode")
     run.add_argument("--config", type=_path, help="key = value config file")
-    run.add_argument("--agent", help=f"attacker script: {', '.join(AGENT_KINDS)}")
-    run.add_argument("--honeypots", help="number of honeypot hosts")
-    run.add_argument("--movement-time", help="address mutation interval, or none")
-    run.add_argument("--hosts", help="number of normal hosts")
-    run.add_argument("--one-goal", help="true: one sensitive host wins; false: all must fall")
-    run.add_argument("--seed", help="scenario generation seed")
-    run.add_argument("--master-seed", help="episode seed derivation root")
-    run.add_argument("--repetition", type=int, help="repetition index for seed derivation")
-    run.add_argument("--step-limit", help="maximum actions before timeout")
-    run.add_argument("--trace", metavar="PATH", type=_path, help="write a per-step JSONL trace")
-    run.add_argument("--from-manifest", metavar="PATH", type=_path,
-                     help="re-run the episode recorded in an output's manifest")
-    run.set_defaults(func=cmd_run)
-
     sweep = subparsers.add_parser("sweep", help="run the full parameter grid")
     sweep.add_argument("--config", type=_path, help="key = value config file")
     sweep.add_argument("--out", type=_path, help="records CSV path (default records.csv)")
     sweep.add_argument("--workers", type=int,
                        help=f"parallel worker processes (default ${WORKERS_ENV_VAR}, "
                        "else the CPUs this process may use)")
-    sweep.add_argument("--honeypots", help="comma-separated honeypot counts")
-    sweep.add_argument("--movement-times", help="comma-separated intervals, none allowed")
-    sweep.add_argument("--hosts", help="comma-separated normal host counts")
-    sweep.add_argument("--one-goal", help="comma-separated objective values (true,false)")
-    sweep.add_argument("--seeds", help="comma-separated scenario seeds")
-    sweep.add_argument("--agents", help="comma-separated agent kinds")
-    sweep.add_argument("--repetitions", help="episodes per cell")
-    sweep.add_argument("--master-seed", help="episode seed derivation root")
-    sweep.add_argument("--step-limit", help="maximum actions before timeout")
+    for flag, key, *helps in CONFIG_FLAGS:
+        for command, text in zip((run, sweep), helps):
+            if text is not None:
+                command.add_argument(flag, type=None if key else int, help=text)
+    run.add_argument("--trace", metavar="PATH", type=_path, help="write a per-step JSONL trace")
+    run.add_argument("--from-manifest", metavar="PATH", type=_path,
+                     help="re-run the episode recorded in an output's manifest")
+    run.set_defaults(func=cmd_run)
     sweep.add_argument("--from-manifest", metavar="PATH", type=_path,
                        help="re-run the sweep recorded in an output's manifest")
     sweep.set_defaults(func=cmd_sweep)
@@ -938,7 +652,7 @@ def main(argv=None) -> int:
         elif args.func is cmd_aggregate and not args.records:
             raise ConfigError("aggregate needs --records or --from-manifest")
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, RecordsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, OSError) as exc:

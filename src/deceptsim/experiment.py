@@ -323,7 +323,7 @@ def aggregate(records, group_by: tuple[str, ...] = CELL_FIELDS) -> list[Aggregat
     """Group records and compute outcome fractions and step quartiles.
 
     ``records`` are EpisodeRecords, transposed here, or their columns by
-    field name, as ``cli.read_records_csv`` returns them (at least those
+    field name, as ``records.read_records_csv`` returns them (at least those
     that ``aggregate_fields(group_by)`` names); a group holds row indexes.
     Quartiles use inclusive linear interpolation. Output order follows the
     sorted group keys, so it is independent of record order.

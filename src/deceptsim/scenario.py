@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -39,21 +40,31 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# What each field annotation admits, and how errors describe it. Python
-# counts booleans as integers, so the numeric checks reject them explicitly.
+def _parse_bool(token: str) -> bool:
+    lowered = token.lower()
+    if lowered not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {token!r}")
+    return lowered == "true"
+
+
+# For each field annotation: how a config, flag or records token becomes a
+# value of it (the inverse of records.format_value), what values it admits,
+# and how errors describe it. Python counts booleans as integers, so the
+# numeric checks reject them explicitly.
 FIELD_TYPES = {
-    "int": (_is_int, "an integer"),
-    "int | None": (lambda value: value is None or _is_int(value), "an integer or none"),
-    "float": (lambda value: _is_int(value) or isinstance(value, float), "a number"),
-    "bool": (lambda value: isinstance(value, bool), "true or false"),
-    "str": (lambda value: isinstance(value, str), "a string"),
+    "int": (int, _is_int, "an integer"),
+    "int | None": (lambda token: None if token.lower() == "none" else int(token),
+                   lambda value: value is None or _is_int(value), "an integer or none"),
+    "float": (float, lambda value: _is_int(value) or isinstance(value, float), "a number"),
+    "bool": (_parse_bool, lambda value: isinstance(value, bool), "true or false"),
+    "str": (str, lambda value: isinstance(value, str), "a string"),
 }
 
 
 def check_type(name: str, value, annotation: str) -> None:
     """Raise ParameterError unless ``value`` is of the type ``annotation``
     (a key of FIELD_TYPES) names."""
-    accepts, description = FIELD_TYPES[annotation]
+    _, accepts, description = FIELD_TYPES[annotation]
     if not accepts(value):
         raise ParameterError(f"{name}: expected {description}, got {value!r}")
 
@@ -141,6 +152,10 @@ class GeneratorParams:
         for name, value in counts.items():
             if value < 0:
                 raise ParameterError(f"{name} must be non-negative, got {value}")
+        for name in ("r_sensitive", "r_honeypot", "base_host_value"):
+            value = getattr(self, name)
+            if not -sys.float_info.max <= value <= sys.float_info.max:  # false for nan
+                raise ParameterError(f"{name} must be a finite float, got {value}")
         if self.num_os < 1:
             raise ParameterError(f"num_os must be at least 1, got {self.num_os}")
         if self.movement_time is not None and self.movement_time <= 0:

@@ -1,7 +1,7 @@
 """The records reader and ``aggregate`` against the straightforward path.
 
-``cli.read_records_csv(path, fields)`` reads the header through ``csv``,
-then takes lines straight from the file a chunk of ``cli.CHUNK_ROWS`` at a
+``records.read_records_csv(path, fields)`` reads the header through ``csv``,
+then takes lines straight from the file a chunk of ``records.CHUNK_ROWS`` at a
 time; only a chunk that holds a ``#`` is searched for comment and manifest
 lines. A chunk with no quote, carriage return or NUL, with one comma fewer
 than the header has columns on each data line, with no line over
@@ -20,7 +20,7 @@ The references below are the row-by-row ``csv`` reader and the per-record,
 per-field grouping they replaced, and the full read, which stores every
 column. The reference reader parses each row, field by field, as it is met
 in the file (so the first error in the file is the one named), takes its
-column parsers from ``cli.RECORD_PARSERS`` (which checks outcomes), refuses
+column parsers from ``records.RECORD_PARSERS`` (which checks outcomes), refuses
 a header that lacks or repeats a record column, skips blank rows before the
 header as after it, and reports an unreadable file as the streamed reader
 does. Every reader check runs at chunk sizes 1, 2, 3 and the default, so
@@ -42,7 +42,18 @@ from pathlib import Path
 
 import pytest
 
-from deceptsim import cli
+from deceptsim import records as records_module
+from deceptsim.records import (
+    CHUNK_ROWS,
+    MANIFEST_PREFIX,
+    RECORD_COLUMNS,
+    RECORD_PARSERS,
+    RecordsError,
+    _parse_manifest_json,
+    aggregates_csv_text,
+    read_records_csv,
+)
+from deceptsim.scenario import FIELD_TYPES
 from deceptsim.agents import AGENT_KINDS
 from deceptsim.experiment import (
     CELL_FIELDS,
@@ -59,8 +70,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "data" / "golden_records.csv"
 OUTCOMES = ("win", "loss_honeypot", "timeout")
-MANIFEST = cli.MANIFEST_PREFIX + '{"command":"sweep","config":{"master_seed":3}}'
-CHUNK_SIZES = (1, 2, 3, cli.CHUNK_ROWS)
+MANIFEST = MANIFEST_PREFIX + '{"command":"sweep","config":{"master_seed":3}}'
+CHUNK_SIZES = (1, 2, 3, CHUNK_ROWS)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +85,7 @@ def reference_read(path):
         with open(path, encoding="utf-8", newline="") as handle:
             return reference_rows(handle, path)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise cli.ConfigError(f"cannot read records file {path}: {exc}") from exc
+        raise RecordsError(f"cannot read records file {path}: {exc}") from exc
 
 
 def reference_rows(handle, path):
@@ -82,26 +93,26 @@ def reference_rows(handle, path):
 
     def data_lines():
         for line in handle:
-            if line.startswith(cli.MANIFEST_PREFIX):
-                manifests.append(cli._parse_manifest_json(line, path))
+            if line.startswith(MANIFEST_PREFIX):
+                manifests.append(_parse_manifest_json(line, path))
             elif not line.startswith("#"):
                 yield line
 
     rows = filter(None, csv.reader(data_lines()))
     header = next(rows, [])
-    missing = [column for column in cli.RECORD_COLUMNS if column not in header]
+    missing = [column for column in RECORD_COLUMNS if column not in header]
     if missing:
-        raise cli.ConfigError(f"{path}: missing record columns: {', '.join(missing)}")
-    repeated = [column for column in cli.RECORD_COLUMNS if header.count(column) > 1]
+        raise RecordsError(f"{path}: missing record columns: {', '.join(missing)}")
+    repeated = [column for column in RECORD_COLUMNS if header.count(column) > 1]
     if repeated:
-        raise cli.ConfigError(f"{path}: repeated record columns: {', '.join(repeated)}")
-    plan = [(header.index(name), parse) for name, parse in cli.RECORD_PARSERS.items()]
+        raise RecordsError(f"{path}: repeated record columns: {', '.join(repeated)}")
+    plan = [(header.index(name), parse) for name, parse in RECORD_PARSERS.items()]
     records = []
     for index, row in enumerate(rows, start=1):
         try:
             records.append(EpisodeRecord(*[parse(row[i]) for i, parse in plan]))
         except (IndexError, ValueError) as exc:
-            raise cli.ConfigError(f"{path}: bad record row {index}: {exc}") from exc
+            raise RecordsError(f"{path}: bad record row {index}: {exc}") from exc
     return records, manifests[-1] if manifests else None
 
 
@@ -145,17 +156,17 @@ def reference_aggregate(records, group_by):
 
 
 def column_read(path):
-    """``cli.read_records_csv``'s columns, one full list per record field,
+    """``read_records_csv``'s columns, one full list per record field,
     as records."""
-    columns, manifest = cli.read_records_csv(path)
-    assert tuple(columns) == cli.RECORD_COLUMNS
+    columns, manifest = read_records_csv(path)
+    assert tuple(columns) == RECORD_COLUMNS
     assert len({len(column) for column in columns.values()}) == 1
     return [EpisodeRecord(*row) for row in zip(*columns.values())], manifest
 
 
 def as_columns(records):
     """Records transposed by hand, as the reader's columns."""
-    return {name: [getattr(record, name) for record in records] for name in cli.RECORD_COLUMNS}
+    return {name: [getattr(record, name) for record in records] for name in RECORD_COLUMNS}
 
 
 def result(read, path):
@@ -164,7 +175,7 @@ def result(read, path):
     error text."""
     try:
         records, manifest = read(str(path))
-    except cli.ConfigError as exc:
+    except RecordsError as exc:
         return "error", str(exc)
     return records, [tuple(map(type, record)) for record in records], manifest
 
@@ -176,7 +187,7 @@ def assert_reads_alike(path):
     expected = result(reference_read, path)
     for rows in CHUNK_SIZES:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "CHUNK_ROWS", rows)
+            patch.setattr(records_module, "CHUNK_ROWS", rows)
             got = result(column_read, path)
             assert (repr(got[0]), *got[1:]) == (repr(expected[0]), *expected[1:]), \
                 f"CHUNK_ROWS = {rows}"
@@ -188,12 +199,12 @@ def assert_reads_alike(path):
 
 
 def test_record_parsers_follow_the_field_annotations():
-    assert cli.RECORD_COLUMNS == tuple(cli.RECORD_PARSERS)
-    cell_types = [cli.PARSERS[spec.type] for spec in dataclasses.fields(Cell)]
-    assert [cli.RECORD_PARSERS[name] for name in CELL_FIELDS] == cell_types
-    assert [cli.RECORD_PARSERS[name] for name in ("repetition", "steps", "score", "episode_seed")] \
+    assert RECORD_COLUMNS == tuple(RECORD_PARSERS)
+    cell_types = [FIELD_TYPES[spec.type][0] for spec in dataclasses.fields(Cell)]
+    assert [RECORD_PARSERS[name] for name in CELL_FIELDS] == cell_types
+    assert [RECORD_PARSERS[name] for name in ("repetition", "steps", "score", "episode_seed")] \
         == [int, int, float, int]
-    assert cli.RECORD_PARSERS["outcome"]("timeout") == "timeout"
+    assert RECORD_PARSERS["outcome"]("timeout") == "timeout"
 
 
 def test_golden_records_read_alike():
@@ -223,7 +234,7 @@ def test_golden_data_rows_never_reach_csv(monkeypatch):
     expected = result(reference_read, GOLDEN)
     monkeypatch.setattr(csv, "reader", counting_reader)
     for rows in CHUNK_SIZES:
-        monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
+        monkeypatch.setattr(records_module, "CHUNK_ROWS", rows)
         handed.clear()
         assert result(column_read, GOLDEN) == expected, f"CHUNK_ROWS = {rows}"
         assert handed == [header], f"CHUNK_ROWS = {rows}"
@@ -245,7 +256,7 @@ def test_comment_lines_keep_no_data_row_from_the_split(tmp_path, monkeypatch):
     assert expected[2] == {"command": "sweep", "config": {"master_seed": 5}}
     monkeypatch.setattr(csv, "reader", counting_reader)
     for size in CHUNK_SIZES:
-        monkeypatch.setattr(cli, "CHUNK_ROWS", size)
+        monkeypatch.setattr(records_module, "CHUNK_ROWS", size)
         handed.clear()
         assert result(column_read, path) == expected, f"CHUNK_ROWS = {size}"
         assert handed == [header + "\n"], f"CHUNK_ROWS = {size}"
@@ -276,7 +287,7 @@ def test_reordered_and_extra_columns(tmp_path):
 
 def set_field(row, column, token):
     fields = row.split(",")
-    fields[cli.RECORD_COLUMNS.index(column)] = token
+    fields[RECORD_COLUMNS.index(column)] = token
     return ",".join(fields)
 
 
@@ -323,7 +334,7 @@ def test_undecodable_bytes_past_the_first_chunk_name_the_file(tmp_path):
     path.write_bytes(text[:-40] + b"\xff" + text[-40:])
     # The byte's position in the message is counted from the start of the
     # chunk being decoded, so only the rest of the message is compared.
-    for read in (reference_read, cli.read_records_csv):
+    for read in (reference_read, read_records_csv):
         kind, message = result(read, path)
         assert kind == "error" and message.startswith(f"cannot read records file {path}: ")
         assert "can't decode byte 0xff" in message
@@ -340,17 +351,17 @@ def many_rows(count):
 
 
 def test_multi_chunk_file_reads_alike(tmp_path):
-    header, rows = many_rows(2 * cli.CHUNK_ROWS + 5)
-    rows[cli.CHUNK_ROWS:cli.CHUNK_ROWS] = ["", "# a comment", MANIFEST]
+    header, rows = many_rows(2 * CHUNK_ROWS + 5)
+    rows[CHUNK_ROWS:CHUNK_ROWS] = ["", "# a comment", MANIFEST]
     records, _, manifest = assert_reads_alike(write(tmp_path, "\n".join([header, *rows]) + "\n"))
-    assert len(records) == 2 * cli.CHUNK_ROWS + 5 and manifest is not None
+    assert len(records) == 2 * CHUNK_ROWS + 5 and manifest is not None
 
 
-@pytest.mark.parametrize("row", [1, 4, 7, cli.CHUNK_ROWS - 1])
+@pytest.mark.parametrize("row", [1, 4, 7, CHUNK_ROWS - 1])
 def test_bad_late_field_is_named_before_a_bad_early_field_in_the_next_row(tmp_path, row):
     # Rows ``row`` and ``row + 1`` share a chunk at every size but 1, and
     # the chunk's columns are parsed first to last.
-    header, rows = many_rows(cli.CHUNK_ROWS + 3)
+    header, rows = many_rows(CHUNK_ROWS + 3)
     rows[row - 1] = set_field(rows[row - 1], "episode_seed", "x")
     rows[row] = set_field(rows[row], "num_honeypots", "y")
     path = write(tmp_path, "\n".join([header, *rows]) + "\n")
@@ -358,9 +369,9 @@ def test_bad_late_field_is_named_before_a_bad_early_field_in_the_next_row(tmp_pa
     assert message == f"{path}: bad record row {row}: invalid literal for int() with base 10: 'x'"
 
 
-@pytest.mark.parametrize("row", [1, 2, 3, 4, 6, 7, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1])
+@pytest.mark.parametrize("row", [1, 2, 3, 4, 6, 7, CHUNK_ROWS, CHUNK_ROWS + 1])
 def test_short_row_on_a_chunk_boundary_is_named_alike(tmp_path, row):
-    header, rows = many_rows(cli.CHUNK_ROWS + 3)
+    header, rows = many_rows(CHUNK_ROWS + 3)
     rows[row - 1] = rows[row - 1].rsplit(",", 2)[0]
     rows[row] = set_field(rows[row], "num_honeypots", "y")
     path = write(tmp_path, "\n".join([header, *rows]) + "\n")
@@ -409,7 +420,7 @@ def test_csv_reads_no_further_than_a_read_error(tmp_path):
 LIMIT = csv.field_size_limit()
 
 
-@pytest.mark.parametrize("row", [1, 4, cli.CHUNK_ROWS + 1])
+@pytest.mark.parametrize("row", [1, 4, CHUNK_ROWS + 1])
 @pytest.mark.parametrize("agent, ending", [
     pytest.param(',"care""ful"', "\n", id="quote"),
     pytest.param(',"care,ful"', "\n", id="quoted-comma"),
@@ -426,8 +437,8 @@ def test_csv_only_spellings_read_alike_from_any_row(tmp_path, agent, ending, row
     # agent, which parses whatever csv reads, is moved last, so a split line's
     # end falls in its token. Row ``row`` ends in ``agent`` (with its comma),
     # and from it on, lines end in ``ending``.
-    header, rows = many_rows(cli.CHUNK_ROWS + 3)
-    index = cli.RECORD_COLUMNS.index("agent")
+    header, rows = many_rows(CHUNK_ROWS + 3)
+    index = RECORD_COLUMNS.index("agent")
     lines = [",".join([*fields[:index], *fields[index + 1:], fields[index]])
              for fields in (line.split(",") for line in [header, *rows])]
     lines[row] = lines[row].rsplit(",", 1)[0] + agent
@@ -497,7 +508,7 @@ def row_tokens(columns):
 
 @st.composite
 def records_files(draw):
-    columns = list(draw(st.permutations(cli.RECORD_COLUMNS)))
+    columns = list(draw(st.permutations(RECORD_COLUMNS)))
     if draw(st.booleans()):  # a line's end then falls in agent's token
         columns.append(columns.pop(columns.index("agent")))
     for extra in draw(st.lists(st.sampled_from(["extra", "note"]), unique=True, max_size=2)):
@@ -565,7 +576,7 @@ def test_aggregate_fields_name_the_columns_aggregate_reads():
         ("num_honeypots", "agent", "outcome", "steps")
     assert aggregate_fields(("honeypots_on", "mtd_on")) == \
         ("num_honeypots", "movement_time", "outcome", "steps")
-    assert set().union(*map(aggregate_fields, STORED_GROUP_BYS)) == set(cli.RECORD_COLUMNS) \
+    assert set().union(*map(aggregate_fields, STORED_GROUP_BYS)) == set(RECORD_COLUMNS) \
         - {"repetition", "score", "episode_seed"}
 
 
@@ -576,16 +587,16 @@ def assert_stored_columns_read_alike(path):
     where the full read fails, the same error text."""
     for rows in CHUNK_SIZES:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "CHUNK_ROWS", rows)
+            patch.setattr(records_module, "CHUNK_ROWS", rows)
             try:
-                full, expected = cli.read_records_csv(str(path)), None
-            except cli.ConfigError as exc:
+                full, expected = read_records_csv(str(path)), None
+            except RecordsError as exc:
                 full, expected = None, str(exc)
             for group_by in STORED_GROUP_BYS:
                 fields = aggregate_fields(group_by)
                 try:
-                    columns, manifest = cli.read_records_csv(str(path), fields)
-                except cli.ConfigError as exc:
+                    columns, manifest = read_records_csv(str(path), fields)
+                except RecordsError as exc:
                     assert str(exc) == expected, f"CHUNK_ROWS = {rows}, {fields}"
                     continue
                 assert full is not None, f"CHUNK_ROWS = {rows}, {fields}: {expected}"
@@ -675,7 +686,7 @@ def test_drawn_records_aggregate_alike(records, group_by):
 
 @pytest.mark.parametrize("group_by", [(name,) for name in GROUP_GETTERS] + [(), CELL_FIELDS])
 def test_golden_records_aggregate_alike(group_by):
-    columns, _ = cli.read_records_csv(str(GOLDEN))
+    columns, _ = read_records_csv(str(GOLDEN))
     records, _ = reference_read(str(GOLDEN))
     expected = reference_aggregate(records, group_by)
     assert aggregate(columns, group_by) == expected
@@ -683,9 +694,9 @@ def test_golden_records_aggregate_alike(group_by):
 
 
 def test_golden_aggregate_text_alike():
-    columns, _ = cli.read_records_csv(str(GOLDEN))
+    columns, _ = read_records_csv(str(GOLDEN))
     records, _ = reference_read(str(GOLDEN))
     for group_by in (("agent", "num_honeypots"), ("agent", "movement_time"),
                      ("honeypots_on", "mtd_on"), ("agent", "one_goal", "seed"), ("mtd_on",)):
-        assert cli.aggregates_csv_text({}, group_by, aggregate(columns, group_by)) == \
-            cli.aggregates_csv_text({}, group_by, reference_aggregate(records, group_by))
+        assert aggregates_csv_text({}, group_by, aggregate(columns, group_by)) == \
+            aggregates_csv_text({}, group_by, reference_aggregate(records, group_by))

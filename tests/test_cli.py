@@ -14,6 +14,7 @@ import pytest
 
 from deceptsim import cli, experiment
 from deceptsim.experiment import Cell, SweepConfig, derive_episode_seed, scenario_params
+from deceptsim.records import MANIFEST_PREFIX, RECORD_COLUMNS
 
 SMALL_SWEEP = (
     "--honeypots", "0,2",
@@ -49,7 +50,7 @@ def test_run_prints_one_episode_record(capsys):
     assert run_cli("run", "--agent", "standard", "--hosts", "10",
                    "--honeypots", "2", "--seed", "1234") == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith(cli.MANIFEST_PREFIX)
+    assert out[0].startswith(MANIFEST_PREFIX)
     fields = dict(pair.split("=", 1) for pair in out[1].split())
     assert fields["agent"] == "standard"
     assert fields["num_honeypots"] == "2"
@@ -105,7 +106,7 @@ def test_trace_marks_knowledge_reset_after_post_mutation_failure(tmp_path, capsy
     assert run_cli("run", "--agent", "careful", "--movement-time", "25",
                    "--trace", str(trace_path)) == 0
     lines = trace_path.read_text().splitlines()
-    assert lines[0].startswith(cli.MANIFEST_PREFIX)
+    assert lines[0].startswith(MANIFEST_PREFIX)
     rows = [json.loads(line) for line in lines[1:]]
     assert [row["step"] for row in rows] == list(range(1, len(rows) + 1))
     failures = [row for row in rows if row.get("connection_failed")]
@@ -163,7 +164,7 @@ def test_sweep_row_count_and_order(tmp_path, capsys):
     assert len(rows) == 2 * 3
     keys = [(row["num_honeypots"], row["repetition"]) for row in rows]
     assert keys == [("0", "0"), ("0", "1"), ("0", "2"), ("2", "0"), ("2", "1"), ("2", "2")]
-    assert set(rows[0]) == set(cli.RECORD_COLUMNS)
+    assert set(rows[0]) == set(RECORD_COLUMNS)
     assert rows[0]["movement_time"] == "none"
     assert rows[0]["one_goal"] == "false"
 
@@ -305,6 +306,38 @@ def test_float_field_spelled_as_integer_writes_the_same_file(tmp_path, capsys):
     assert b'"r_sensitive":1000.0' in outputs[0]
 
 
+@pytest.mark.parametrize("command, field, token, value", [
+    ("run", "r_sensitive", "nan", float("nan")),
+    ("sweep", "r_honeypot", "-inf", float("-inf")),
+    ("sweep", "base_host_value", "inf", float("inf")),
+    # Only a manifest holds an int too large for a float.
+    ("run", "r_sensitive", "1e400", 10**400),
+], ids=["run-nan", "sweep-minus-inf", "sweep-inf", "run-int-beyond-float"])
+def test_non_finite_reward_exits_1_naming_it(tmp_path, capsys, command, field, token, value):
+    # A non-finite reward makes scores nan or infinite, and json.dumps writes
+    # it into the manifest as the non-JSON token NaN or Infinity.
+    config = tmp_path / "bad.cfg"
+    config.write_text(("agents = standard\n" if command == "run" else SMALL_SWEEP_CONFIG)
+                      + f"{field} = {token}\n")
+    path = tmp_path / "output"
+    out_flag = "--trace" if command == "run" else "--out"
+    assert run_cli(command, "--config", str(config), out_flag, str(path)) == 1
+    assert field in capsys.readouterr().err
+    assert not path.exists()
+    # The same value in a replayed manifest.
+    argv = ("--agent", "standard") if command == "run" else SMALL_SWEEP
+    assert run_cli(command, *argv, out_flag, str(path)) == 0
+    line, rest = path.read_text().split("\n", 1)
+    manifest = json.loads(line[len(MANIFEST_PREFIX):])
+    manifest["config"]["fixed"][field] = value
+    path.write_text(MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
+    before = read_bytes(path)
+    capsys.readouterr()
+    assert run_cli(command, "--from-manifest", str(path)) == 1
+    assert field in capsys.readouterr().err
+    assert read_bytes(path) == before
+
+
 @pytest.mark.parametrize("line, key", [
     ("repetitions = 7", "repetitions"),
     ("workers = 3", "workers"),
@@ -373,8 +406,8 @@ def test_malformed_manifest_exits_1_naming_it(tmp_path, capsys, command, edit):
     else:
         assert run_cli("sweep", "--out", str(path), *SMALL_SWEEP) == 0
     line, rest = path.read_text().split("\n", 1)
-    manifest = edit(json.loads(line[len(cli.MANIFEST_PREFIX):]))
-    path.write_text(cli.MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
+    manifest = edit(json.loads(line[len(MANIFEST_PREFIX):]))
+    path.write_text(MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
     capsys.readouterr()
     if command == "aggregate":
         assert run_cli("aggregate", "--records", str(path)) == 1
@@ -421,9 +454,9 @@ def test_replay_refuses_what_it_would_ignore(tmp_path, capsys, command, edit, na
     else:
         assert run_cli("sweep", "--out", str(path), *SMALL_SWEEP) == 0
     line, rest = path.read_text().split("\n", 1)
-    manifest = json.loads(line[len(cli.MANIFEST_PREFIX):])
+    manifest = json.loads(line[len(MANIFEST_PREFIX):])
     edit(manifest["config"])
-    path.write_text(cli.MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
+    path.write_text(MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
     before = read_bytes(path)
     capsys.readouterr()
     assert run_cli(command, "--from-manifest", str(path)) == 1
@@ -532,10 +565,10 @@ def test_sweep_repeated_swept_value_exits_1(tmp_path, capsys, source, field, fla
     else:
         assert run_cli("sweep", "--out", str(out), *SMALL_SWEEP) == 0
         line, rest = out.read_text().split("\n", 1)
-        manifest = json.loads(line[len(cli.MANIFEST_PREFIX):])
+        manifest = json.loads(line[len(MANIFEST_PREFIX):])
         key = {name: key for key, name in cli.LIST_KEYS.items()}[field]
         manifest["config"][key] *= 2
-        out.write_text(cli.MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
+        out.write_text(MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
         argv = ("sweep", "--from-manifest", str(out))
     before = out.read_bytes() if out.exists() else None
     capsys.readouterr()
@@ -636,14 +669,14 @@ def test_aggregate_to_stdout(tmp_path, capsys):
     assert run_cli("aggregate", "--records", str(records_path),
                    "--group-by", "agent") == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith(cli.MANIFEST_PREFIX)
+    assert out[0].startswith(MANIFEST_PREFIX)
     assert out[1].split(",")[:2] == ["agent", "episodes"]
     assert len(out) == 2 + 2
 
 
 def test_aggregate_probabilities_use_six_significant_digits(tmp_path, capsys):
     records_path = tmp_path / "records.csv"
-    header = ",".join(cli.RECORD_COLUMNS)
+    header = ",".join(RECORD_COLUMNS)
     rows = [
         "0,none,10,false,1234,standard,0,win,10,3.0,1",
         "0,none,10,false,1234,standard,1,timeout,3000,0.0,2",
@@ -734,7 +767,7 @@ def test_aggregate_schema_mismatch_exits_1(tmp_path, capsys):
 ])
 def test_aggregate_header_repeating_a_record_column_exits_1(tmp_path, capsys, row):
     records_path = tmp_path / "records.csv"
-    records_path.write_text(",".join([*cli.RECORD_COLUMNS, "steps"]) + "\n" + row + "\n")
+    records_path.write_text(",".join([*RECORD_COLUMNS, "steps"]) + "\n" + row + "\n")
     assert run_cli("aggregate", "--records", str(records_path), "--group-by", "agent") == 1
     assert capsys.readouterr().err == \
         f"error: {records_path}: repeated record columns: steps\n"
@@ -742,7 +775,7 @@ def test_aggregate_header_repeating_a_record_column_exits_1(tmp_path, capsys, ro
 
 def test_aggregate_header_repeating_an_unknown_column_reads(tmp_path, capsys):
     records_path = tmp_path / "records.csv"
-    records_path.write_text(",".join([*cli.RECORD_COLUMNS, "note", "note"]) + "\n"
+    records_path.write_text(",".join([*RECORD_COLUMNS, "note", "note"]) + "\n"
                             + "4,none,10,false,1234,careful,0,win,10,3.0,1,a,b\n")
     assert run_cli("aggregate", "--records", str(records_path), "--group-by", "agent") == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("careful,1,1,0,0,10,")
@@ -759,7 +792,7 @@ def test_aggregate_unknown_outcome_exits_1(tmp_path, capsys, outcome):
         "4,none,10,false,1234,careful,0,win,10,3.0,1",
         f"4,none,10,false,1234,careful,1,{outcome},12,3.0,2",
     ]
-    records_path.write_text("\n".join([",".join(cli.RECORD_COLUMNS), *rows]) + "\n")
+    records_path.write_text("\n".join([",".join(RECORD_COLUMNS), *rows]) + "\n")
     assert run_cli("aggregate", "--records", str(records_path), "--group-by", "agent") == 1
     err = capsys.readouterr().err
     assert f"bad record row 2: outcome: expected one of win, loss_honeypot, timeout, got {outcome!r}" in err
@@ -767,7 +800,7 @@ def test_aggregate_unknown_outcome_exits_1(tmp_path, capsys, outcome):
 
 def test_aggregate_oversized_field_exits_1(tmp_path, capsys):
     records_path = tmp_path / "records.csv"
-    records_path.write_text(",".join(cli.RECORD_COLUMNS) + "\n" + "9" * (csv.field_size_limit() + 1))
+    records_path.write_text(",".join(RECORD_COLUMNS) + "\n" + "9" * (csv.field_size_limit() + 1))
     assert run_cli("aggregate", "--records", str(records_path)) == 1
     assert f"cannot read records file {records_path}: field larger than" in capsys.readouterr().err
 
@@ -905,7 +938,7 @@ def test_source_date_epoch_sets_manifest_timestamp(tmp_path, capsys, monkeypatch
     monkeypatch.setenv(cli.TIMESTAMP_ENV_VAR, "1755216000")
     out = tmp_path / "records.csv"
     assert run_cli("sweep", "--out", str(out), *SMALL_SWEEP) == 0
-    manifest = json.loads(out.read_text().splitlines()[0][len(cli.MANIFEST_PREFIX):])
+    manifest = json.loads(out.read_text().splitlines()[0][len(MANIFEST_PREFIX):])
     assert manifest["timestamp"] == "2025-08-15T00:00:00Z"
     capsys.readouterr()
     for epoch in ("not-a-time", "99999999999999"):  # the second is past year 9999
@@ -1095,9 +1128,9 @@ def test_empty_path_in_a_replayed_manifest_exits_1_naming_it(tmp_path, capsys, m
         assert run_cli("aggregate", "--records", "output", "--out", "agg.csv") == 0
         (tmp_path / "agg.csv").rename(tmp_path / "output")
     line, rest = (tmp_path / "output").read_text().split("\n", 1)
-    manifest = json.loads(line[len(cli.MANIFEST_PREFIX):])
+    manifest = json.loads(line[len(MANIFEST_PREFIX):])
     manifest[key] = [""] if key == "outputs" else ""
-    (tmp_path / "output").write_text(cli.MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
+    (tmp_path / "output").write_text(MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
     for work in ("run_episode", "run_sweep", "read_records_csv"):
         monkeypatch.setattr(cli, work, _no_work)
     capsys.readouterr()

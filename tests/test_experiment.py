@@ -207,30 +207,34 @@ def test_parallel_sweep_hands_each_world_to_one_worker(monkeypatch, agents):
     assert all(tuple(cell.agent for _, cell, *_ in chunk) == agents for chunk in chunks)
 
 
-def modules_the_cli_import_loads():
-    """The modules that ``import deceptsim.cli`` adds to a fresh
-    interpreter's ``sys.modules``; those its start-up (site) loaded do not
-    count."""
+def modules_the_import_loads(module="deceptsim.cli"):
+    """The modules that ``import <module>`` adds to a fresh interpreter's
+    ``sys.modules``; those its start-up (site) loaded do not count."""
     package_root = Path(experiment.__file__).resolve().parents[1]
-    code = ("import sys; before = set(sys.modules); import deceptsim.cli; "
+    code = (f"import sys; before = set(sys.modules); import {module}; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
     result = subprocess.run([sys.executable, "-c", code], cwd=package_root, check=True,
                             capture_output=True, text=True)
     loaded = set(result.stdout.split())
-    assert "deceptsim.cli" in loaded
+    assert module in loaded
     return loaded
 
 
 def test_importing_the_cli_loads_no_process_pool():
     # Only a sweep over more than one worker needs the pool.
-    assert not {"concurrent.futures", "multiprocessing"} & modules_the_cli_import_loads()
+    assert not {"concurrent.futures", "multiprocessing"} & modules_the_import_loads()
 
 
 def test_importing_the_cli_loads_no_heavy_module_it_can_do_without():
     # hashlib loads OpenSSL's libcrypto, statistics loads fractions and
     # decimal, and only a set SOURCE_DATE_EPOCH needs datetime.
     heavy = {"hashlib", "_hashlib", "statistics", "fractions", "decimal", "datetime"}
-    assert not heavy & modules_the_cli_import_loads()
+    assert not heavy & modules_the_import_loads()
+
+
+def test_importing_the_records_format_loads_no_command_line():
+    # A library user reads records without the argument parser.
+    assert not {"deceptsim.cli", "argparse"} & modules_the_import_loads("deceptsim.records")
 
 
 def test_episode_seeds_take_hashlib_sha256_digests():

@@ -31,7 +31,7 @@ import tempfile
 from pathlib import Path
 
 from deceptsim.agents import AGENT_KINDS
-from deceptsim.cli import TIMESTAMP_ENV_VAR, main, records_csv_text
+from deceptsim.cli import TIMESTAMP_ENV_VAR, main
 from deceptsim.engine import OutcomeKind, check_termination, same_stream_shuffle
 from deceptsim.experiment import (
     SweepConfig,
@@ -40,6 +40,7 @@ from deceptsim.experiment import (
     run_sweep,
     scenario_params,
 )
+from deceptsim.records import records_csv_text
 from deceptsim.scenario import generate_scenario
 
 GOLDEN_RECORDS = Path(__file__).parent / "data" / "golden_records.csv"
