@@ -410,11 +410,12 @@ _AGENT_CLASSES = {cls.kind: cls for cls in (CarefulAgent, StandardAgent, Aggress
 AGENT_KINDS = tuple(_AGENT_CLASSES)
 
 
+def agent_class(kind: str) -> type[ScriptedAgent]:
+    """The script of agent ``kind``; ValueError names an unknown kind."""
+    if kind not in _AGENT_CLASSES:
+        raise ValueError(f"unknown agent kind {kind!r}; expected one of: {', '.join(AGENT_KINDS)}")
+    return _AGENT_CLASSES[kind]
+
+
 def make_agent(kind: str, scenario: Scenario, rng: random.Random) -> ScriptedAgent:
-    try:
-        cls = _AGENT_CLASSES[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown agent kind {kind!r}; expected one of: {', '.join(AGENT_KINDS)}"
-        ) from None
-    return cls(scenario, rng)
+    return agent_class(kind)(scenario, rng)

@@ -47,15 +47,9 @@ from .scenario import FIELD_TYPES, GeneratorParams, check_type, generate_scenari
 WORKERS_ENV_VAR = "DECEPTSIM_WORKERS"
 TIMESTAMP_ENV_VAR = "SOURCE_DATE_EPOCH"
 
-# Swept-value config keys (table names) -> SweepConfig field.
-LIST_KEYS = {
-    "num_honeypots_options": "num_honeypots",
-    "movement_time_options": "movement_time",
-    "num_hosts_options": "num_hosts",
-    "one_goal_options": "one_goal",
-    "seed_options": "seeds",
-    "agents": "agents",
-}
+# Swept-value config keys (table names) -> SweepConfig field, in field order.
+LIST_KEYS = dict(zip(("num_honeypots_options", "movement_time_options", "num_hosts_options",
+                      "one_goal_options", "seed_options", "agents"), SWEPT_TYPES))
 
 # Fixed-parameter config keys (table names) -> GeneratorParams field: every
 # field that is not swept, under its own name except for four table names.
@@ -75,28 +69,58 @@ FIXED_KEYS = {
 SCALAR_KEYS = ("repetitions", "master_seed", "workers")
 SWEEP_ONLY_KEYS = ("repetitions", "workers")
 
-# The flags of run and sweep that override a config key, in --help order, each
-# with its key and its help under run and under sweep (None: not taken there).
-# run's flags fill sweep's list keys with one value. --repetition sets no key: an int.
-CONFIG_FLAGS = (
-    ("--agent", "agents", f"attacker script: {', '.join(AGENT_KINDS)}", None),
-    ("--honeypots", "num_honeypots_options", "number of honeypot hosts",
-     "comma-separated honeypot counts"),
-    ("--movement-time", "movement_time_options", "address mutation interval, or none", None),
-    ("--movement-times", "movement_time_options", None, "comma-separated intervals, none allowed"),
-    ("--hosts", "num_hosts_options", "number of normal hosts",
-     "comma-separated normal host counts"),
-    ("--one-goal", "one_goal_options", "true: one sensitive host wins; false: all must fall",
-     "comma-separated objective values (true,false)"),
-    ("--seed", "seed_options", "scenario generation seed", None),
-    ("--seeds", "seed_options", None, "comma-separated scenario seeds"),
-    ("--agents", "agents", None, "comma-separated agent kinds"),
-    ("--repetitions", "repetitions", None, "episodes per cell"),
-    ("--master-seed", "master_seed", "episode seed derivation root",
-     "episode seed derivation root"),
-    ("--repetition", None, "repetition index for seed derivation", None),
-    ("--step-limit", "step_limit", "maximum actions before timeout",
-     "maximum actions before timeout"),
+
+def _path(token: str) -> str:
+    """A path flag's value: an empty one would name the working directory,
+    or be taken for the flag not given."""
+    if not token:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return token
+
+
+# Every flag of deceptsim and its commands, in --help order, each with the
+# config key it overrides (None: it sets none), its argparse options, and its
+# help under each command that takes it. run's flags fill sweep's list keys
+# with one value.
+_PATH = {"type": _path}
+_NAMED_PATH = {"type": _path, "metavar": "PATH"}
+FLAGS = (
+    ("--version", None, {"action": "version", "version": f"%(prog)s {__version__}"},
+     {"deceptsim": "show program's version number and exit"}),
+    ("--records", None, _PATH, {"aggregate": "records CSV written by sweep"}),
+    ("--group-by", None, {},
+     {"aggregate": "comma-separated fields, e.g. agent,honeypots or agent,mtd_on"}),
+    ("--config", None, _PATH, dict.fromkeys(("run", "sweep"), "key = value config file")),
+    ("--out", None, _PATH, {"sweep": "records CSV path (default records.csv)",
+                            "aggregate": "aggregates CSV path (default stdout)"}),
+    ("--workers", None, {"type": int},
+     {"sweep": f"parallel worker processes (default ${WORKERS_ENV_VAR}, "
+               "else the CPUs this process may use)"}),
+    ("--agent", "agents", {}, {"run": f"attacker script: {', '.join(AGENT_KINDS)}"}),
+    ("--honeypots", "num_honeypots_options", {},
+     {"run": "number of honeypot hosts", "sweep": "comma-separated honeypot counts"}),
+    ("--movement-time", "movement_time_options", {}, {"run": "address mutation interval, or none"}),
+    ("--movement-times", "movement_time_options", {},
+     {"sweep": "comma-separated intervals, none allowed"}),
+    ("--hosts", "num_hosts_options", {},
+     {"run": "number of normal hosts", "sweep": "comma-separated normal host counts"}),
+    ("--one-goal", "one_goal_options", {},
+     {"run": "true: one sensitive host wins; false: all must fall",
+      "sweep": "comma-separated objective values (true,false)"}),
+    ("--seed", "seed_options", {}, {"run": "scenario generation seed"}),
+    ("--seeds", "seed_options", {}, {"sweep": "comma-separated scenario seeds"}),
+    ("--agents", "agents", {}, {"sweep": "comma-separated agent kinds"}),
+    ("--repetitions", "repetitions", {}, {"sweep": "episodes per cell"}),
+    ("--master-seed", "master_seed", {},
+     dict.fromkeys(("run", "sweep"), "episode seed derivation root")),
+    ("--repetition", None, {"type": int}, {"run": "repetition index for seed derivation"}),
+    ("--step-limit", "step_limit", {},
+     dict.fromkeys(("run", "sweep"), "maximum actions before timeout")),
+    ("--trace", None, _NAMED_PATH, {"run": "write a per-step JSONL trace"}),
+    ("--from-manifest", None, _NAMED_PATH,
+     {"run": "re-run the episode recorded in an output's manifest",
+      "sweep": "re-run the sweep recorded in an output's manifest",
+      "aggregate": "recompute the aggregation recorded in an output's manifest"}),
 )
 
 GROUP_ALIASES = {name: name for name in GROUP_GETTERS}
@@ -178,16 +202,14 @@ def _is_names(value) -> bool:
 def load_manifest(path: str, command: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                if line.startswith(MANIFEST_PREFIX):
-                    manifest = _parse_manifest_json(line, path)
-                    break
-                if line.strip() and not line.startswith("#"):
-                    raise ConfigError(f"{path}: no manifest line found")
-            else:
-                raise ConfigError(f"{path}: no manifest line found")
+            # The manifest comes before the first line that holds data.
+            line = next((line for line in handle if line.startswith(MANIFEST_PREFIX)
+                         or line.strip() and not line.startswith("#")), "")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read manifest from {path}: {exc}") from exc
+    if not line.startswith(MANIFEST_PREFIX):
+        raise ConfigError(f"{path}: no manifest line found")
+    manifest = _parse_manifest_json(line, path)
     if manifest.get("command") != command:
         raise ConfigError(
             f"{path}: manifest was written by {manifest.get('command')!r}, expected {command!r}"
@@ -270,7 +292,7 @@ def _split_entries(entries: dict[str, str], args):
     """Lay the given flags over the raw config entries, then parse each token
     by the annotation of the field it fills, into swept lists, fixed
     parameters and scalars."""
-    flags = {key: value for flag, key, *_ in CONFIG_FLAGS
+    flags = {key: value for flag, key, *_ in FLAGS
              if key and (value := getattr(args, flag[2:].replace("-", "_"), None)) is not None}
     lists: dict[str, tuple] = {}
     fixed: dict[str, object] = {}
@@ -297,37 +319,44 @@ def _split_entries(entries: dict[str, str], args):
     return lists, fixed, scalars
 
 
-def _validate_sweep(config: SweepConfig) -> None:
-    """Exit 1 with the first error a cell's params raise, in cell order.
-    Cells that differ only by agent share their params, and the agent
-    varies fastest, so the first agent's cells check each params once."""
+def _checked(config: SweepConfig) -> SweepConfig:
+    """``config``, once it is valid; else exit 1 with the first error a
+    cell's params raise, in cell order. Cells that differ only by agent
+    share their params, and the agent varies fastest, so the first agent's
+    cells check each params once."""
     try:
         config.validate()
         for cell in dataclasses.replace(config, agents=config.agents[:1]).cells():
             scenario_params(config.fixed, cell).validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return config
 
 
-def _validated_sweep(lists: dict, fixed: dict, scalars: dict) -> SweepConfig:
-    config = SweepConfig(
+def _sweep(lists: dict, fixed: dict, scalars: dict) -> SweepConfig:
+    """The checked sweep that parsed swept lists, fixed params and scalars make."""
+    return _checked(SweepConfig(
         **lists,
         fixed=GeneratorParams(**fixed),
         **{key: scalars[key] for key in ("repetitions", "master_seed") if key in scalars},
-    )
-    _validate_sweep(config)
-    return config
+    ))
 
 
 def resolve_sweep(entries: dict[str, str], args) -> tuple[SweepConfig, int | None]:
     lists, fixed, scalars = _split_entries(entries, args)
-    return _validated_sweep(lists, fixed, scalars), scalars.get("workers")
+    return _sweep(lists, fixed, scalars), scalars.get("workers")
 
 
 def resolve_single_episode(entries: dict[str, str], args) -> tuple[Cell, GeneratorParams, int, int]:
-    """A run is a one-cell sweep: every swept list holds one value, which
-    defaults to GeneratorParams' own, except the agent, which is required."""
-    lists, fixed, scalars = _split_entries(entries, args)
+    return _episode(*_split_entries(entries, args), args.repetition or 0)
+
+
+def _episode(lists: dict, fixed: dict, scalars: dict,
+             repetition: int) -> tuple[Cell, GeneratorParams, int, int]:
+    """A run's episode, from its flags or its manifest. A run is a one-cell
+    sweep, at a repetition a sweep could play: every swept list holds one
+    value, which defaults to GeneratorParams' own, except the agent, which
+    is required."""
     for key in SWEEP_ONLY_KEYS:
         if key in scalars:
             raise ConfigError(f"{key}: only sweep takes this key; run plays one episode")
@@ -339,12 +368,7 @@ def resolve_single_episode(entries: dict[str, str], args) -> tuple[Cell, Generat
             lists[name] = (getattr(defaults, cell_field),)
         elif len(lists[name]) != 1:
             raise ConfigError(f"{name}: run takes a single value, got {len(lists[name])}")
-    config = _validated_sweep(lists, fixed, scalars)
-    return _episode(config, args.repetition if args.repetition is not None else 0)
-
-
-def _episode(config: SweepConfig, repetition: int) -> tuple[Cell, GeneratorParams, int, int]:
-    """A run's episode: the one cell of ``config``, at a repetition a sweep could play."""
+    config = _sweep(lists, fixed, scalars)
     if repetition < 0:
         raise ConfigError(f"repetition must be non-negative, got {repetition}")
     return config.cells()[0], config.fixed, config.master_seed, repetition
@@ -453,45 +477,43 @@ def _cell_from_run_config(config: dict) -> tuple[Cell, GeneratorParams, int, int
         lists = {name: (config[cell_field],) for name, cell_field in zip(SWEPT_TYPES, CELL_FIELDS)}
         check_type("repetition", config["repetition"], "int")
         fixed = _checked_fixed(config, RUN_CONFIG_KEYS)
-        sweep = _validated_sweep(lists, fixed, {"master_seed": config["master_seed"]})
+        return _episode(lists, fixed, {"master_seed": config["master_seed"]}, config["repetition"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"manifest config is incomplete: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return _episode(sweep, config["repetition"])
 
 
-def cmd_run(args) -> int:
-    if args.from_manifest:
-        manifest = load_manifest(args.from_manifest, "run")
-        cell, fixed, master_seed, repetition = _cell_from_run_config(manifest["config"])
-        timestamp = manifest.get("timestamp")
-        trace_path = args.trace
-        if trace_path is None and manifest["outputs"]:
-            trace_path = manifest["outputs"][0]
-    else:
+def _timestamp_and_output(manifest: dict | None, given: str | None,
+                         default: str | None) -> tuple[str | None, str | None]:
+    """The timestamp and path of a command's output: a replay's manifest's,
+    else SOURCE_DATE_EPOCH's and ``default``. A path flag overrides either
+    path. Only run may have no output."""
+    if manifest is None:
+        return default_timestamp(), default if given is None else given
+    if given is None and manifest["outputs"]:
+        given = manifest["outputs"][0]
+    return manifest.get("timestamp"), given
+
+
+def cmd_run(args, manifest: dict | None) -> int:
+    if manifest is None:
         entries = read_config_file(args.config) if args.config else {}
         cell, fixed, master_seed, repetition = resolve_single_episode(entries, args)
-        timestamp = default_timestamp()
-        trace_path = args.trace
+    else:
+        cell, fixed, master_seed, repetition = _cell_from_run_config(manifest["config"])
+    timestamp, trace_path = _timestamp_and_output(manifest, args.trace, None)
     if trace_path:
         check_output_path(trace_path)
     episode_seed = derive_episode_seed(master_seed, cell, repetition)
     scenario = generate_scenario(scenario_params(fixed, cell))
     trace_rows = []
-
-    def sink(step_index, action, obs, state, knowledge_reset):
-        row = trace_record(step_index, action, obs, state)
-        if knowledge_reset:
-            row["knowledge_reset"] = True
-        trace_rows.append(row)
-
     record = run_episode(
         scenario,
         cell.agent,
         episode_seed,
         repetition,
-        trace_sink=sink if trace_path else None,
+        trace_sink=(lambda *step: trace_rows.append(trace_record(*step))) if trace_path else None,
     )
     outputs = [trace_path] if trace_path else []
     manifest = build_manifest(
@@ -505,19 +527,13 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    if args.from_manifest:
-        manifest = load_manifest(args.from_manifest, "sweep")
-        config = sweep_config_from_dict(manifest["config"])
-        _validate_sweep(config)
-        config_workers = None
-        timestamp = manifest.get("timestamp")
-        out_path = args.out if args.out is not None else manifest["outputs"][0]
-    else:
+def cmd_sweep(args, manifest: dict | None) -> int:
+    if manifest is None:
         entries = read_config_file(args.config) if args.config else {}
         config, config_workers = resolve_sweep(entries, args)
-        timestamp = default_timestamp()
-        out_path = args.out if args.out is not None else "records.csv"
+    else:
+        config, config_workers = _checked(sweep_config_from_dict(manifest["config"])), None
+    timestamp, out_path = _timestamp_and_output(manifest, args.out, "records.csv")
     check_output_path(out_path)
     workers = resolve_workers(args.workers, config_workers)
     records = run_sweep(config, workers=workers)
@@ -527,30 +543,21 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_aggregate(args) -> int:
-    if args.from_manifest:
-        manifest = load_manifest(args.from_manifest, "aggregate")
-        records_path = manifest["records"]
-        group_by = normalize_group_by(manifest["group_by"])
-        out_path = args.out if args.out is not None else manifest["outputs"][0]
-        timestamp = manifest.get("timestamp")
-    else:
-        records_path = args.records
-        group_by = normalize_group_by(args.group_by)
-        out_path = args.out if args.out is not None else "-"
-        timestamp = default_timestamp()
+def cmd_aggregate(args, manifest: dict | None) -> int:
+    # A replay reads from its manifest the records and group_by the flags give.
+    source = vars(args) if manifest is None else manifest
+    records_path, group_by = source["records"], normalize_group_by(source["group_by"])
+    timestamp, out_path = _timestamp_and_output(manifest, args.out, "-")
     if out_path != "-":
         check_output_path(out_path)
         if os.path.exists(out_path) and os.path.exists(records_path) \
                 and os.path.samefile(out_path, records_path):
             raise ConfigError(f"cannot write {out_path}: it is the records file {records_path}")
     columns, source_manifest = read_records_csv(records_path, aggregate_fields(group_by))
-    if not columns["outcome"]:
-        raise ConfigError(f"{records_path}: no records to aggregate")
     try:
         stats = aggregate(columns, group_by)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except ValueError as exc:  # the records file holds none
+        raise ConfigError(f"{records_path}: {exc}") from exc
     source_config = source_manifest.get("config") if source_manifest else None
     manifest = build_manifest(
         "aggregate",
@@ -579,51 +586,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _path(token: str) -> str:
-    """A path flag's value: an empty one would name the working directory,
-    or be taken for the flag not given."""
-    if not token:
-        raise argparse.ArgumentTypeError("expected a path, got ''")
-    return token
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="deceptsim",
         description="Deception-defense sizing simulator: honeypots and address mutation "
         "against scripted attackers.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    run = subparsers.add_parser("run", help="run a single episode")
-    run.add_argument("--config", type=_path, help="key = value config file")
-    sweep = subparsers.add_parser("sweep", help="run the full parameter grid")
-    sweep.add_argument("--config", type=_path, help="key = value config file")
-    sweep.add_argument("--out", type=_path, help="records CSV path (default records.csv)")
-    sweep.add_argument("--workers", type=int,
-                       help=f"parallel worker processes (default ${WORKERS_ENV_VAR}, "
-                       "else the CPUs this process may use)")
-    for flag, key, *helps in CONFIG_FLAGS:
-        for command, text in zip((run, sweep), helps):
-            if text is not None:
-                command.add_argument(flag, type=None if key else int, help=text)
-    run.add_argument("--trace", metavar="PATH", type=_path, help="write a per-step JSONL trace")
-    run.add_argument("--from-manifest", metavar="PATH", type=_path,
-                     help="re-run the episode recorded in an output's manifest")
-    run.set_defaults(func=cmd_run)
-    sweep.add_argument("--from-manifest", metavar="PATH", type=_path,
-                       help="re-run the sweep recorded in an output's manifest")
-    sweep.set_defaults(func=cmd_sweep)
-
-    agg = subparsers.add_parser("aggregate", help="summarize a records file")
-    agg.add_argument("--records", type=_path, help="records CSV written by sweep")
-    agg.add_argument("--group-by",
-                     help="comma-separated fields, e.g. agent,honeypots or agent,mtd_on")
-    agg.add_argument("--out", type=_path, help="aggregates CSV path (default stdout)")
-    agg.add_argument("--from-manifest", metavar="PATH", type=_path,
-                     help="recompute the aggregation recorded in an output's manifest")
-    agg.set_defaults(func=cmd_aggregate)
+    parsers = {"deceptsim": parser}
+    for name, text, func in (("run", "run a single episode", cmd_run),
+                             ("sweep", "run the full parameter grid", cmd_sweep),
+                             ("aggregate", "summarize a records file", cmd_aggregate)):
+        parsers[name] = subparsers.add_parser(name, help=text)
+        parsers[name].set_defaults(func=func)
+    for flag, _, options, helps in FLAGS:
+        for command, text in helps.items():
+            parsers[command].add_argument(flag, help=text, **options)
     return parser
 
 
@@ -651,13 +629,11 @@ def main(argv=None) -> int:
             _reject_flags_beside_manifest(args)
         elif args.func is cmd_aggregate and not args.records:
             raise ConfigError("aggregate needs --records or --from-manifest")
-        return args.func(args)
-    except (ConfigError, RecordsError) as exc:
+        manifest = load_manifest(args.from_manifest, args.command) if args.from_manifest else None
+        return args.func(args, manifest)
+    except (ConfigError, RecordsError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (ConfigError, RecordsError)) else 2
 
 
 if __name__ == "__main__":

@@ -389,8 +389,9 @@ def episode_score(state: NetworkState) -> float:
 
 
 def trace_record(step_index: int, action: Action, obs: Observation,
-                 state: NetworkState) -> dict:
-    """Compact per-step record for line-delimited trace output."""
+                 state: NetworkState, knowledge_reset: bool = False) -> dict:
+    """Compact per-step record for line-delimited trace output; its
+    arguments are those of a ``trace_sink`` call."""
     record = {
         "step": step_index,
         "action": action.kind.value,
@@ -408,5 +409,7 @@ def trace_record(step_index: int, action: Action, obs: Observation,
         record["discovered"] = len(obs.discovered_addresses)
     if obs.access_gained is not None:
         record["access_gained"] = obs.access_gained.name.lower()
+    if knowledge_reset:
+        record["knowledge_reset"] = True
     record["outcome"] = state.outcome.kind.value if state.outcome else None
     return record

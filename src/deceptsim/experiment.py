@@ -27,7 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .agents import AGENT_KINDS, make_agent
+from .agents import AGENT_KINDS, agent_class, make_agent
 from .engine import new_network_state, run_scans, step as engine_step
 from .scenario import GeneratorParams, Scenario, check_type, generate_scenario
 
@@ -89,10 +89,7 @@ class SweepConfig:
             if len(set(values)) < len(values):
                 raise ValueError(f"swept value list {name} repeats a value: {values}")
         for agent in self.agents:
-            if agent not in AGENT_KINDS:
-                raise ValueError(
-                    f"unknown agent kind {agent!r}; expected one of: {', '.join(AGENT_KINDS)}"
-                )
+            agent_class(agent)
 
     def cells(self) -> list[Cell]:
         return [
@@ -159,12 +156,9 @@ def _substream(episode_seed: int, label: str) -> random.Random:
 
 
 def scenario_params(fixed: GeneratorParams, cell: Cell) -> GeneratorParams:
-    """``fixed`` with the cell's fields laid over it: all but the agent
-    are GeneratorParams fields."""
-    return dataclasses.replace(
-        fixed, num_honeypots=cell.num_honeypots, movement_time=cell.movement_time,
-        num_hosts=cell.num_hosts, one_goal=cell.one_goal, seed=cell.seed,
-    )
+    """``fixed`` with the cell's fields laid over it: all but the last, the
+    agent, are GeneratorParams fields."""
+    return dataclasses.replace(fixed, **{name: getattr(cell, name) for name in CELL_FIELDS[:-1]})
 
 
 def run_episode(

@@ -20,12 +20,6 @@ MANIFEST_PREFIX = "# deceptsim-manifest: "
 CHUNK_ROWS = 4096  # rows per column-wise pass of the records reader
 
 RECORD_COLUMNS = EpisodeRecord._fields
-STATS_COLUMNS = tuple(
-    spec.name for spec in dataclasses.fields(AggregateStats) if spec.name != "group"
-)
-PROBABILITY_COLUMNS = frozenset(
-    {"win_probability", "loss_honeypot_fraction", "timeout_fraction"}
-)
 
 
 class RecordsError(Exception):
@@ -64,6 +58,14 @@ def format_probability(value: float) -> str:
     return format(value, ".6g")
 
 
+# The aggregates CSV's statistic columns, in order, each with its format:
+# the fractions to six significant digits.
+STATS_FORMATS = {spec.name: format_value for spec in dataclasses.fields(AggregateStats)
+                 if spec.name != "group"}
+STATS_FORMATS.update(dict.fromkeys(
+    ("win_probability", "loss_honeypot_fraction", "timeout_fraction"), format_probability))
+
+
 def manifest_line(manifest: dict) -> str:
     return MANIFEST_PREFIX + json.dumps(manifest, sort_keys=True, separators=(",", ":"))
 
@@ -78,31 +80,24 @@ def _parse_manifest_json(line: str, path: str) -> dict:
     return manifest
 
 
-def records_csv_text(manifest: dict, records) -> str:
+def _csv_text(manifest: dict, header, rows) -> str:
     buffer = io.StringIO()
     buffer.write(manifest_line(manifest) + "\n")
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(RECORD_COLUMNS)
-    for record in records:
-        writer.writerow(map(format_value, record))
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
+
+
+def records_csv_text(manifest: dict, records) -> str:
+    return _csv_text(manifest, RECORD_COLUMNS, (map(format_value, record) for record in records))
 
 
 def aggregates_csv_text(manifest: dict, group_by: tuple[str, ...], stats) -> str:
-    buffer = io.StringIO()
-    buffer.write(manifest_line(manifest) + "\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(list(group_by) + list(STATS_COLUMNS))
-    for entry in stats:
-        row = [format_value(value) for _, value in entry.group]
-        for column in STATS_COLUMNS:
-            value = getattr(entry, column)
-            if column in PROBABILITY_COLUMNS:
-                row.append(format_probability(value))
-            else:
-                row.append(format_value(value))
-        writer.writerow(row)
-    return buffer.getvalue()
+    rows = ([*(format_value(value) for _, value in entry.group),
+             *(write(getattr(entry, column)) for column, write in STATS_FORMATS.items())]
+            for entry in stats)
+    return _csv_text(manifest, (*group_by, *STATS_FORMATS), rows)
 
 
 def trace_jsonl_text(manifest: dict, rows) -> str:

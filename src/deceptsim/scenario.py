@@ -137,21 +137,14 @@ class GeneratorParams:
                     f"{spec.name}: not modelled, only the default {spec.default!r} "
                     f"is accepted, got {value!r}"
                 )
-        # A negative seed would draw the world of its absolute value.
-        counts = {
-            "seed": self.seed,
-            "num_hosts": self.num_hosts,
-            "num_honeypots": self.num_honeypots,
-            "num_sensitive": self.num_sensitive,
-            "num_services": self.num_services,
-            "num_processes": self.num_processes,
-            "num_exploits": self.num_exploits,
-            "num_privescs": self.num_privescs,
-            "num_vulns": self.num_vulns,
-        }
-        for name, value in counts.items():
-            if value < 0:
-                raise ParameterError(f"{name} must be non-negative, got {value}")
+        # Every int field is a count, which must be non-negative, but three
+        # with bounds of their own, checked below. The seed comes first: a
+        # negative one would draw the world of its absolute value.
+        own_bounds = ("num_os", "step_limit", "num_addresses")
+        for spec in sorted(fields(self), key=lambda spec: spec.name != "seed"):
+            value = getattr(self, spec.name)
+            if spec.type == "int" and spec.name not in own_bounds and value < 0:
+                raise ParameterError(f"{spec.name} must be non-negative, got {value}")
         for name in ("r_sensitive", "r_honeypot", "base_host_value"):
             value = getattr(self, name)
             if not -sys.float_info.max <= value <= sys.float_info.max:  # false for nan

@@ -1,11 +1,13 @@
 """Command-line behavior: config ingestion, outputs, manifests, exit codes."""
 
+import argparse
 import contextlib
 import csv
 import errno
 import hashlib
 import json
 import os
+import random
 import signal
 import stat
 import threading
@@ -13,8 +15,10 @@ import threading
 import pytest
 
 from deceptsim import cli, experiment
+from deceptsim.agents import make_agent
 from deceptsim.experiment import Cell, SweepConfig, derive_episode_seed, scenario_params
 from deceptsim.records import MANIFEST_PREFIX, RECORD_COLUMNS
+from deceptsim.scenario import GeneratorParams, generate_scenario
 
 SMALL_SWEEP = (
     "--honeypots", "0,2",
@@ -934,6 +938,29 @@ def test_help_is_pinned(capsys, monkeypatch, command):
     assert capsys.readouterr().out == HELP_TEXTS[command]
 
 
+def _parsers():
+    """Each command's parser, by the name cli.FLAGS gives its help under."""
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {"deceptsim": parser, **commands.choices}
+
+
+@pytest.mark.parametrize("command", ["deceptsim", "run", "sweep", "aggregate"])
+def test_every_flag_comes_from_the_flag_table(command):
+    held = [option for action in _parsers()[command]._actions
+            for option in action.option_strings if option not in ("-h", "--help")]
+    assert held == [flag for flag, _, _, helps in cli.FLAGS if command in helps]
+
+
+def test_the_flag_table_names_each_flag_once_and_only_known_keys():
+    flags = [flag for flag, *_ in cli.FLAGS]
+    assert len(set(flags)) == len(flags)
+    assert set(_parsers()) == {command for *_, helps in cli.FLAGS for command in helps}
+    keys = {*cli.LIST_KEYS, *cli.FIXED_KEYS, *cli.SCALAR_KEYS}
+    assert {key for _, key, *_ in cli.FLAGS} - {None} <= keys
+
+
 def test_source_date_epoch_sets_manifest_timestamp(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.TIMESTAMP_ENV_VAR, "1755216000")
     out = tmp_path / "records.csv"
@@ -969,6 +996,92 @@ def test_negative_seed_exits_1_naming_seed(tmp_path, capsys, monkeypatch, argv):
     assert run_cli(*argv) == 1
     assert "seed must be non-negative, got -5" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def _run_config_error(tmp_path, capsys, lines):
+    """stderr of ``run`` on a config file that holds ``lines`` beside
+    ``agents = standard``, once it has exited 1 with nothing on stdout."""
+    config = tmp_path / "episode.cfg"
+    config.write_text("agents = standard\n" + "".join(line + "\n" for line in lines))
+    assert run_cli("run", "--config", str(config)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+# Config keys of the fields that must be non-negative, each with its field.
+COUNT_KEYS = {
+    "seed_options": "seed",
+    "num_hosts_options": "num_hosts",
+    "num_honeypots_options": "num_honeypots",
+    "num_sensitive": "num_sensitive",
+    "num_services": "num_services",
+    "num_processes": "num_processes",
+    "num_exploits": "num_exploits",
+    "num_privescs": "num_privescs",
+    "num_vulns": "num_vulns",
+}
+
+
+@pytest.mark.parametrize("key", COUNT_KEYS)
+def test_negative_count_exits_1_naming_it(tmp_path, capsys, key):
+    err = _run_config_error(tmp_path, capsys, [f"{key} = -1"])
+    assert err == f"error: {COUNT_KEYS[key]} must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("num_os = -1", "num_os must be at least 1, got -1"),
+    ("num_os = 0", "num_os must be at least 1, got 0"),
+    ("step_limit = -1", "step_limit must be at least 1, got -1"),
+    ("step_limit = 0", "step_limit must be at least 1, got 0"),
+    # 3 sensitive and 10 normal hosts, and one address is the attacker's.
+    ("addresses = -1", "13 hosts do not fit the -2 target-subnet addresses"),
+])
+def test_int_fields_with_their_own_bounds_keep_their_messages(tmp_path, capsys, line, message):
+    assert _run_config_error(tmp_path, capsys, [line]) == f"error: {message}\n"
+
+
+def test_a_negative_seed_is_named_before_a_negative_count(tmp_path, capsys):
+    err = _run_config_error(tmp_path, capsys, ["num_hosts_options = -1", "seed_options = -1"])
+    assert err == "error: seed must be non-negative, got -1\n"
+
+
+UNKNOWN_AGENT = "unknown agent kind 'bogus'; expected one of: careful, standard, aggressive"
+
+
+@pytest.mark.parametrize("source", [
+    "run-flag", "sweep-flag", "run-config", "sweep-config", "run-manifest", "sweep-manifest",
+    "make_agent",
+])
+def test_unknown_agent_reads_the_same_from_every_source(tmp_path, capsys, source):
+    if source == "make_agent":
+        with pytest.raises(ValueError) as info:
+            make_agent("bogus", generate_scenario(GeneratorParams()), random.Random(0))
+        assert str(info.value) == UNKNOWN_AGENT
+        return
+    command, _, kind = source.partition("-")
+    path = tmp_path / "output"
+    out_flag = "--trace" if command == "run" else "--out"
+    if kind == "manifest":
+        assert run_cli(command, *(("--agent", "standard") if command == "run" else SMALL_SWEEP),
+                       out_flag, str(path)) == 0
+        line, rest = path.read_text().split("\n", 1)
+        manifest = json.loads(line[len(MANIFEST_PREFIX):])
+        key, value = ("agent", "bogus") if command == "run" else ("agents", ["bogus"])
+        manifest["config"][key] = value
+        path.write_text(MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
+        argv = ("--from-manifest", str(path))
+    elif kind == "flag":
+        argv = ("--agent" if command == "run" else "--agents", "bogus", out_flag, str(path))
+    else:
+        config = tmp_path / "agents.cfg"
+        config.write_text("agents = bogus\n")
+        argv = ("--config", str(config), out_flag, str(path))
+    before = path.read_bytes() if path.exists() else None
+    capsys.readouterr()
+    assert run_cli(command, *argv) == 1
+    assert capsys.readouterr().err == f"error: {UNKNOWN_AGENT}\n"
+    assert (path.read_bytes() if path.exists() else None) == before
 
 
 # ---------------------------------------------------------------------------
