@@ -23,24 +23,23 @@ is the committed ``follow_up`` if there is one, else the subclass's
 ``_after_gain``, which commits the follow-up (a wiretap after root; careful
 also commits a process scan after user access, and aggressive wiretaps
 after any gain); after a wiretap reply it calls ``_after_wiretap``. A
-detected mutation clears the follow-up and sets ``need_subnet``, so the two
-are never set together. ``_attack_option`` is the per-address attack rule:
-the best untried matching exploit below user access, a process scan or the
-lowest untried matching escalation at user access.
+detected mutation clears the follow-up and the address list, so the next
+decision is a subnet scan. ``_attack_option`` is the per-address attack
+rule: the best untried matching exploit below user access, a process scan
+or the lowest untried matching escalation at user access.
 
 A decision pays only for what changed. ``Knowledge`` owns each write to a
-belief and to ``failed`` and keeps two indexes beside it. ``options`` holds
-the careful agent's attack option per address, which reads only that
-address's belief and failed entries: a scan that fills a belief field, a
-gained access or a failed attempt at the address drops it, and a wipe drops
-all. ``failures`` counts the failed entries per ``(kind, id)``, each pair
-once. ``failed`` is a subset of the known addresses × the catalog, and the
-addresses are distinct, because a subnet scan that changes the address set
-wipes the knowledge first; so an entry has an untried address exactly when
-its count is below the number of known addresses. ``exhausted`` counts the
-entries whose count reached that number, and ``epoch`` the wipes: the
-aggressive agent's viable entries change only when one of the two or the
-address count does.
+belief and to ``failed``, which maps a catalog entry ``(kind, id)`` to the
+set of known addresses it failed at. ``options`` holds the careful agent's
+attack option per address, which reads only that address's belief and
+failed entries: a scan that fills a belief field, a gained access or a
+failed attempt at the address drops it, and a wipe drops all. The known
+addresses are distinct and a set holds only known ones, because a subnet
+scan that changes the address set wipes the knowledge first; so an entry
+has an untried address exactly when its set is smaller than the address
+list. ``exhausted`` counts the entries whose set reached that size: the
+aggressive agent's viable entries change only when it, the address count
+or the agent's ``resets`` (its wipes) does.
 
 ``scan_run()`` hands over the host scans the agent is committed to next, as
 ``(kind, address)`` pairs, or None. ``engine.run_scans`` plays them up to
@@ -87,15 +86,15 @@ class Knowledge:
     """Observation-derived world view; the only state agents may act on."""
 
     addresses: list[Address] = field(default_factory=list)
-    # Indexing creates an empty belief; a read that must not create one uses get.
+    # Indexing creates an empty belief or failed set; a read that must not
+    # create one uses get.
     beliefs: dict[Address, HostBelief] = field(default_factory=lambda: defaultdict(HostBelief))
-    failed: set[tuple[Address, ActionKind, int]] = field(default_factory=set)
-    # Indexes over beliefs and failed; see the module docstring.
+    failed: dict[tuple[ActionKind, int], set[Address]] = field(
+        default_factory=lambda: defaultdict(set))
+    # An index over beliefs and failed; see the module docstring.
     options: dict[Address, Action | None] = field(default_factory=dict)
-    failures: dict[tuple[ActionKind, int], int] = field(default_factory=dict)
-    # Entries whose count reached the number of known addresses, and wipes.
+    # Entries whose set holds every known address.
     exhausted: int = 0
-    epoch: int = 0
 
     def learn(self, address: Address, name: str, seen) -> bool:
         """Fold one host-scan reply; False if it contradicts an earlier one."""
@@ -112,10 +111,10 @@ class Knowledge:
         self.options.pop(address, None)
 
     def fail(self, address: Address, kind: ActionKind, ident: int) -> None:
-        if (address, kind, ident) not in self.failed:
-            self.failed.add((address, kind, ident))
-            count = self.failures[kind, ident] = self.failures.get((kind, ident), 0) + 1
-            if count == len(self.addresses):
+        tried = self.failed[kind, ident]
+        if address not in tried:
+            tried.add(address)
+            if len(tried) == len(self.addresses):
                 self.exhausted += 1
         self.options.pop(address, None)
 
@@ -124,9 +123,7 @@ class Knowledge:
         self.beliefs.clear()
         self.failed.clear()
         self.options.clear()
-        self.failures.clear()
         self.exhausted = 0
-        self.epoch += 1
 
 
 class ScriptedAgent:
@@ -142,7 +139,6 @@ class ScriptedAgent:
         self.rng = rng
         self.knowledge = Knowledge()
         self.scan_queue = None  # the next scan run, until scan_run hands it over
-        self.need_subnet = True
         self.follow_up: Action | None = None  # the move a reply committed to
         self.resets = 0  # completed knowledge wipes after detected mutations
 
@@ -151,7 +147,7 @@ class ScriptedAgent:
         if follow_up is not None:
             self.follow_up = None
             return follow_up
-        if not self.need_subnet:
+        if self.knowledge.addresses:
             choice = self._choose()
             if choice is not None:
                 return choice
@@ -180,7 +176,6 @@ class ScriptedAgent:
             if knowledge.addresses and set(discovered) != set(knowledge.addresses):
                 self.mtd_reset()
             knowledge.addresses = discovered
-            self.need_subnet = False
             self._after_subnet_scan()
         elif obs.connection_failed:
             self.mtd_reset()
@@ -216,7 +211,6 @@ class ScriptedAgent:
         self.knowledge.clear()
         self.scan_queue = None
         self.follow_up = None
-        self.need_subnet = True
 
     def _attack_option(self, address: Address) -> Action | None:
         """The attack rule at one address: below user access, the untried
@@ -234,7 +228,8 @@ class ScriptedAgent:
                 return None
             candidates = [
                 e for e in self.exploits
-                if (address, _EXPLOIT, e.id) not in failed and e.matches(services, vulns, os)
+                if address not in failed.get((_EXPLOIT, e.id), ())
+                and e.matches(services, vulns, os)
             ]
             if candidates:
                 # max keeps the first, so the lowest id, of the best grants.
@@ -244,7 +239,8 @@ class ScriptedAgent:
             if processes is None:
                 return Action(_PROCESS_SCAN, address)
             for p in self.privescs:
-                if p.required_process in processes and (address, _PRIVESC, p.id) not in failed:
+                if (p.required_process in processes
+                        and address not in failed.get((_PRIVESC, p.id), ())):
                     return Action(_PRIVESC, address, privesc_id=p.id)
         return None
 
@@ -362,28 +358,28 @@ class AggressiveAgent(ScriptedAgent):
                 self.current = viable[self.rng.randrange(len(viable))]
                 self._new_sweep()
             kind, ident = self.current
-            sweep = self.sweep
+            tried, sweep = failed.get(self.current, ()), self.sweep
             while sweep:
                 address = sweep.popleft()
-                if (address, kind, ident) not in failed:
+                if address not in tried:
                     if kind is _EXPLOIT:
                         return Action(_EXPLOIT, address, ident)
                     return Action(_PRIVESC, address, privesc_id=ident)
             self.current = None
 
     def _viable(self) -> list[tuple[ActionKind, int]]:
-        """Catalog entries with an untried known address: fewer failures than
-        known addresses (see the module docstring). The last list is kept
-        until an entry is exhausted, the address count changes or the
-        knowledge is wiped, the only events that change the answer."""
+        """Catalog entries with an untried known address: a failed set
+        smaller than the address list (see the module docstring). The last
+        list is kept until an entry is exhausted, the address count changes
+        or the knowledge is wiped, the only events that change the answer."""
         knowledge = self.knowledge
         known = len(knowledge.addresses)
-        key = (knowledge.epoch, known, knowledge.exhausted)
+        key = (self.resets, known, knowledge.exhausted)
         memo = self.viable_memo
         if memo is None or memo[0] != key:
-            failures = knowledge.failures
+            failed = knowledge.failed
             memo = self.viable_memo = key, [
-                spec for spec in self.catalog if failures.get(spec, 0) < known]
+                spec for spec in self.catalog if len(failed.get(spec, ())) < known]
         return memo[1]
 
     def _new_sweep(self) -> None:

@@ -419,9 +419,12 @@ def normalize_group_by(spec: str | list[str] | None) -> tuple[str, ...]:
 # Output writing
 
 
-def check_output_path(path: str) -> None:
-    """Exit 1 naming ``path`` if it is a directory, or its directory is
-    missing or not writable, before any record is read or episode simulated."""
+def check_output_path(path: str, flag: str) -> None:
+    """Exit 1 if ``path``, the value of ``flag``, is ``-``, a directory, or
+    in a directory that is missing or not writable, before any record is
+    read or episode simulated."""
+    if path == "-":
+        raise ConfigError(f"{flag} cannot be -: only aggregate --out takes - for standard output")
     if os.path.isdir(path):
         raise ConfigError(f"cannot write {path}: it is a directory")
     directory = os.path.dirname(path) or "."
@@ -504,7 +507,7 @@ def cmd_run(args, manifest: dict | None) -> int:
         cell, fixed, master_seed, repetition = _cell_from_run_config(manifest["config"])
     timestamp, trace_path = _timestamp_and_output(manifest, args.trace, None)
     if trace_path:
-        check_output_path(trace_path)
+        check_output_path(trace_path, "--trace")
     episode_seed = derive_episode_seed(master_seed, cell, repetition)
     scenario = generate_scenario(scenario_params(fixed, cell))
     trace_rows = []
@@ -534,7 +537,7 @@ def cmd_sweep(args, manifest: dict | None) -> int:
     else:
         config, config_workers = _checked(sweep_config_from_dict(manifest["config"])), None
     timestamp, out_path = _timestamp_and_output(manifest, args.out, "records.csv")
-    check_output_path(out_path)
+    check_output_path(out_path, "--out")
     workers = resolve_workers(args.workers, config_workers)
     records = run_sweep(config, workers=workers)
     manifest = build_manifest("sweep", sweep_config_to_dict(config), [out_path], timestamp)
@@ -549,7 +552,7 @@ def cmd_aggregate(args, manifest: dict | None) -> int:
     records_path, group_by = source["records"], normalize_group_by(source["group_by"])
     timestamp, out_path = _timestamp_and_output(manifest, args.out, "-")
     if out_path != "-":
-        check_output_path(out_path)
+        check_output_path(out_path, "--out")
         if os.path.exists(out_path) and os.path.exists(records_path) \
                 and os.path.samefile(out_path, records_path):
             raise ConfigError(f"cannot write {out_path}: it is the records file {records_path}")

@@ -6,7 +6,9 @@ address mutation of the moving-target defense, and detects the three
 terminal outcomes (win, honeypot loss, timeout).
 
 State transitions mutate the passed-in ``NetworkState``; ``step`` also
-returns it so call sites can chain functionally if they prefer.
+returns it so call sites can chain functionally if they prefer. The
+mutation clock is ``steps_taken % movement_time``: the addresses mutate
+after each non-terminal step that brings it to 0.
 
 ``step`` plays one action; ``run_scans`` plays, in one loop, the host scans
 an agent has committed to, each as ``step`` and ``observe`` would. Both
@@ -133,7 +135,6 @@ class NetworkState:
     rng: random.Random
     access: dict[int, AccessLevel] = field(default_factory=dict)
     steps_taken: int = 0
-    steps_since_mutation: int = 0
     outcome: EpisodeOutcome | None = None
     # The subnet-scan reply for the current address map; None until the
     # first subnet scan after a mutation.
@@ -160,15 +161,15 @@ def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState
     access to a honeypot (a loss) and root access to a sensitive host (a
     win under either objective). A step that roots a sensitive host also
     notes ``one_goal_win`` if it is the first to do so.
-    The mutation clock is evaluated last and only on non-terminal states, so
-    a win or loss on the mutation boundary is never masked by the mutation.
+    The mutation clock, ``steps_taken % movement_time``, is read last and
+    only on non-terminal states, so a win or loss on the mutation boundary
+    is never masked by the mutation.
     The returned observation is an immutable reply that may be shared with
     other steps and episodes.
     """
     host_id = _checked_host(state, action)
 
     state.steps_taken += 1
-    state.steps_since_mutation += 1
 
     obs = _apply(state, action, host_id)
 
@@ -191,9 +192,8 @@ def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState
             return obs, state
 
     movement_time = params.movement_time
-    if movement_time is not None and state.steps_since_mutation >= movement_time:
+    if movement_time is not None and state.steps_taken % movement_time == 0:
         mutate_addresses(state, state.rng)
-        state.steps_since_mutation = 0
     return obs, state
 
 
@@ -219,16 +219,14 @@ def run_scans(state: NetworkState, run, knowledge, reset, trace_sink=None) -> No
             if name is None:
                 raise InvalidActionError(f"a scan run holds {kind!r}, which is not a host scan")
         state.steps_taken += 1
-        state.steps_since_mutation += 1
         obs = replies.get((host_id, kind)) or _scan_reply(scenario, host_id, kind)
         knowledge_reset = obs.connection_failed or not learn(address, name, getattr(obs, name))
         if knowledge_reset:
             reset()
         if state.steps_taken >= step_limit:
             state.outcome = check_termination(state)
-        elif movement_time is not None and state.steps_since_mutation >= movement_time:
+        elif movement_time is not None and state.steps_taken % movement_time == 0:
             mutate_addresses(state, state.rng)
-            state.steps_since_mutation = 0
         if trace_sink is not None:
             trace_sink(state.steps_taken, Action(kind, address), obs, state, knowledge_reset)
         if knowledge_reset or state.outcome is not None:

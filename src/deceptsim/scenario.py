@@ -149,8 +149,10 @@ class GeneratorParams:
             value = getattr(self, name)
             if not -sys.float_info.max <= value <= sys.float_info.max:  # false for nan
                 raise ParameterError(f"{name} must be a finite float, got {value}")
-        if self.num_os < 1:
-            raise ParameterError(f"num_os must be at least 1, got {self.num_os}")
+        for name in own_bounds:
+            value = getattr(self, name)
+            if value < 1:
+                raise ParameterError(f"{name} must be at least 1, got {value}")
         if self.movement_time is not None and self.movement_time <= 0:
             raise ParameterError(
                 f"movement_time must be positive when set, got {self.movement_time}"
@@ -158,8 +160,6 @@ class GeneratorParams:
         for name, prob in (("exploit_prob", self.exploit_prob), ("privesc_prob", self.privesc_prob)):
             if not 0.0 <= prob <= 1.0:
                 raise ParameterError(f"{name} must be in [0, 1], got {prob}")
-        if self.step_limit < 1:
-            raise ParameterError(f"step_limit must be at least 1, got {self.step_limit}")
         if self.num_sensitive + self.num_honeypots > 0 and self.num_exploits < 1:
             raise ParameterError("at least one exploit is required to reach goal hosts")
         if self.num_exploits > 0 and (self.num_services < 1 or self.num_vulns < 1):
@@ -169,8 +169,8 @@ class GeneratorParams:
         real_hosts = self.num_sensitive + self.num_hosts + self.num_honeypots
         if real_hosts > self.target_capacity:
             raise CapacityError(
-                f"{real_hosts} hosts do not fit the {self.target_capacity} "
-                f"target-subnet addresses"
+                f"{real_hosts} hosts do not fit num_addresses = {self.num_addresses}: the "
+                f"attacker takes one address, leaving {self.target_capacity} for the target subnet"
             )
 
 

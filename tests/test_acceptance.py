@@ -308,8 +308,8 @@ def check_invariant_episode(scenario, walk_rng, engine_rng) -> list:
                 violations.append(f"mutated without movement_time at step {steps}")
         elif state.outcome is None:
             expected = state.steps_taken % movement_time
-            if state.steps_since_mutation != expected:
-                violations.append(f"mutation counter off at step {steps}")
+            if expected == 0 and state.subnet_reply is not None:
+                violations.append(f"no mutation on schedule at step {steps}")
             if expected != 0 and state.addresses != prev_map:
                 violations.append(f"mutated off schedule at step {steps}")
         elif state.addresses != prev_map:

@@ -73,14 +73,14 @@ def check_against_full_inverse(state):
             if kind in SCAN_FIELDS:
                 assert run_one_scan(state, kind, address) == expected
     for target in malformed_targets(capacity):
-        counters = state.steps_taken, state.steps_since_mutation
+        counters = state.steps_taken, list(state.addresses)
         for kind in (ActionKind.SERVICE_SCAN, ActionKind.WIRETAP):
             with pytest.raises(InvalidActionError):
                 step(state, Action(kind, target))
-            assert (state.steps_taken, state.steps_since_mutation) == counters
+            assert (state.steps_taken, state.addresses) == counters
         with pytest.raises(InvalidActionError):
             run_scans(state, iter([(ActionKind.SERVICE_SCAN, target)]), Knowledge(), None)
-        assert (state.steps_taken, state.steps_since_mutation) == counters
+        assert (state.steps_taken, state.addresses) == counters
 
 
 def test_index_matches_the_full_inverse_across_mutations():

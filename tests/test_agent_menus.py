@@ -1,8 +1,8 @@
 """The agents' indexed menus against the menus rebuilt from scratch.
 
 The careful agent memoizes each address's attack option, and the
-aggressive agent counts failed entries per catalog entry instead of
-rescanning the catalog × the known addresses. The references below rebuild
+aggressive agent reads the size of each catalog entry's failed set instead
+of testing every known address against it. The references below rebuild
 both menus from ``Knowledge`` alone, the way the agents did before they kept
 those indexes; every step of every checked episode compares the two. Steps
 of a scan run reach no decision, so the check runs from the trace sink,
@@ -44,7 +44,7 @@ def _best_exploit(agent, address):
     candidates = [
         e
         for e in agent.exploits
-        if (address, ActionKind.EXPLOIT, e.id) not in knowledge.failed
+        if address not in knowledge.failed.get((ActionKind.EXPLOIT, e.id), ())
         and e.matches(belief.services, belief.vulns, belief.os)
     ]
     if not candidates:
@@ -60,7 +60,7 @@ def _untried_privesc(agent, address):
     candidates = [
         p
         for p in agent.privescs
-        if (address, ActionKind.PRIVESC, p.id) not in knowledge.failed
+        if address not in knowledge.failed.get((ActionKind.PRIVESC, p.id), ())
         and p.required_process in belief.processes
     ]
     return min(candidates, key=lambda p: p.id) if candidates else None
@@ -93,17 +93,17 @@ def reference_viable(agent):
     return [
         (kind, ident)
         for kind, ident in agent.catalog
-        if any((address, kind, ident) not in knowledge.failed for address in knowledge.addresses)
+        if any(address not in knowledge.failed.get((kind, ident), ())
+               for address in knowledge.addresses)
     ]
 
 
 def check_menus(agent, seen: Counter) -> None:
     """Assert the agent's indexes agree with the knowledge they index."""
     knowledge = agent.knowledge
-    failures = Counter((kind, ident) for _, kind, ident in knowledge.failed)
-    assert {spec: n for spec, n in knowledge.failures.items() if n} == failures
-    known = len(knowledge.addresses)
-    assert knowledge.exhausted == sum(n >= known for n in failures.values())
+    known, sets = set(knowledge.addresses), knowledge.failed.values()
+    assert all(tried <= known for tried in sets)
+    assert knowledge.exhausted == sum(len(tried) >= len(known) for tried in sets)
     seen[agent.kind, "steps"] += 1
     seen[agent.kind, "failed"] += bool(knowledge.failed)
     if agent.kind == "careful":
@@ -253,7 +253,7 @@ def test_a_failure_observed_twice_counts_once(kind):
     for _ in range(2):
         agent.observe(attack, Observation(success=False))
         check_menus(agent, seen)
-    assert sum(agent.knowledge.failures.values()) == 1
+    assert sum(map(len, agent.knowledge.failed.values())) == 1
 
 
 def test_aggressive_viable_list_follows_the_address_count():

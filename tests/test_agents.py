@@ -271,6 +271,19 @@ def test_contradicting_scan_resets_knowledge(kind):
     assert agent.next_action() == Action(ActionKind.SUBNET_SCAN)
 
 
+@pytest.mark.parametrize("movement_time", [None, 3])
+@pytest.mark.parametrize("kind", AGENT_KINDS)
+def test_world_without_hosts_plays_only_subnet_scans(kind, movement_time):
+    # Every subnet scan lists no address, so no agent has a host to act on:
+    # each step is a subnet scan until the step limit ends the episode.
+    params = GeneratorParams(num_sensitive=0, num_hosts=0, num_honeypots=0,
+                             movement_time=movement_time, step_limit=20)
+    record, trace = collect_trace(generate_scenario(params), kind, episode_seed=5)
+    assert (record.outcome, record.steps) == ("timeout", 20)
+    assert kinds_of(trace) == [ActionKind.SUBNET_SCAN] * 20
+    assert all(obs.discovered_addresses == () for _, obs in trace)
+
+
 @pytest.mark.parametrize("kind", AGENT_KINDS)
 def test_action_sequence_is_deterministic_per_seed(kind):
     scenario = generate_scenario(GeneratorParams(num_honeypots=2, movement_time=50))

@@ -526,7 +526,8 @@ def test_sweep_validation_names_the_first_bad_cell_before_any_episode(tmp_path, 
         except ValueError as exc:
             expected = str(exc)
             break
-    assert expected == "256 hosts do not fit the 255 target-subnet addresses"
+    assert expected == ("256 hosts do not fit num_addresses = 256: the attacker takes one "
+                        "address, leaving 255 for the target subnet")
     out = tmp_path / "r.csv"
     assert run_cli("sweep", "--out", str(out), "--honeypots", "0,2,4",
                    "--movement-times", "none,25", "--hosts", "10,251",
@@ -1034,8 +1035,11 @@ def test_negative_count_exits_1_naming_it(tmp_path, capsys, key):
     ("num_os = 0", "num_os must be at least 1, got 0"),
     ("step_limit = -1", "step_limit must be at least 1, got -1"),
     ("step_limit = 0", "step_limit must be at least 1, got 0"),
+    ("addresses = -1", "num_addresses must be at least 1, got -1"),
+    ("addresses = 0", "num_addresses must be at least 1, got 0"),
     # 3 sensitive and 10 normal hosts, and one address is the attacker's.
-    ("addresses = -1", "13 hosts do not fit the -2 target-subnet addresses"),
+    ("addresses = 10", "13 hosts do not fit num_addresses = 10: the attacker takes one "
+                       "address, leaving 9 for the target subnet"),
 ])
 def test_int_fields_with_their_own_bounds_keep_their_messages(tmp_path, capsys, line, message):
     assert _run_config_error(tmp_path, capsys, [line]) == f"error: {message}\n"
@@ -1123,6 +1127,25 @@ def test_sweep_out_into_a_missing_directory_exits_1_before_simulating(tmp_path, 
     out = tmp_path / parent / "records.csv"
     assert run_cli("sweep", "--out", str(out), *SMALL_SWEEP) == 1
     assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+DASH = "cannot be -: only aggregate --out takes - for standard output"
+
+
+def test_sweep_out_dash_exits_1_before_simulating(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_sweep", _no_work)
+    assert run_cli("sweep", "--out", "-", *SMALL_SWEEP) == 1
+    assert capsys.readouterr() == ("", f"error: --out {DASH}\n")
+    assert not (tmp_path / "-").exists()
+
+
+def test_run_trace_dash_exits_1_before_playing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_episode", _no_work)
+    assert run_cli("run", "--agent", "standard", "--trace", "-") == 1
+    assert capsys.readouterr() == ("", f"error: --trace {DASH}\n")
+    assert not (tmp_path / "-").exists()
 
 
 def test_aggregate_out_into_a_missing_directory_exits_1_before_reading(tmp_path, capsys,

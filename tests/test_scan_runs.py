@@ -4,8 +4,9 @@
 (``scan_run``) to ``engine.run_scans``, which plays it in one loop. The
 reference below plays the same runs the plain way, one action at a time:
 ``step`` and then ``observe``, stopping where the agent would drop the run
-(at a knowledge reset) or the episode ends. Every step's trace row, reset
-flag, mutation clock and address list, and every final record, must agree.
+(at a knowledge reset) or the episode ends. Every step's trace row (whose
+step count gives the mutation clock), reset flag and address list, and
+every final record, must agree.
 """
 
 import dataclasses
@@ -26,7 +27,6 @@ def row(step_index, action, obs, state, knowledge_reset):
     return (
         trace_record(step_index, action, obs, state),
         knowledge_reset,
-        state.steps_since_mutation,
         tuple(state.addresses),
     )
 
@@ -79,7 +79,7 @@ def check_episode(scenario, agent_kind, episode_seed, counts: Counter) -> None:
     assert (twins[0].outcome, twins[0].steps, twins[0].score) == (
         one_goal.kind.value, one_goal.steps, one_goal.score)
     counts[agent_kind, "steps"] += record.steps
-    counts[agent_kind, "resets"] += sum(knowledge_reset for _, knowledge_reset, _, _ in rows)
+    counts[agent_kind, "resets"] += sum(knowledge_reset for _, knowledge_reset, _ in rows)
     counts[agent_kind, record.outcome] += 1
 
 
