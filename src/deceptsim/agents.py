@@ -47,7 +47,9 @@ the first reset, folding each reply as ``observe`` would, so a run holds
 only scans that draw no random numbers and that a reset drops: careful's
 scan phase, set by the subnet scan that starts it (no follow-up, subnet
 known), and standard's focus scans after the first, which commits it to
-the focus. Aggressive has none.
+the focus. ``attack_run()`` hands over aggressive's entry and sweep (no
+follow-up, subnet known), or None. ``engine.run_attacks`` plays the draw-free
+failures at the sweep's head, and ``Knowledge.fail`` folds them at once.
 """
 
 from __future__ import annotations
@@ -110,13 +112,15 @@ class Knowledge:
         belief.access = max(belief.access, access)
         self.options.pop(address, None)
 
-    def fail(self, address: Address, kind: ActionKind, ident: int) -> None:
+    def fail(self, kind: ActionKind, ident: int, addresses) -> None:
+        """Fold failed attacks of catalog entry ``(kind, ident)`` at ``addresses``."""
         tried = self.failed[kind, ident]
-        if address not in tried:
-            tried.add(address)
-            if len(tried) == len(self.addresses):
-                self.exhausted += 1
-        self.options.pop(address, None)
+        before = len(tried)
+        tried.update(addresses)
+        if before < len(self.addresses) == len(tried):
+            self.exhausted += 1
+        for address in addresses:
+            self.options.pop(address, None)
 
     def clear(self) -> None:
         self.addresses.clear()
@@ -165,6 +169,10 @@ class ScriptedAgent:
         run, self.scan_queue = self.scan_queue, None
         return run
 
+    def attack_run(self):
+        """``(kind, id, sweep)``, the attacks committed to next, or None."""
+        return None
+
     def observe(self, action: Action, obs: Observation) -> None:
         """Fold one reply into the knowledge. A subnet scan listing a new
         address set, a connection failure, or a host scan contradicting an
@@ -187,7 +195,7 @@ class ScriptedAgent:
                 self._after_gain(action.target, obs.access_gained)
             else:
                 ident = action.exploit_id if kind is _EXPLOIT else action.privesc_id
-                knowledge.fail(action.target, kind, ident)
+                knowledge.fail(kind, ident, (action.target,))
         else:
             name = SCAN_FIELDS[kind]
             if not knowledge.learn(action.target, name, getattr(obs, name)):
@@ -349,23 +357,27 @@ class AggressiveAgent(ScriptedAgent):
         self.viable_memo: tuple[tuple[int, int, int], list] | None = None
 
     def _choose(self) -> Action | None:
-        failed = self.knowledge.failed
-        while True:
-            if self.current is None:
-                viable = self._viable()
-                if not viable:
-                    return None  # only a mutation can make progress possible
-                self.current = viable[self.rng.randrange(len(viable))]
-                self._new_sweep()
-            kind, ident = self.current
-            tried, sweep = failed.get(self.current, ()), self.sweep
-            while sweep:
-                address = sweep.popleft()
-                if address not in tried:
-                    if kind is _EXPLOIT:
-                        return Action(_EXPLOIT, address, ident)
-                    return Action(_PRIVESC, address, privesc_id=ident)
-            self.current = None
+        if not self._aim():
+            return None  # only a mutation can make progress possible
+        kind, ident = self.current
+        address = self.sweep.popleft()
+        return Action(kind, address, ident) if kind is _EXPLOIT \
+            else Action(kind, address, privesc_id=ident)
+
+    def attack_run(self):
+        committed = self.follow_up is None and self.knowledge.addresses and self._aim()
+        return (*self.current, self.sweep) if committed else None
+
+    def _aim(self) -> bool:
+        """Draw an entry and sweep while the sweep is empty; False if none is viable."""
+        while not self.sweep:
+            viable = self._viable()
+            if not viable:
+                self.current = None
+                return False
+            self.current = viable[self.rng.randrange(len(viable))]
+            self._new_sweep()
+        return True
 
     def _viable(self) -> list[tuple[ActionKind, int]]:
         """Catalog entries with an untried known address: a failed set
@@ -383,9 +395,12 @@ class AggressiveAgent(ScriptedAgent):
         return memo[1]
 
     def _new_sweep(self) -> None:
+        """Shuffle the known addresses and drop those the entry failed at;
+        that set grows in a sweep only by its pops, so no pop is tested."""
         order = list(self.knowledge.addresses)
         same_stream_shuffle(order, self.rng)
-        self.sweep = deque(order)
+        tried = self.knowledge.failed.get(self.current)
+        self.sweep = deque([a for a in order if a not in tried] if tried else order)
 
     def _after_subnet_scan(self) -> None:
         if self.current is not None:

@@ -384,13 +384,14 @@ def available_cpus() -> int:
 
 def resolve_workers(flag_value: int | None, config_value: int | None) -> int:
     """The flag, else the config key, else the environment variable, else
-    the available CPUs."""
-    value = flag_value if flag_value is not None else config_value
+    the available CPUs. An error names the source of the value."""
+    source, value = ("--workers", flag_value) if flag_value is not None \
+        else ("workers", config_value)
     if value is None:
-        env = os.environ.get(WORKERS_ENV_VAR)
-        value = available_cpus() if env is None else parse_value(WORKERS_ENV_VAR, env, "int")
+        source, env = WORKERS_ENV_VAR, os.environ.get(WORKERS_ENV_VAR)
+        value = available_cpus() if env is None else parse_value(source, env, "int")
     if value < 1:
-        raise ConfigError(f"workers must be a positive integer, got {value!r}")
+        raise ConfigError(f"{source} must be a positive integer, got {value!r}")
     return value
 
 

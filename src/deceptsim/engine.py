@@ -10,9 +10,9 @@ returns it so call sites can chain functionally if they prefer. The
 mutation clock is ``steps_taken % movement_time``: the addresses mutate
 after each non-terminal step that brings it to 0.
 
-``step`` plays one action; ``run_scans`` plays, in one loop, the host scans
-an agent has committed to, each as ``step`` and ``observe`` would. Both
-reject a malformed action (``_checked_host``) before any counter moves.
+``step`` plays one action; ``run_scans`` plays committed host scans and
+``run_attacks`` an attack sweep's draw-free failures (``_draws``), each in
+one loop. Each rejects a malformed action or entry before any counter moves.
 The address index covers only the non-empty hosts: any other address in
 the target subnet holds an empty filler, and fillers, host id None, all
 answer alike.
@@ -233,6 +233,46 @@ def run_scans(state: NetworkState, run, knowledge, reset, trace_sink=None) -> No
             return
 
 
+def run_attacks(state: NetworkState, kind: ActionKind, ident: int, sweep,
+                trace_sink=None) -> list[Address]:
+    """Pop and play the attacks of catalog entry ``(kind, ident)`` at the
+    head of the deque ``sweep`` while each fails without a draw; return the
+    addresses popped. It stops before an empty filler or an attack that
+    draws, which the plain path plays, and at a terminal. Only the step
+    limit can end the episode. ``trace_sink`` is called as in ``run_episode``."""
+    if state.outcome is not None:
+        _checked_host(state, None)  # raises EpisodeTerminatedError
+    scenario = state.scenario
+    catalog = scenario.exploits if kind is _EXPLOIT else \
+        scenario.privescs if kind is _PRIVESC else None
+    if catalog is None:
+        raise InvalidActionError(f"an attack run holds {kind!r}, which is not an attack")
+    if type(ident) is not int or not 0 <= ident < len(catalog):
+        raise InvalidActionError(f"unknown {kind.value} id {ident!r}")
+    entry = catalog[ident]
+    hosts, access, addr_to_host = scenario.hosts, state.access, state.addr_to_host
+    step_limit = scenario.params.step_limit
+    movement_time = scenario.params.movement_time
+    ids = (ident, None) if kind is _EXPLOIT else (None, ident)
+    failed = []
+    while sweep:
+        address = sweep[0]
+        host_id = addr_to_host.get(address) if type(address) is int else None
+        if host_id is None or _draws(kind, entry, hosts[host_id], access):
+            break
+        failed.append(sweep.popleft())
+        state.steps_taken += 1
+        if state.steps_taken >= step_limit:
+            state.outcome = check_termination(state)
+        elif movement_time is not None and state.steps_taken % movement_time == 0:
+            mutate_addresses(state, state.rng)
+        if trace_sink is not None:
+            trace_sink(state.steps_taken, Action(kind, address, *ids), _FAILURE, state, False)
+        if state.outcome is not None:
+            break
+    return failed
+
+
 def _checked_host(state: NetworkState, action: Action) -> int | None:
     """The targeted host's id, None for a subnet scan or an empty filler.
     Raises on a terminal state, an unknown kind, a host action without a
@@ -286,31 +326,28 @@ def _apply(state: NetworkState, action: Action, host_id: int | None) -> Observat
         return _CONNECTION_FAILED
     host = scenario.hosts[host_id]
 
-    if kind is _EXPLOIT:
-        exploit = scenario.exploits[action.exploit_id]
-        if not exploit.matches(host.services, host.vulns, host.os):
+    if kind is _EXPLOIT or kind is _PRIVESC:
+        access = state.access
+        entry = scenario.exploits[action.exploit_id] if kind is _EXPLOIT \
+            else scenario.privescs[action.privesc_id]
+        if not _draws(kind, entry, host, access) or state.rng.random() >= entry.prob:
             return _FAILURE
-        if state.rng.random() >= exploit.prob:
-            return _FAILURE
-        gained = max(state.access.get(host_id, _NONE), exploit.grants)
-        state.access[host_id] = gained
+        gained = max(access.get(host_id, _NONE), entry.grants) if kind is _EXPLOIT else _ROOT
+        access[host_id] = gained
         return _ACCESS_GAINED[gained]
-
-    if kind is _PRIVESC:
-        privesc = scenario.privescs[action.privesc_id]
-        if state.access.get(host_id, _NONE) < _USER:
-            return _FAILURE
-        if privesc.required_process not in host.processes:
-            return _FAILURE
-        if state.rng.random() >= privesc.prob:
-            return _FAILURE
-        state.access[host_id] = _ROOT
-        return _ACCESS_GAINED[_ROOT]
 
     # A wiretap. Credentials are not modelled: wiretapping costs a step and
     # succeeds at root access, changing nothing else.
     has_root = state.access.get(host_id, _NONE) is _ROOT
     return _SUCCESS if has_root else _FAILURE
+
+
+def _draws(kind: ActionKind, entry, host, access: dict[int, AccessLevel]) -> bool:
+    """Whether an attack of catalog ``entry`` on ``host`` draws for success:
+    an exploit the host matches, or a privesc on a user or root host running its process."""
+    if kind is _EXPLOIT:
+        return entry.matches(host.services, host.vulns, host.os)
+    return access.get(host.id, _NONE) >= _USER and entry.required_process in host.processes
 
 
 def mutate_addresses(state: NetworkState, rng: random.Random) -> NetworkState:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .agents import AGENT_KINDS, agent_class, make_agent
-from .engine import new_network_state, run_scans, step as engine_step
+from .engine import new_network_state, run_attacks, run_scans, step as engine_step
 from .scenario import GeneratorParams, Scenario, check_type, generate_scenario
 
 # hashlib loads OpenSSL's libcrypto; take SHA-256 from CPython's built-in
@@ -172,8 +172,10 @@ def run_episode(
     """Play one episode to termination; deterministic in all arguments.
 
     A run of host scans the agent hands over (``scan_run``) is played by
-    ``engine.run_scans``. ``trace_sink``, when given, is called after every
-    step with (step index, action, observation, state, knowledge_reset flag).
+    ``engine.run_scans``, and the head of an attack sweep (``attack_run``) by
+    ``engine.run_attacks``, before the plain step. ``trace_sink``, when
+    given, is called after every step with (step index, action, observation,
+    state, knowledge_reset flag).
     ``one_goal_sink``, when given, is called once with the record the same
     episode has under the one-goal objective: a win at the first step that
     roots a sensitive host if there is one, else the returned record's
@@ -188,6 +190,14 @@ def run_episode(
         if run is not None:
             run_scans(state, run, agent.knowledge, agent.mtd_reset, trace_sink)
             continue
+        run = agent.attack_run()
+        if run is not None:
+            kind, ident, sweep = run
+            failed = run_attacks(state, kind, ident, sweep, trace_sink)
+            if failed:
+                agent.knowledge.fail(kind, ident, failed)
+                if state.outcome is not None:
+                    break
         action = agent.next_action()
         resets_before = agent.resets
         obs, state = engine_step(state, action)

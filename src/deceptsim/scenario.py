@@ -172,6 +172,11 @@ class GeneratorParams:
                 f"{real_hosts} hosts do not fit num_addresses = {self.num_addresses}: the "
                 f"attacker takes one address, leaving {self.target_capacity} for the target subnet"
             )
+        if self.num_privescs == 0 and self.num_sensitive + self.num_honeypots > 0:
+            if AccessLevel.ROOT not in _draw_grants(random.Random(self.seed), self.num_exploits):
+                raise ParameterError(
+                    f"no path to root access: num_privescs = 0 and none of the num_exploits "
+                    f"= {self.num_exploits} exploits of seed {self.seed} grants root")
 
 
 @dataclass(frozen=True)
@@ -295,10 +300,10 @@ def draw_world(params: GeneratorParams) -> Scenario:
             required_service=i % params.num_services,
             required_vuln=i % params.num_vulns,
             required_os=i % params.num_os,
-            grants=rng.choice((AccessLevel.USER, AccessLevel.ROOT)),
+            grants=grants,
             prob=params.exploit_prob,
         )
-        for i in range(params.num_exploits)
+        for i, grants in enumerate(_draw_grants(rng, params.num_exploits))
     )
     privescs = tuple(
         PrivEscDef(id=i, required_process=i % params.num_processes, prob=params.privesc_prob)
@@ -352,6 +357,11 @@ _subsets: dict[int, frozenset[int]] = {}
 SUBSET_MEMO_LIMIT = 1 << 12
 
 
+def _draw_grants(rng: random.Random, num_exploits: int):
+    """Each exploit's grants, in id order, drawn lazily: a world's first draws."""
+    return (rng.choice((AccessLevel.USER, AccessLevel.ROOT)) for _ in range(num_exploits))
+
+
 def _empty_fillers(start: int, stop: int) -> list[HostSpec]:
     """The empty fillers of host ids ``start`` to ``stop - 1``."""
     for host_id in range(len(_fillers), stop):
@@ -389,12 +399,8 @@ def _ensure_rootable(rng, exploits, privescs, services, os_id, processes, vulns)
                 p = privescs[rng.randrange(len(privescs))]
                 processes |= {p.required_process}
         else:
+            # GeneratorParams.validate ensures one without privescs.
             root_exploits = [e for e in exploits if e.grants is AccessLevel.ROOT]
-            if not root_exploits:
-                raise ParameterError(
-                    "no path to root access: no root-granting exploit and no "
-                    "privilege escalations defined"
-                )
             e = root_exploits[rng.randrange(len(root_exploits))]
             services |= {e.required_service}
             vulns |= {e.required_vuln}

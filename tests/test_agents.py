@@ -9,7 +9,7 @@ from helpers import (
     collect_trace,
 )
 
-from deceptsim.agents import AGENT_KINDS, make_agent
+from deceptsim.agents import AGENT_KINDS, Knowledge, make_agent
 from deceptsim.engine import Action, ActionKind, Observation
 from deceptsim.scenario import AccessLevel, GeneratorParams, generate_scenario
 
@@ -206,6 +206,19 @@ def test_aggressive_never_scans_hosts_and_sweeps_one_action():
     assert len(set(sweeps[:3])) == 1
     assert len(set(sweeps[3:])) == 1
     assert sweeps[0] != sweeps[3]
+
+
+def test_a_run_of_failures_folds_once_and_counts_exhaustion_once():
+    knowledge = Knowledge(addresses=[addr(0), addr(1), addr(2)])
+    knowledge.options.update(dict.fromkeys(knowledge.addresses))
+    knowledge.fail(ActionKind.EXPLOIT, 0, [addr(0), addr(1)])
+    assert knowledge.failed[ActionKind.EXPLOIT, 0] == {addr(0), addr(1)}
+    assert (knowledge.exhausted, list(knowledge.options)) == (0, [addr(2)])
+    knowledge.fail(ActionKind.EXPLOIT, 0, [addr(2)])
+    assert (knowledge.exhausted, knowledge.options) == (1, {})
+    knowledge.fail(ActionKind.EXPLOIT, 0, [addr(1), addr(2)])
+    knowledge.fail(ActionKind.PRIVESC, 0, [])
+    assert knowledge.exhausted == 1
 
 
 def test_aggressive_wiretaps_each_success():

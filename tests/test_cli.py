@@ -612,6 +612,42 @@ def test_workers_default_to_the_cpus_this_process_may_use(monkeypatch):
     assert cli.resolve_workers(None, None) == 1
 
 
+@pytest.mark.parametrize("source", ["--workers", "workers", cli.WORKERS_ENV_VAR])
+def test_a_bad_worker_count_names_its_source(tmp_path, capsys, monkeypatch, source):
+    config = tmp_path / "grid.cfg"
+    config.write_text("workers = 0\n" if source == "workers" else "")
+    monkeypatch.delenv(cli.WORKERS_ENV_VAR, raising=False)
+    if source == cli.WORKERS_ENV_VAR:
+        monkeypatch.setenv(source, "0")
+    flags = ("--workers", "0") if source == "--workers" else ()
+    out = tmp_path / "records.csv"
+    assert run_cli("sweep", "--config", str(config), "--out", str(out), *flags,
+                   *SMALL_SWEEP) == 1
+    assert capsys.readouterr().err == f"error: {source} must be a positive integer, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("run", "--agent", "careful", "--seed", "1"),
+    ("sweep", "--seeds", "5,1", "--agents", "careful", "--repetitions", "1"),
+], ids=["run", "sweep"])
+def test_a_world_with_no_path_to_root_exits_1_before_any_episode(
+        tmp_path, capsys, monkeypatch, command):
+    # Seed 1's one exploit grants user access, and there is no privesc; seed
+    # 5's grants root, and its cells would play first.
+    config = tmp_path / "noroot.cfg"
+    config.write_text("num_exploits = 1\nnum_privescs = 0\n")
+    played = []
+    for module in (cli, experiment):
+        monkeypatch.setattr(module, "run_episode", lambda *args, **kwargs: played.append(args))
+    out = ("--out", str(tmp_path / "records.csv")) if command[0] == "sweep" else ()
+    assert run_cli(*command, "--config", str(config), *out) == 1
+    err = capsys.readouterr().err
+    assert "num_privescs = 0" in err and "num_exploits = 1" in err and "seed 1 " in err
+    assert played == []
+    assert not (tmp_path / "records.csv").exists()
+
+
 def test_sweep_runs_on_the_default_workers(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(cli.WORKERS_ENV_VAR, raising=False)
     monkeypatch.setattr(cli, "available_cpus", lambda: 3)

@@ -1,6 +1,7 @@
 """Engine tests: action semantics, terminal rules, mutation schedule and law."""
 
 import random
+from collections import deque
 
 import pytest
 from helpers import build_world
@@ -17,8 +18,10 @@ from deceptsim.engine import (
     episode_score,
     mutate_addresses,
     new_network_state,
+    run_attacks,
     run_scans,
     step,
+    trace_record,
 )
 from deceptsim.agents import Knowledge
 from deceptsim.scenario import (
@@ -129,6 +132,90 @@ def test_malformed_run_scan_rejected_before_accounting(scan):
         run_scans(state, run, knowledge, reset=None)
     assert state.steps_taken == 1
     assert knowledge.beliefs[addr(0)].os is None
+
+
+@pytest.mark.parametrize("kind, ident", [
+    (ActionKind.SERVICE_SCAN, 0),  # not an attack
+    ("exploit", 0),
+    (ActionKind.EXPLOIT, 1),
+    (ActionKind.EXPLOIT, "0"),
+    (ActionKind.EXPLOIT, True),
+    (ActionKind.PRIVESC, -1),
+    (ActionKind.PRIVESC, None),
+], ids=["scan", "unknown_kind", "exploit_id", "exploit_id_str", "exploit_id_bool",
+        "privesc_id", "privesc_id_none"])
+def test_malformed_attack_run_rejected_before_accounting(kind, ident):
+    scenario = build_world(num_normal=2, exploits=(MISMATCHED_EXPLOIT,), movement_time=1)
+    state = fresh(scenario)
+    sweep = deque([addr(0), addr(1)])
+    with pytest.raises(InvalidActionError):
+        run_attacks(state, kind, ident, sweep)
+    assert state.steps_taken == 0
+    assert sweep == deque([addr(0), addr(1)])
+    assert state.addresses == [addr(0), addr(1), addr(2)]
+
+
+def test_attack_run_after_a_terminal_raises():
+    state = fresh(build_world(num_normal=1, exploits=(MISMATCHED_EXPLOIT,), step_limit=1))
+    _, state = step(state, Action(ActionKind.SUBNET_SCAN))
+    with pytest.raises(EpisodeTerminatedError):
+        run_attacks(state, ActionKind.EXPLOIT, 0, deque([addr(0)]))
+    assert state.steps_taken == 1
+
+
+def test_attack_run_stops_before_an_empty_filler():
+    scenario = build_world(num_normal=2, num_empty=1, exploits=(MISMATCHED_EXPLOIT,))
+    state = fresh(scenario)
+    sweep = deque([addr(1), addr(2), addr(3), addr(0)])
+    rows = []
+    failed = run_attacks(state, ActionKind.EXPLOIT, 0, sweep,
+                         lambda *args: rows.append(trace_record(*args)))
+    assert failed == [addr(1), addr(2)]
+    assert sweep == deque([addr(3), addr(0)])
+    assert state.steps_taken == 2
+    assert [(row["step"], row["target"], row["exploit_id"], row["success"]) for row in rows] \
+        == [(1, [1, 1], 0, False), (2, [1, 2], 0, False)]
+    assert state.outcome is None
+    # A head that is not an int address is left to the plain path to reject.
+    assert run_attacks(state, ActionKind.EXPLOIT, 0, deque([True])) == []
+    assert state.steps_taken == 2
+
+
+def test_attack_run_stops_before_a_matching_exploit():
+    scenario = build_world(num_normal=1, exploits=(ROOT_EXPLOIT, MISMATCHED_EXPLOIT))
+    state = fresh(scenario)
+    rng_state = state.rng.getstate()
+    sweep = deque([addr(1), addr(0)])
+    assert run_attacks(state, ActionKind.EXPLOIT, 0, sweep) == []
+    assert sweep == deque([addr(1), addr(0)])
+    assert run_attacks(state, ActionKind.EXPLOIT, 1, sweep) == [addr(1), addr(0)]
+    assert state.steps_taken == 2
+    assert state.rng.getstate() == rng_state
+    assert state.access == {}
+
+
+def test_attack_run_stops_before_a_privesc_at_user_access():
+    scenario = build_world(num_normal=2, exploits=(USER_EXPLOIT,), privescs=((0, 1.0), (5, 1.0)))
+    state = fresh(scenario)
+    _, state = step(state, Action(ActionKind.EXPLOIT, addr(1), 0))
+    sweep = deque([addr(0), addr(2), addr(1), addr(0)])
+    # No access at hosts 0 and 2; host 1 is at user access and runs process 0.
+    assert run_attacks(state, ActionKind.PRIVESC, 0, sweep) == [addr(0), addr(2)]
+    assert sweep == deque([addr(1), addr(0)])
+    # No host runs process 5.
+    assert run_attacks(state, ActionKind.PRIVESC, 1, sweep) == [addr(1), addr(0)]
+    assert state.steps_taken == 5
+    assert state.access == {1: AccessLevel.USER}
+
+
+def test_attack_run_times_out_at_a_step_limit_inside_it():
+    scenario = build_world(num_normal=4, exploits=(MISMATCHED_EXPLOIT,), step_limit=4)
+    state = fresh(scenario)
+    _, state = step(state, Action(ActionKind.SUBNET_SCAN))
+    sweep = deque(map(addr, range(5)))
+    assert run_attacks(state, ActionKind.EXPLOIT, 0, sweep) == [addr(0), addr(1), addr(2)]
+    assert sweep == deque([addr(3), addr(4)])
+    assert state.outcome == EpisodeOutcome(OutcomeKind.TIMEOUT, 4, 0.0)
 
 
 def test_unknown_exploit_and_privesc_ids_rejected():

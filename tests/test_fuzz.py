@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from deceptsim import cli  # noqa: E402
 from deceptsim.agents import AGENT_KINDS  # noqa: E402
-from deceptsim.experiment import Cell, SweepConfig  # noqa: E402
-from deceptsim.scenario import GeneratorParams  # noqa: E402
+from deceptsim.experiment import Cell, SweepConfig, scenario_params  # noqa: E402
+from deceptsim.scenario import GeneratorParams, ParameterError  # noqa: E402
 
 KEYS = sorted({*cli.LIST_KEYS, *cli.FIXED_KEYS, *cli.SCALAR_KEYS, "num_creds"})
 TOKENS = st.one_of(
@@ -116,4 +116,11 @@ def test_sweep_manifest_config_round_trips(config):
 @given(cell=CELLS, fixed=PARAMS, master_seed=INTS, repetition=st.integers(0, 2**70))
 def test_run_manifest_config_round_trips(cell, fixed, master_seed, repetition):
     data = through_json(cli.run_config_dict(cell, fixed, master_seed, repetition))
+    try:
+        scenario_params(fixed, cell).validate()
+    except ParameterError:
+        # A world with no path to root access: its replay is refused.
+        with pytest.raises(cli.ConfigError, match="no path to root access"):
+            cli._cell_from_run_config(data)
+        return
     assert cli._cell_from_run_config(data) == (cell, fixed, master_seed, repetition)

@@ -1,9 +1,11 @@
-"""Scan runs against the per-action loop.
+"""Scan runs and attack runs against the per-action loop.
 
 ``run_episode`` hands each run of host scans an agent commits to
-(``scan_run``) to ``engine.run_scans``, which plays it in one loop. The
-reference below plays the same runs the plain way, one action at a time:
-``step`` and then ``observe``, stopping where the agent would drop the run
+(``scan_run``) to ``engine.run_scans``, and the head of each attack sweep
+(``attack_run``) to ``engine.run_attacks``, each of which plays its run in
+one loop. The reference below plays the same episodes the plain way, one
+action at a time: ``step`` and then ``observe``, with every attack of a
+sweep its own decision, stopping a scan run where the agent would drop it
 (at a knowledge reset) or the episode ends. Every step's trace row (whose
 step count gives the mutation clock), reset flag and address list, and
 every final record, must agree.
@@ -51,19 +53,29 @@ def reference_episode(scenario, agent_kind, episode_seed):
     return rows, state.outcome, state.one_goal_win or state.outcome
 
 
+def counted(run, prefix, agent_kind, counts: Counter):
+    """``run``, an engine run taking the state first, counting into
+    ``counts`` the steps it plays, the runs that end the episode and the
+    runs whose steps cross a mutation."""
+    def counted_run(state, *args):
+        before = state.steps_taken
+        result = run(state, *args)
+        after, movement_time = state.steps_taken, state.scenario.params.movement_time
+        counts[agent_kind, f"{prefix}_steps"] += after - before
+        counts[agent_kind, f"{prefix}_ends_episode"] += state.outcome is not None
+        counts[agent_kind, f"{prefix}_crosses_mutation"] += (
+            movement_time is not None and before // movement_time < after // movement_time)
+        return result
+    return counted_run
+
+
 def check_episode(scenario, agent_kind, episode_seed, counts: Counter) -> None:
     """Assert that run_episode and the reference agree on one episode; count
-    the steps that scan runs played into ``counts``."""
+    the steps that scan runs and attack runs played into ``counts``."""
     rows, twins = [], []
-    original = experiment.run_scans
-
-    def counted_run_scans(state, run, knowledge, reset, trace_sink):
-        before = state.steps_taken
-        original(state, run, knowledge, reset, trace_sink)
-        counts[agent_kind, "run_steps"] += state.steps_taken - before
-        counts[agent_kind, "run_ends_episode"] += state.outcome is not None
-
-    experiment.run_scans = counted_run_scans
+    originals = experiment.run_scans, experiment.run_attacks
+    experiment.run_scans = counted(originals[0], "run", agent_kind, counts)
+    experiment.run_attacks = counted(originals[1], "attack_run", agent_kind, counts)
     try:
         record = run_episode(
             scenario, agent_kind, episode_seed,
@@ -71,7 +83,7 @@ def check_episode(scenario, agent_kind, episode_seed, counts: Counter) -> None:
             one_goal_sink=twins.append,
         )
     finally:
-        experiment.run_scans = original
+        experiment.run_scans, experiment.run_attacks = originals
     expected_rows, outcome, one_goal = reference_episode(scenario, agent_kind, episode_seed)
     assert rows == expected_rows
     assert (record.outcome, record.steps, record.score) == (
@@ -92,15 +104,23 @@ def test_golden_grid_runs_match_the_per_action_loop(movement_time):
         for rep in range(config.repetitions):
             check_episode(scenario, cell.agent, derive_episode_seed(config.master_seed, cell, rep),
                           counts)
-    # Both scanning agents play runs, and under mutation most of careful's
-    # steps are run steps; its runs end at resets and at the step limit.
+    # Both scanning agents play scan runs, and only aggressive plays attack
+    # runs. Under mutation most of careful's steps are scan-run steps, and
+    # its runs end at resets and at the step limit; most of aggressive's are
+    # attack-run steps, and its runs end the episode and cross mutations.
     assert counts["careful", "run_steps"] > 0
     assert counts["standard", "run_steps"] > 0
     assert counts["aggressive", "run_steps"] == 0
+    assert counts["aggressive", "attack_run_steps"] > 0
+    for kind in ("careful", "standard"):
+        assert counts[kind, "attack_run_steps"] == 0
     if movement_time is not None:
         assert counts["careful", "run_steps"] > counts["careful", "steps"] / 2
         assert counts["careful", "resets"] > 0
         assert counts["careful", "run_ends_episode"] > 0
+        assert counts["aggressive", "attack_run_steps"] > counts["aggressive", "steps"] / 2
+        assert counts["aggressive", "attack_run_ends_episode"] > 0
+        assert counts["aggressive", "attack_run_crosses_mutation"] > 0
 
 
 def test_random_worlds_runs_match_the_per_action_loop():
@@ -115,6 +135,7 @@ def test_random_worlds_runs_match_the_per_action_loop():
         one_goal=st.booleans(),
         seed=st.integers(0, 2**32),
         exploit_prob=st.sampled_from((0.5, 1.0)),
+        privesc_prob=st.sampled_from((0.5, 1.0)),
         # Limits of a few steps land inside the first scan runs.
         step_limit=st.integers(2, 300),
         num_addresses=st.sampled_from((24, 64, 256)),
@@ -133,3 +154,4 @@ def test_random_worlds_runs_match_the_per_action_loop():
         assert counts[kind, "run_steps"] > 0
         assert counts[kind, "resets"] > 0
         assert counts[kind, "run_ends_episode"] > 0
+    assert counts["aggressive", "attack_run_steps"] > 0

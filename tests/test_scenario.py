@@ -164,6 +164,8 @@ def test_capacity_error():
         # hosts or not.
         {"num_sensitive": 0, "num_services": 0},
         {"num_sensitive": 0, "num_vulns": 0},
+        # No privesc, and seed 1's one exploit grants only user access.
+        {"num_exploits": 1, "num_privescs": 0, "seed": 1},
     ],
 )
 def test_invalid_parameters_rejected(overrides):
