@@ -7,7 +7,7 @@ estimate attacker win probability.
 
 __version__ = "0.1.0"
 
-from .experiment import EpisodeRecord, SweepConfig, aggregate, run_episode, run_sweep
+from .experiment import EpisodeRecord, SweepConfig, aggregate, iter_sweep, run_episode, run_sweep
 from .scenario import GeneratorParams, generate_scenario
 
 __all__ = [
@@ -16,6 +16,7 @@ __all__ = [
     "SweepConfig",
     "aggregate",
     "generate_scenario",
+    "iter_sweep",
     "run_episode",
     "run_sweep",
     "__version__",

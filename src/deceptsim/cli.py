@@ -17,6 +17,7 @@ runs of the same configuration stay byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import stat
@@ -34,13 +35,15 @@ from .experiment import (
     aggregate,
     aggregate_fields,
     derive_episode_seed,
+    iter_sweep,
     run_episode,
-    run_sweep,
     scenario_params,
 )
+# Not used here, records_csv_text is kept for callers that render records through cli.
 from .records import (
     MANIFEST_PREFIX, RECORD_COLUMNS, RecordsError, _parse_manifest_json, aggregates_csv_text,
     format_value, manifest_line, read_records_csv, records_csv_text, trace_jsonl_text,
+    write_records_csv,
 )
 from .scenario import FIELD_TYPES, GeneratorParams, check_type, generate_scenario
 
@@ -319,27 +322,21 @@ def _split_entries(entries: dict[str, str], args):
     return lists, fixed, scalars
 
 
-def _checked(config: SweepConfig) -> SweepConfig:
-    """``config``, once it is valid; else exit 1 with the first error a
-    cell's params raise, in cell order. Cells that differ only by agent
-    share their params, and the agent varies fastest, so the first agent's
-    cells check each params once."""
+def _checked(validating, *args):
+    """``validating(*args)``, whose ValueError, a bad config value, exits 1."""
     try:
-        config.validate()
-        for cell in dataclasses.replace(config, agents=config.agents[:1]).cells():
-            scenario_params(config.fixed, cell).validate()
+        return validating(*args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return config
 
 
 def _sweep(lists: dict, fixed: dict, scalars: dict) -> SweepConfig:
-    """The checked sweep that parsed swept lists, fixed params and scalars make."""
-    return _checked(SweepConfig(
+    """The sweep, not yet validated, that parsed swept lists, fixed params and scalars make."""
+    return SweepConfig(
         **lists,
         fixed=GeneratorParams(**fixed),
         **{key: scalars[key] for key in ("repetitions", "master_seed") if key in scalars},
-    ))
+    )
 
 
 def resolve_sweep(entries: dict[str, str], args) -> tuple[SweepConfig, int | None]:
@@ -369,6 +366,7 @@ def _episode(lists: dict, fixed: dict, scalars: dict,
         elif len(lists[name]) != 1:
             raise ConfigError(f"{name}: run takes a single value, got {len(lists[name])}")
     config = _sweep(lists, fixed, scalars)
+    _checked(config.validate)
     if repetition < 0:
         raise ConfigError(f"repetition must be non-negative, got {repetition}")
     return config.cells()[0], config.fixed, config.master_seed, repetition
@@ -433,8 +431,9 @@ def check_output_path(path: str, flag: str) -> None:
         raise ConfigError(f"cannot write {path}: {directory} is not a writable directory")
 
 
-def write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all.
+def write_text(path: str, text) -> None:
+    """Write ``text`` to ``path`` whole or not at all: a str, or a function
+    that writes the text onto an open handle as it is made.
 
     The text goes to a new temporary file in the target's directory, which
     then replaces the target, so a failed or interrupted write leaves the
@@ -447,9 +446,10 @@ def write_text(path: str, text: str) -> None:
         info = os.stat(path)
     except FileNotFoundError:
         info = None
+    write = text if callable(text) else lambda handle: handle.write(text)
     if info is not None and not stat.S_ISREG(info.st_mode):
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            write(handle)
         return
     directory, name = os.path.split(os.path.realpath(path))
     temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
@@ -458,7 +458,7 @@ def write_text(path: str, text: str) -> None:
         with open(descriptor, "w", encoding="utf-8", newline="") as handle:
             if info is not None:
                 os.fchmod(descriptor, stat.S_IMODE(info.st_mode))
-            handle.write(text)
+            write(handle)
         os.replace(temporary, os.path.join(directory, name))
     except BaseException:
         os.unlink(temporary)
@@ -479,13 +479,11 @@ def _cell_from_run_config(config: dict) -> tuple[Cell, GeneratorParams, int, int
     """A run manifest's episode, validated as the one-cell sweep it is."""
     try:
         lists = {name: (config[cell_field],) for name, cell_field in zip(SWEPT_TYPES, CELL_FIELDS)}
-        check_type("repetition", config["repetition"], "int")
+        _checked(check_type, "repetition", config["repetition"], "int")
         fixed = _checked_fixed(config, RUN_CONFIG_KEYS)
         return _episode(lists, fixed, {"master_seed": config["master_seed"]}, config["repetition"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"manifest config is incomplete: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _timestamp_and_output(manifest: dict | None, given: str | None,
@@ -536,14 +534,14 @@ def cmd_sweep(args, manifest: dict | None) -> int:
         entries = read_config_file(args.config) if args.config else {}
         config, config_workers = resolve_sweep(entries, args)
     else:
-        config, config_workers = _checked(sweep_config_from_dict(manifest["config"])), None
+        config, config_workers = sweep_config_from_dict(manifest["config"]), None
     timestamp, out_path = _timestamp_and_output(manifest, args.out, "records.csv")
     check_output_path(out_path, "--out")
-    workers = resolve_workers(args.workers, config_workers)
-    records = run_sweep(config, workers=workers)
+    records = _checked(iter_sweep, config, resolve_workers(args.workers, config_workers))
     manifest = build_manifest("sweep", sweep_config_to_dict(config), [out_path], timestamp)
-    write_text(out_path, records_csv_text(manifest, records))
-    print(f"wrote {len(records)} episode records to {out_path}")
+    with contextlib.closing(records):  # a failed write cancels the sweep, too
+        write_text(out_path, lambda handle: write_records_csv(handle, manifest, records))
+    print(f"wrote {len(config.cells()) * config.repetitions} episode records to {out_path}")
     return 0
 
 

@@ -1,13 +1,13 @@
 """Monte-Carlo harness.
 
-Expands the swept parameter grid into cells, runs seeded episode batches
-(serially or across processes), and aggregates outcome statistics over
-record columns, zipping group keys from whole columns: no Python call per
-record for a field. Episode seeds are a pure hash of (master seed, cell,
-repetition), so any subset of the grid reproduces identical records in any
-execution order. The cell key deliberately excludes the objective flag: cells
-differing only in one_goal share episode seeds, which makes their win
-probabilities exactly paired.
+Expands the swept parameter grid into cells, streams the records of seeded
+episode batches (serial or across processes) in order, and aggregates
+outcome statistics over record columns, zipping group keys from whole
+columns: no Python call per record for a field. Episode seeds are a pure
+hash of (master seed, cell, repetition), so any subset of the grid
+reproduces identical records in any execution order. The cell key
+deliberately excludes the objective flag: cells differing only in one_goal
+share episode seeds, which makes their win probabilities exactly paired.
 
 Excluding it also lets one simulation produce both records. Nothing but the
 terminal check reads the objective, so a one-goal episode plays exactly the
@@ -25,7 +25,7 @@ import operator
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .agents import AGENT_KINDS, agent_class, make_agent
 from .engine import new_network_state, run_attacks, run_scans, step as engine_step
@@ -40,10 +40,6 @@ except ImportError:
         from _sha256 import sha256  # CPython 3.10-3.11
     except ImportError:
         from hashlib import sha256  # a build without the built-in hashes
-
-
-class SweepError(RuntimeError):
-    """A cell of the sweep could not be generated or run."""
 
 
 @dataclass(frozen=True)
@@ -90,6 +86,10 @@ class SweepConfig:
                 raise ValueError(f"swept value list {name} repeats a value: {values}")
         for agent in self.agents:
             agent_class(agent)
+        # The agent and objective vary fastest and decide no error: check each world once.
+        first = dataclasses.replace(self, one_goal=self.one_goal[:1], agents=self.agents[:1])
+        for cell in first.cells():
+            scenario_params(self.fixed, cell).validate()
 
     def cells(self) -> list[Cell]:
         return [
@@ -238,10 +238,7 @@ def _run_cells(task: tuple[GeneratorParams, Cell, tuple[bool, ...], int, int]) -
     """
     fixed, cell, objectives, repetitions, master_seed = task
     cell = dataclasses.replace(cell, one_goal=False not in objectives)
-    try:
-        scenario = generate_scenario(scenario_params(fixed, cell))
-    except ValueError as exc:
-        raise SweepError(f"cell {cell} failed to generate: {exc}") from exc
+    scenario = generate_scenario(scenario_params(fixed, cell))
     records = {objective: [] for objective in objectives}
     twins = records[True].append if len(objectives) == 2 else None
     for repetition in range(repetitions):
@@ -257,38 +254,43 @@ def _run_cells(task: tuple[GeneratorParams, Cell, tuple[bool, ...], int, int]) -
     return records
 
 
-def run_sweep(config: SweepConfig, workers: int | None = None) -> list[EpisodeRecord]:
-    """All cells x repetitions, ordered by cell then repetition.
-
-    Cells that differ only in one_goal form one task, which simulates their
-    episodes once (see ``_run_cells``). ``workers`` > 1 distributes tasks
-    over processes, never more than there are tasks; the output is identical
-    to a serial run because records are reassembled in cell order.
-    """
+def iter_sweep(config: SweepConfig, workers: int | None = None) -> Iterator[EpisodeRecord]:
+    """All cells x repetitions, by cell then repetition, once ``config`` is
+    valid, as each (num_honeypots, movement_time, num_hosts) block of tasks
+    is done. Cells differing only in one_goal form one task (``_run_cells``);
+    ``workers`` > 1 spreads tasks over at most one process each. Closing the
+    iterator, or a failure, cancels the tasks not started."""
     config.validate()
-    groups = dataclasses.replace(config, one_goal=(False,)).cells()
-    tasks = [
-        (config.fixed, cell, config.one_goal, config.repetitions, config.master_seed)
-        for cell in groups
-    ]
+    tasks = [(config.fixed, cell, config.one_goal, config.repetitions, config.master_seed)
+             for cell in dataclasses.replace(config, one_goal=(False,)).cells()]
     # A pool starts all its workers at once, so idle ones would be forked.
-    workers = min(workers or 1, len(tasks))
-    if workers > 1:
-        # Imported here: a serial sweep, run and aggregate load no multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
+    return _ordered_records(config, tasks, min(workers or 1, len(tasks)))
 
-        # Tasks that differ only by agent are consecutive and share a world;
-        # one chunk per world lets a worker draw it once (generate_scenario).
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_cells, tasks, chunksize=len(config.agents)))
-    else:
-        batches = [_run_cells(task) for task in tasks]
-    by_group = dict(zip(groups, batches))
-    return [
-        record
-        for cell in config.cells()
-        for record in by_group[dataclasses.replace(cell, one_goal=False)][cell.one_goal]
-    ]
+
+def _ordered_records(config: SweepConfig, tasks: list, workers: int) -> Iterator[EpisodeRecord]:
+    pool, batches = None, map(_run_cells, tasks)
+    try:
+        if workers > 1:
+            # Imported here: a serial sweep, run and aggregate load no multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(max_workers=workers)
+            # Tasks that differ only by agent are consecutive and share a
+            # world; one chunk per world lets a worker draw it once.
+            batches = pool.map(_run_cells, tasks, chunksize=len(config.agents))
+        block = len(config.seeds) * len(config.agents)
+        for batch_block in iter(lambda: list(itertools.islice(batches, block)), []):
+            for objective in config.one_goal:
+                for batch in batch_block:
+                    yield from batch[objective]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def run_sweep(config: SweepConfig, workers: int | None = None) -> list[EpisodeRecord]:
+    """``iter_sweep``'s records, as a list."""
+    return list(iter_sweep(config, workers))
 
 
 # How aggregate() reads each grouping field's column off the record columns:

@@ -80,24 +80,28 @@ def _parse_manifest_json(line: str, path: str) -> dict:
     return manifest
 
 
-def _csv_text(manifest: dict, header, rows) -> str:
-    buffer = io.StringIO()
-    buffer.write(manifest_line(manifest) + "\n")
-    writer = csv.writer(buffer, lineterminator="\n")
+def _write_csv(handle, manifest: dict, header, rows):
+    """The manifest line, the header, then each row as it arrives onto ``handle``; return it."""
+    handle.write(manifest_line(manifest) + "\n")
+    writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buffer.getvalue()
+    return handle
+
+
+def write_records_csv(handle, manifest: dict, records):
+    return _write_csv(handle, manifest, RECORD_COLUMNS, (map(format_value, r) for r in records))
 
 
 def records_csv_text(manifest: dict, records) -> str:
-    return _csv_text(manifest, RECORD_COLUMNS, (map(format_value, record) for record in records))
+    return write_records_csv(io.StringIO(), manifest, records).getvalue()
 
 
 def aggregates_csv_text(manifest: dict, group_by: tuple[str, ...], stats) -> str:
     rows = ([*(format_value(value) for _, value in entry.group),
              *(write(getattr(entry, column)) for column, write in STATS_FORMATS.items())]
             for entry in stats)
-    return _csv_text(manifest, (*group_by, *STATS_FORMATS), rows)
+    return _write_csv(io.StringIO(), manifest, (*group_by, *STATS_FORMATS), rows).getvalue()
 
 
 def trace_jsonl_text(manifest: dict, rows) -> str:

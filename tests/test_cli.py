@@ -6,8 +6,10 @@ import csv
 import errno
 import hashlib
 import json
+import multiprocessing
 import os
 import random
+import re
 import signal
 import stat
 import threading
@@ -17,7 +19,7 @@ import pytest
 from deceptsim import cli, experiment
 from deceptsim.agents import make_agent
 from deceptsim.experiment import Cell, SweepConfig, derive_episode_seed, scenario_params
-from deceptsim.records import MANIFEST_PREFIX, RECORD_COLUMNS
+from deceptsim.records import MANIFEST_PREFIX, RECORD_COLUMNS, format_value
 from deceptsim.scenario import GeneratorParams, generate_scenario
 
 SMALL_SWEEP = (
@@ -652,7 +654,8 @@ def test_sweep_runs_on_the_default_workers(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(cli.WORKERS_ENV_VAR, raising=False)
     monkeypatch.setattr(cli, "available_cpus", lambda: 3)
     asked = []
-    monkeypatch.setattr(cli, "run_sweep", lambda config, workers: asked.append(workers) or [])
+    monkeypatch.setattr(cli, "iter_sweep",
+                        lambda config, workers: asked.append(workers) or (record for record in ()))
     assert run_cli("sweep", "--out", str(tmp_path / "r.csv"), *SMALL_SWEEP) == 0
     assert asked == [3]
 
@@ -1159,7 +1162,7 @@ def test_replayed_trace_into_a_missing_directory_exits_1_before_playing(tmp_path
 def test_sweep_out_into_a_missing_directory_exits_1_before_simulating(tmp_path, capsys,
                                                                       monkeypatch, parent):
     (tmp_path / "a_file").write_text("")
-    monkeypatch.setattr(cli, "run_sweep", _no_work)
+    monkeypatch.setattr(cli, "iter_sweep", _no_work)
     out = tmp_path / parent / "records.csv"
     assert run_cli("sweep", "--out", str(out), *SMALL_SWEEP) == 1
     assert f"error: cannot write {out}: " in capsys.readouterr().err
@@ -1170,7 +1173,7 @@ DASH = "cannot be -: only aggregate --out takes - for standard output"
 
 def test_sweep_out_dash_exits_1_before_simulating(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "run_sweep", _no_work)
+    monkeypatch.setattr(cli, "iter_sweep", _no_work)
     assert run_cli("sweep", "--out", "-", *SMALL_SWEEP) == 1
     assert capsys.readouterr() == ("", f"error: --out {DASH}\n")
     assert not (tmp_path / "-").exists()
@@ -1236,7 +1239,7 @@ def test_replayed_aggregate_onto_its_own_records_exits_1_before_reading(tmp_path
 # not begin when "adir" is a directory.
 OUTPUT_AT_ADIR = {
     "run": (("--agent", "standard", "--trace", "adir"), "run_episode"),
-    "sweep": (("--out", "adir", *SMALL_SWEEP), "run_sweep"),
+    "sweep": (("--out", "adir", *SMALL_SWEEP), "iter_sweep"),
     "aggregate": (("--records", "records.csv", "--group-by", "agent", "--out", "adir"),
                   "read_records_csv"),
 }
@@ -1277,7 +1280,7 @@ def test_empty_path_flag_exits_1_naming_it_before_any_work(tmp_path, capsys, mon
     # An empty path would name the working directory, or pass for the flag
     # not given.
     monkeypatch.chdir(tmp_path)
-    for work in ("run_episode", "run_sweep", "read_records_csv"):
+    for work in ("run_episode", "iter_sweep", "read_records_csv"):
         monkeypatch.setattr(cli, work, _no_work)
     flag = argv[argv.index("") - 1]
     assert run_cli(*argv) == 1
@@ -1303,7 +1306,7 @@ def test_empty_path_in_a_replayed_manifest_exits_1_naming_it(tmp_path, capsys, m
     manifest = json.loads(line[len(MANIFEST_PREFIX):])
     manifest[key] = [""] if key == "outputs" else ""
     (tmp_path / "output").write_text(MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
-    for work in ("run_episode", "run_sweep", "read_records_csv"):
+    for work in ("run_episode", "iter_sweep", "read_records_csv"):
         monkeypatch.setattr(cli, work, _no_work)
     capsys.readouterr()
     assert run_cli(command, "--from-manifest", "output") == 1
@@ -1328,6 +1331,67 @@ def file_size_limit(limit):
     finally:
         resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
         signal.signal(signal.SIGXFSZ, previous)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_sweep_that_fails_midway_leaves_nothing_behind(tmp_path, capsys, monkeypatch,
+                                                         workers, existing):
+    # Four tasks of four episodes; each process's sixth episode raises, so a
+    # serial sweep fails after its first block of records was written.
+    out = tmp_path / "records.csv"
+    if existing:
+        out.write_text("old\n")
+    calls = []
+    play = experiment.run_episode
+
+    def fail_on_sixth_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 6:
+            raise RuntimeError("injected episode failure")
+        return play(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_episode", fail_on_sixth_call)
+    assert run_cli("sweep", "--out", str(out), "--workers", workers, *SMALL_SWEEP,
+                   "--honeypots", "0,2,4,6", "--repetitions", "4") == 2
+    assert capsys.readouterr() == ("", "error: injected episode failure\n")
+    assert os.listdir(tmp_path) == (["records.csv"] if existing else [])
+    assert not existing or out.read_text() == "old\n"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_sweep_interrupted_while_writing_leaves_nothing_behind(tmp_path, monkeypatch, workers):
+    # The interrupt lands in the writer, between two records the stream has
+    # yielded, not in the stream itself; the sweep still stops its workers.
+    out = tmp_path / "records.csv"
+    calls = []
+
+    def interrupt_on_twentieth_token(value):
+        calls.append(value)
+        if len(calls) == 20:
+            raise KeyboardInterrupt
+        return format_value(value)
+
+    monkeypatch.setattr("deceptsim.records.format_value", interrupt_on_twentieth_token)
+    # The traceback, held as an uncaught exception's is until exit, keeps
+    # the stream alive: only closing it stops the workers.
+    with pytest.raises(KeyboardInterrupt) as interrupted:
+        run_cli("sweep", "--out", str(out), "--workers", workers, *SMALL_SWEEP,
+                "--honeypots", "0,2,4,6", "--repetitions", "4")
+    assert interrupted.tb is not None
+    assert os.listdir(tmp_path) == []
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("one_goal", ["false", "true,false"])
+def test_the_count_line_counts_the_written_records(tmp_path, capsys, one_goal):
+    # The count is derived from the grid; the file's data rows are counted.
+    out = tmp_path / "records.csv"
+    assert run_cli("sweep", "--out", str(out), *SMALL_SWEEP, "--one-goal", one_goal,
+                   "--agents", "standard,aggressive") == 0
+    count = re.fullmatch(r"wrote (\d+) episode records to .*\n", capsys.readouterr().out)
+    assert int(count.group(1)) == len(read_data_rows(out)) == 2 * 2 * 3 * len(one_goal.split(","))
 
 
 def test_a_write_that_fails_midway_leaves_the_old_records(tmp_path):

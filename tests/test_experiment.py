@@ -3,9 +3,12 @@
 import concurrent.futures
 import dataclasses
 import hashlib
+import itertools
+import multiprocessing
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,9 +20,9 @@ from deceptsim.experiment import (
     Cell,
     EpisodeRecord,
     SweepConfig,
-    SweepError,
     aggregate,
     derive_episode_seed,
+    iter_sweep,
     run_episode,
     run_sweep,
     scenario_params,
@@ -157,11 +160,8 @@ def test_run_sweep_asks_for_no_more_workers_than_tasks(monkeypatch, workers, poo
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
@@ -187,11 +187,8 @@ def test_parallel_sweep_hands_each_world_to_one_worker(monkeypatch, agents):
         def __init__(self, max_workers):
             pass
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
         def map(self, fn, tasks, chunksize=1):
             tasks = list(tasks)
@@ -205,6 +202,62 @@ def test_parallel_sweep_hands_each_world_to_one_worker(monkeypatch, agents):
     assert all(len(world) == 1 for world in worlds)
     assert len(set().union(*worlds)) == len(chunks) == 2 * 2 * 2
     assert all(tuple(cell.agent for _, cell, *_ in chunk) == agents for chunk in chunks)
+
+
+# The file that each task appends a line to, set before the pool forks; and
+# the tasks, by module name, that its workers unpickle.
+TASK_LOG = None
+run_cells = experiment._run_cells
+
+
+def logged_slow_run_cells(task):
+    """``_run_cells``, logged; tasks after the first block's (honeypot
+    count 0) each take 0.2 s more."""
+    with open(TASK_LOG, "a") as log:
+        log.write("task\n")
+    if task[1].num_honeypots:
+        time.sleep(0.2)
+    return run_cells(task)
+
+
+def test_serial_stream_yields_a_block_before_the_next_block_runs(monkeypatch):
+    # Blocks of 2 seeds x 2 agents tasks, each yielding 2 objectives x 3
+    # repetitions of records per task.
+    config = small_config(agents=("standard", "aggressive"), repetitions=3)
+    calls = []
+    monkeypatch.setattr(experiment, "_run_cells", lambda task: calls.append(task) or run_cells(task))
+    records = iter_sweep(config)
+    assert calls == []
+    block = [next(records)]
+    assert len(calls) == 4
+    block.extend(itertools.islice(records, 4 * 2 * 3 - 1))
+    assert len(calls) == 4
+    assert {record.num_honeypots for record in block} == {0}
+    assert next(records).num_honeypots == 2
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("one_goal", [(False, True), (True, False), (True,)])
+def test_iter_sweep_matches_run_sweep_in_cell_order(workers, one_goal):
+    config = small_config(movement_time=(None, 25), one_goal=one_goal, repetitions=2)
+    records = list(iter_sweep(config, workers))
+    assert records == run_sweep(config)
+    assert [(Cell(*record[:6]), record.repetition) for record in records] == \
+        [(cell, rep) for cell in config.cells() for rep in range(config.repetitions)]
+
+
+def test_closing_a_parallel_stream_cancels_the_tasks_not_started(tmp_path, monkeypatch):
+    config = small_config(num_honeypots=(0, 2, 4, 6, 9, 10), movement_time=(None, 25),
+                          repetitions=1)
+    tasks = len(config.cells()) // 2  # the two objectives of a cell share a task
+    monkeypatch.setattr(sys.modules[__name__], "TASK_LOG", str(tmp_path / "tasks.log"))
+    monkeypatch.setattr(experiment, "_run_cells", logged_slow_run_cells)
+    records = iter_sweep(config, workers=2)
+    assert next(records).num_honeypots == 0
+    records.close()
+    assert multiprocessing.active_children() == []
+    assert (tmp_path / "tasks.log").read_text().count("task") < tasks
 
 
 def modules_the_import_loads(module="deceptsim.cli"):
@@ -252,11 +305,26 @@ def test_episode_seeds_take_hashlib_sha256_digests():
             assert experiment._substream(seed, label).getstate() == expected.getstate()
 
 
-def test_run_sweep_annotates_failing_cell():
-    config = small_config(num_hosts=(300,), num_honeypots=(0,), one_goal=(False,),
-                          seeds=(1,), repetitions=1)
-    with pytest.raises(SweepError, match="num_hosts=300"):
+def test_run_sweep_fails_on_a_bad_world_before_any_episode(tmp_path, monkeypatch, capsys):
+    # The second honeypot count's worlds do not fit the subnet; the CLI
+    # names the same first error, in cell order, and exits 1.
+    from deceptsim import cli
+
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--honeypots", "0,250", "--movement-times", "none", "--hosts", "10",
+            "--seeds", "1234,42", "--agents", "aggressive,standard", "--repetitions", "1"]
+    assert cli.main(argv) == 1
+    message = capsys.readouterr().err.removeprefix("error: ").rstrip("\n")
+    assert "do not fit num_addresses" in message
+    played = []
+    monkeypatch.setattr(experiment, "run_episode", lambda *args, **kwargs: played.append(args))
+    config = small_config(num_honeypots=(0, 250), seeds=(1234, 42),
+                          agents=("aggressive", "standard"), repetitions=1)
+    with pytest.raises(ValueError) as caught:
         run_sweep(config)
+    assert str(caught.value) == message
+    assert played == []
+    assert not any(tmp_path.iterdir())
 
 
 def test_objective_dominance_on_paired_seeds():
