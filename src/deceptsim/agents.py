@@ -49,7 +49,7 @@ scan phase, set by the subnet scan that starts it (no follow-up, subnet
 known), and standard's focus scans after the first, which commits it to
 the focus. ``attack_run()`` hands over aggressive's entry and sweep (no
 follow-up, subnet known), or None. ``engine.run_attacks`` plays the draw-free
-failures at the sweep's head, and ``Knowledge.fail`` folds them at once.
+failures at the sweep's head and folds them with one ``Knowledge.fail``.
 """
 
 from __future__ import annotations
@@ -194,12 +194,9 @@ class ScriptedAgent:
                 knowledge.gain(action.target, obs.access_gained)
                 self._after_gain(action.target, obs.access_gained)
             else:
-                ident = action.exploit_id if kind is _EXPLOIT else action.privesc_id
-                knowledge.fail(kind, ident, (action.target,))
-        else:
-            name = SCAN_FIELDS[kind]
-            if not knowledge.learn(action.target, name, getattr(obs, name)):
-                self.mtd_reset()
+                knowledge.fail(kind, action.ident, (action.target,))
+        elif not knowledge.learn(action.target, SCAN_FIELDS[kind], obs.scanned):
+            self.mtd_reset()
 
     def _after_subnet_scan(self) -> None:
         """Hook: the address list has just been (re)discovered."""
@@ -249,7 +246,7 @@ class ScriptedAgent:
             for p in self.privescs:
                 if (p.required_process in processes
                         and address not in failed.get((_PRIVESC, p.id), ())):
-                    return Action(_PRIVESC, address, privesc_id=p.id)
+                    return Action(_PRIVESC, address, p.id)
         return None
 
 
@@ -360,9 +357,7 @@ class AggressiveAgent(ScriptedAgent):
         if not self._aim():
             return None  # only a mutation can make progress possible
         kind, ident = self.current
-        address = self.sweep.popleft()
-        return Action(kind, address, ident) if kind is _EXPLOIT \
-            else Action(kind, address, privesc_id=ident)
+        return Action(kind, self.sweep.popleft(), ident)
 
     def attack_run(self):
         committed = self.follow_up is None and self.knowledge.addresses and self._aim()

@@ -41,9 +41,8 @@ from .experiment import (
 )
 # Not used here, records_csv_text is kept for callers that render records through cli.
 from .records import (
-    MANIFEST_PREFIX, RECORD_COLUMNS, RecordsError, _parse_manifest_json, aggregates_csv_text,
-    format_value, manifest_line, read_records_csv, records_csv_text, trace_jsonl_text,
-    write_records_csv,
+    RECORD_COLUMNS, RecordsError, aggregates_csv_text, format_value, manifest_line,
+    read_manifest, read_records_csv, records_csv_text, trace_jsonl_text, write_records_csv,
 )
 from .scenario import FIELD_TYPES, GeneratorParams, check_type, generate_scenario
 
@@ -205,14 +204,11 @@ def _is_names(value) -> bool:
 def load_manifest(path: str, command: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            # The manifest comes before the first line that holds data.
-            line = next((line for line in handle if line.startswith(MANIFEST_PREFIX)
-                         or line.strip() and not line.startswith("#")), "")
+            manifest, _ = read_manifest(handle, path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read manifest from {path}: {exc}") from exc
-    if not line.startswith(MANIFEST_PREFIX):
+    if manifest is None:
         raise ConfigError(f"{path}: no manifest line found")
-    manifest = _parse_manifest_json(line, path)
     if manifest.get("command") != command:
         raise ConfigError(
             f"{path}: manifest was written by {manifest.get('command')!r}, expected {command!r}"
@@ -636,6 +632,9 @@ def main(argv=None) -> int:
     except (ConfigError, RecordsError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, (ConfigError, RecordsError)) else 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -12,10 +12,11 @@ after each non-terminal step that brings it to 0.
 
 ``step`` plays one action; ``run_scans`` plays committed host scans and
 ``run_attacks`` an attack sweep's draw-free failures (``_draws``), each in
-one loop. Each rejects a malformed action or entry before any counter moves.
-The address index covers only the non-empty hosts: any other address in
-the target subnet holds an empty filler, and fillers, host id None, all
-answer alike.
+one loop, and each run folds its replies into the agent's knowledge. Each
+rejects a malformed action or entry before any counter moves. An attack
+names its catalog entry by ``(kind, ident)``. The address index covers only
+the hosts: any other address in the target subnet is empty, and empty
+addresses, host id None, all answer alike.
 
 The terminal check runs only when its answer can have changed: after any
 access gained on a honeypot or root gained on a sensitive host, and once
@@ -63,31 +64,29 @@ class ActionKind(str, Enum):
 
 
 class Action(NamedTuple):
-    """One attacker move; every move costs one step."""
+    """One attacker move; every move costs one step. An exploit or privesc
+    names its catalog entry's id, ``ident``."""
 
     kind: ActionKind
     target: Address | None = None
-    exploit_id: int | None = None
-    privesc_id: int | None = None
+    ident: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class Observation:
     """The engine's truthful reply to one action.
 
-    ``connection_failed`` is set when the targeted address hosts an empty
-    filler; it is the only signal from which an agent can infer that
-    addresses have mutated. Replies are immutable because the engine hands
+    ``connection_failed`` is set when the targeted address is empty; it is
+    the only signal from which an agent can infer that addresses have
+    mutated. ``scanned`` is a host scan's value of the host field that
+    ``SCAN_FIELDS`` names. Replies are immutable because the engine hands
     the same object to every step that earns the same answer.
     """
 
     success: bool
     connection_failed: bool = False
     discovered_addresses: tuple[Address, ...] | None = None
-    services: frozenset[int] | None = None
-    os: int | None = None
-    vulns: frozenset[int] | None = None
-    processes: frozenset[int] | None = None
+    scanned: frozenset[int] | int | None = None
     access_gained: AccessLevel | None = None
 
 
@@ -102,7 +101,7 @@ _ACCESS_GAINED = {
 # class costs about 0.1 us more than a global read.
 _SUBNET_SCAN, _EXPLOIT, _PRIVESC = ActionKind.SUBNET_SCAN, ActionKind.EXPLOIT, ActionKind.PRIVESC
 _NONE, _USER, _ROOT = AccessLevel.NONE, AccessLevel.USER, AccessLevel.ROOT
-# The host configuration field each host scan reports.
+# The host configuration field, and the belief field, each host scan reports.
 SCAN_FIELDS = {
     ActionKind.SERVICE_SCAN: "services",
     ActionKind.OS_SCAN: "os",
@@ -129,7 +128,8 @@ class NetworkState:
     """Mutable per-episode state; confined to a single episode runner."""
 
     scenario: Scenario
-    # Every host's address, by host id, and the inverse for non-empty hosts.
+    # Every target-subnet address, laid out as Scenario.initial_addresses,
+    # and the inverse for the hosts.
     addresses: list[Address]
     addr_to_host: dict[Address, int]
     rng: random.Random
@@ -148,8 +148,7 @@ class NetworkState:
 
 def new_network_state(scenario: Scenario, rng: random.Random) -> NetworkState:
     addresses = list(scenario.initial_addresses)
-    index = {addresses[host_id]: host_id for host_id in scenario.non_empty_ids}
-    return NetworkState(scenario, addresses, index, rng)
+    return NetworkState(scenario, addresses, dict(zip(addresses, range(len(scenario.hosts)))), rng)
 
 
 def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState]:
@@ -193,7 +192,7 @@ def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState
 
     movement_time = params.movement_time
     if movement_time is not None and state.steps_taken % movement_time == 0:
-        mutate_addresses(state, state.rng)
+        mutate_addresses(state)
     return obs, state
 
 
@@ -220,40 +219,36 @@ def run_scans(state: NetworkState, run, knowledge, reset, trace_sink=None) -> No
                 raise InvalidActionError(f"a scan run holds {kind!r}, which is not a host scan")
         state.steps_taken += 1
         obs = replies.get((host_id, kind)) or _scan_reply(scenario, host_id, kind)
-        knowledge_reset = obs.connection_failed or not learn(address, name, getattr(obs, name))
+        knowledge_reset = obs.connection_failed or not learn(address, name, obs.scanned)
         if knowledge_reset:
             reset()
         if state.steps_taken >= step_limit:
             state.outcome = check_termination(state)
         elif movement_time is not None and state.steps_taken % movement_time == 0:
-            mutate_addresses(state, state.rng)
+            mutate_addresses(state)
         if trace_sink is not None:
-            trace_sink(state.steps_taken, Action(kind, address), obs, state, knowledge_reset)
+            trace_sink(Action(kind, address), obs, state, knowledge_reset)
         if knowledge_reset or state.outcome is not None:
             return
 
 
-def run_attacks(state: NetworkState, kind: ActionKind, ident: int, sweep,
-                trace_sink=None) -> list[Address]:
-    """Pop and play the attacks of catalog entry ``(kind, ident)`` at the
-    head of the deque ``sweep`` while each fails without a draw; return the
-    addresses popped. It stops before an empty filler or an attack that
+def run_attacks(state: NetworkState, run, knowledge, trace_sink=None) -> None:
+    """Play ``run``, ``(kind, ident, sweep)``: pop and play the attacks of
+    catalog entry ``(kind, ident)`` at the head of the deque ``sweep`` while
+    each fails without a draw, and fold the failures with one
+    ``Knowledge.fail``. It stops before an empty address or an attack that
     draws, which the plain path plays, and at a terminal. Only the step
     limit can end the episode. ``trace_sink`` is called as in ``run_episode``."""
     if state.outcome is not None:
         _checked_host(state, None)  # raises EpisodeTerminatedError
-    scenario = state.scenario
-    catalog = scenario.exploits if kind is _EXPLOIT else \
-        scenario.privescs if kind is _PRIVESC else None
-    if catalog is None:
+    kind, ident, sweep = run
+    if kind is not _EXPLOIT and kind is not _PRIVESC:
         raise InvalidActionError(f"an attack run holds {kind!r}, which is not an attack")
-    if type(ident) is not int or not 0 <= ident < len(catalog):
-        raise InvalidActionError(f"unknown {kind.value} id {ident!r}")
-    entry = catalog[ident]
+    scenario = state.scenario
+    entry = _catalog_entry(scenario, kind, ident)
     hosts, access, addr_to_host = scenario.hosts, state.access, state.addr_to_host
     step_limit = scenario.params.step_limit
     movement_time = scenario.params.movement_time
-    ids = (ident, None) if kind is _EXPLOIT else (None, ident)
     failed = []
     while sweep:
         address = sweep[0]
@@ -265,16 +260,17 @@ def run_attacks(state: NetworkState, kind: ActionKind, ident: int, sweep,
         if state.steps_taken >= step_limit:
             state.outcome = check_termination(state)
         elif movement_time is not None and state.steps_taken % movement_time == 0:
-            mutate_addresses(state, state.rng)
+            mutate_addresses(state)
         if trace_sink is not None:
-            trace_sink(state.steps_taken, Action(kind, address, *ids), _FAILURE, state, False)
+            trace_sink(Action(kind, address, ident), _FAILURE, state, False)
         if state.outcome is not None:
             break
-    return failed
+    if failed:
+        knowledge.fail(kind, ident, failed)
 
 
 def _checked_host(state: NetworkState, action: Action) -> int | None:
-    """The targeted host's id, None for a subnet scan or an empty filler.
+    """The targeted host's id, None for a subnet scan or an empty address.
     Raises on a terminal state, an unknown kind, a host action without a
     target in the target subnet, or an unknown exploit or privesc id.
     run_scans asks only on a miss."""
@@ -283,7 +279,7 @@ def _checked_host(state: NetworkState, action: Action) -> int | None:
             f"episode already ended with {state.outcome.kind.value} "
             f"after {state.outcome.steps} steps"
         )
-    kind, target, exploit_id, privesc_id = action
+    kind, target, ident = action
     if type(kind) is not ActionKind:
         raise InvalidActionError(f"unknown action kind {kind!r}")
     # An int test first: True and 0.0 hash and compare as addresses do.
@@ -291,22 +287,24 @@ def _checked_host(state: NetworkState, action: Action) -> int | None:
     if host_id is None and (target is not None or kind is not _SUBNET_SCAN):
         if type(target) is not int or not 0 <= target < len(state.addresses):
             raise InvalidActionError(f"target address {target} is not in the target subnet")
-    if kind is _EXPLOIT:
-        if type(exploit_id) is not int or not 0 <= exploit_id < len(state.scenario.exploits):
-            raise InvalidActionError(f"unknown exploit id {exploit_id!r}")
-    elif kind is _PRIVESC:
-        if type(privesc_id) is not int or not 0 <= privesc_id < len(state.scenario.privescs):
-            raise InvalidActionError(f"unknown privesc id {privesc_id!r}")
+    if kind is _EXPLOIT or kind is _PRIVESC:
+        _catalog_entry(state.scenario, kind, ident)
     return host_id
+
+
+def _catalog_entry(scenario: Scenario, kind: ActionKind, ident):
+    """The exploit or privesc entry an attack of ``kind`` names by ``ident``;
+    raises on an unknown id."""
+    catalog = scenario.exploits if kind is _EXPLOIT else scenario.privescs
+    if type(ident) is not int or not 0 <= ident < len(catalog):
+        raise InvalidActionError(f"unknown {kind.value} id {ident!r}")
+    return catalog[ident]
 
 
 def _scan_reply(scenario: Scenario, host_id: int | None, kind: ActionKind) -> Observation:
     """A host scan's reply, built once and kept in ``scan_replies``."""
-    if host_id is None:
-        reply = _CONNECTION_FAILED
-    else:
-        name = SCAN_FIELDS[kind]
-        reply = Observation(success=True, **{name: getattr(scenario.hosts[host_id], name)})
+    reply = _CONNECTION_FAILED if host_id is None else Observation(
+        success=True, scanned=getattr(scenario.hosts[host_id], SCAN_FIELDS[kind]))
     scenario.scan_replies[host_id, kind] = reply
     return reply
 
@@ -328,8 +326,7 @@ def _apply(state: NetworkState, action: Action, host_id: int | None) -> Observat
 
     if kind is _EXPLOIT or kind is _PRIVESC:
         access = state.access
-        entry = scenario.exploits[action.exploit_id] if kind is _EXPLOIT \
-            else scenario.privescs[action.privesc_id]
+        entry = _catalog_entry(scenario, kind, action.ident)
         if not _draws(kind, entry, host, access) or state.rng.random() >= entry.prob:
             return _FAILURE
         gained = max(access.get(host_id, _NONE), entry.grants) if kind is _EXPLOIT else _ROOT
@@ -350,19 +347,19 @@ def _draws(kind: ActionKind, entry, host, access: dict[int, AccessLevel]) -> boo
     return access.get(host.id, _NONE) >= _USER and entry.required_process in host.processes
 
 
-def mutate_addresses(state: NetworkState, rng: random.Random) -> NetworkState:
-    """Reassign every target-subnet address by a uniform random permutation.
+def mutate_addresses(state: NetworkState) -> NetworkState:
+    """Reassign every target-subnet address by a uniform random permutation
+    drawn from ``state.rng``.
 
-    Empty hosts move too, so the effective mutation space is the whole
+    Empty addresses move too, so the effective mutation space is the whole
     subnet. Access levels and host configurations are untouched; only the
     hosts' addresses (and the attacker's stale knowledge of them) change.
     The address list is shuffled and the index rebuilt, both in place.
     """
     addresses, addr_to_host = state.addresses, state.addr_to_host
-    same_stream_shuffle(addresses, rng)
+    same_stream_shuffle(addresses, state.rng)
     addr_to_host.clear()
-    for host_id in state.scenario.non_empty_ids:
-        addr_to_host[addresses[host_id]] = host_id
+    addr_to_host.update(zip(addresses, range(len(state.scenario.hosts))))
     state.subnet_reply = None
     return state
 
@@ -423,21 +420,17 @@ def episode_score(state: NetworkState) -> float:
     )
 
 
-def trace_record(step_index: int, action: Action, obs: Observation,
-                 state: NetworkState, knowledge_reset: bool = False) -> dict:
+def trace_record(action: Action, obs: Observation, state: NetworkState,
+                 knowledge_reset: bool = False) -> dict:
     """Compact per-step record for line-delimited trace output; its
-    arguments are those of a ``trace_sink`` call."""
-    record = {
-        "step": step_index,
-        "action": action.kind.value,
-        "success": obs.success,
-    }
+    arguments are those of a ``trace_sink`` call. An attack's entry is
+    written as ``exploit_id`` or ``privesc_id``."""
+    kind = action.kind
+    record = {"step": state.steps_taken, "action": kind.value, "success": obs.success}
     if action.target is not None:
         record["target"] = address_pair(action.target)
-    if action.exploit_id is not None:
-        record["exploit_id"] = action.exploit_id
-    if action.privesc_id is not None:
-        record["privesc_id"] = action.privesc_id
+    if kind is _EXPLOIT or kind is _PRIVESC:
+        record[f"{kind.value}_id"] = action.ident
     if obs.connection_failed:
         record["connection_failed"] = True
     if obs.discovered_addresses is not None:

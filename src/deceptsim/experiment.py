@@ -173,9 +173,10 @@ def run_episode(
 
     A run of host scans the agent hands over (``scan_run``) is played by
     ``engine.run_scans``, and the head of an attack sweep (``attack_run``) by
-    ``engine.run_attacks``, before the plain step. ``trace_sink``, when
-    given, is called after every step with (step index, action, observation,
-    state, knowledge_reset flag).
+    ``engine.run_attacks``, before the plain step; each run folds its own
+    replies into the agent's knowledge. ``trace_sink``, when given, is
+    called after every step with (action, observation, state,
+    knowledge_reset flag); the state holds the step's index, ``steps_taken``.
     ``one_goal_sink``, when given, is called once with the record the same
     episode has under the one-goal objective: a win at the first step that
     roots a sensitive host if there is one, else the returned record's
@@ -192,18 +193,15 @@ def run_episode(
             continue
         run = agent.attack_run()
         if run is not None:
-            kind, ident, sweep = run
-            failed = run_attacks(state, kind, ident, sweep, trace_sink)
-            if failed:
-                agent.knowledge.fail(kind, ident, failed)
-                if state.outcome is not None:
-                    break
+            run_attacks(state, run, agent.knowledge, trace_sink)
+            if state.outcome is not None:
+                break
         action = agent.next_action()
         resets_before = agent.resets
         obs, state = engine_step(state, action)
         agent.observe(action, obs)
         if trace_sink is not None:
-            trace_sink(state.steps_taken, action, obs, state, agent.resets > resets_before)
+            trace_sink(action, obs, state, agent.resets > resets_before)
     outcome = state.outcome
     params = scenario.params
     record = EpisodeRecord(
@@ -272,6 +270,8 @@ def _ordered_records(config: SweepConfig, tasks: list, workers: int) -> Iterator
     try:
         if workers > 1:
             # Imported here: a serial sweep, run and aggregate load no multiprocessing.
+            import signal
+            import threading
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(max_workers=workers)
@@ -284,8 +284,12 @@ def _ordered_records(config: SweepConfig, tasks: list, workers: int) -> Iterator
                 for batch in batch_block:
                     yield from batch[objective]
     finally:
-        if pool is not None:
+        if pool is not None:  # a second interrupt must not cut the pool's shutdown short
+            main = threading.current_thread() is threading.main_thread()
+            handler = signal.signal(signal.SIGINT, signal.SIG_IGN) if main else None
             pool.shutdown(cancel_futures=True)
+            if main:
+                signal.signal(signal.SIGINT, handler)
 
 
 def run_sweep(config: SweepConfig, workers: int | None = None) -> list[EpisodeRecord]:

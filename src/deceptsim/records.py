@@ -80,6 +80,17 @@ def _parse_manifest_json(line: str, path: str) -> dict:
     return manifest
 
 
+def read_manifest(lines, path: str) -> tuple[dict | None, list[str]]:
+    """A file's manifest: its first manifest line before its first data line
+    (neither blank nor a comment), or None; and that data line, if read."""
+    for line in lines:
+        if line.startswith(MANIFEST_PREFIX):
+            return _parse_manifest_json(line, path), []
+        if line.strip() and not line.startswith("#"):
+            return None, [line]
+    return None, []
+
+
 def _write_csv(handle, manifest: dict, header, rows):
     """The manifest line, the header, then each row as it arrives onto ``handle``; return it."""
     handle.write(manifest_line(manifest) + "\n")
@@ -161,27 +172,19 @@ def _extend_parsed(column: list, parse, tokens: list) -> None:
     column.extend(map(parse, tokens))
 
 
-def _data_lines(lines, path: str, manifests: list):
-    """The ``lines`` of a records file that hold CSV; each manifest line met
-    on the way is parsed into ``manifests``, and other comment lines dropped."""
-    for line in lines:
-        if not line.startswith("#"):
-            yield line
-        elif line.startswith(MANIFEST_PREFIX):
-            manifests.append(_parse_manifest_json(line, path))
+def _data_lines(lines):
+    """The ``lines`` of a records file that hold CSV: all but comment lines."""
+    return (line for line in lines if not line.startswith("#"))
 
 
-def _split_chunk(chunk: list, plan: list, width: int, path: str, manifests: list) -> int | None:
+def _split_chunk(chunk: list, plan: list, width: int) -> int | None:
     """Parse a chunk of lines onto the record columns by splitting them on
-    commas, then parse its manifest lines into ``manifests``, and return its
-    row count; or None, for csv to read the chunk, if csv could read it
-    otherwise or a token does not parse."""
+    commas, and return its row count; or None, for csv to read the chunk, if
+    csv could read it otherwise or a token does not parse."""
     rows = list(filter("\n".__ne__, chunk))
     text = "".join(rows)
-    comments = []
     if "#" in text:
-        comments = [line for line in rows if line.startswith("#")]
-        rows = [line for line in rows if not line.startswith("#")]
+        rows = list(_data_lines(rows))
         text = "".join(rows)
     if ('"' in text or "\r" in text or "\0" in text
             or set(map(str.count, rows, itertools.repeat(","))) - {width - 1}
@@ -193,8 +196,6 @@ def _split_chunk(chunk: list, plan: list, width: int, path: str, manifests: list
             take(tokens[index:width * len(rows):width])
     except ValueError:  # csv meets the same token, and names its row
         return None
-    manifests.extend(_parse_manifest_json(line, path)
-                     for line in comments if line.startswith(MANIFEST_PREFIX))
     return len(rows)
 
 
@@ -225,11 +226,12 @@ def read_records_csv(
 ) -> tuple[dict[str, list], dict | None]:
     """The records of a records CSV, one list per record column named in
     ``fields``, read in one streamed pass CHUNK_ROWS lines at a time, and its
-    manifest (the last manifest line). Every token of every record column is
+    manifest (``read_manifest``'s). Every token of every record column is
     checked, stored or not. Columns are found by header name, which csv
     reads; a header that lacks a record column or repeats one is refused.
-    Blank lines are skipped, before the header too. Chunks are taken straight
-    from the file; only one that holds a "#" is searched for comment lines.
+    Blank lines are skipped, before the header too, and so are comment
+    lines. Chunks are taken straight from the file; only one that holds a
+    "#" is searched for comment lines.
     A chunk is split on commas, without csv, if it holds no quote, carriage
     return or NUL, each data line has one comma fewer than the header has
     columns, no line is over ``csv.field_size_limit()``, and every token
@@ -237,11 +239,12 @@ def read_records_csv(
     seeds are checked as runs of ASCII digits, or else each by int(). From
     the first chunk that fails, csv reads the rest of the file, since a
     quoted field may span chunks, and names the first bad row."""
-    manifests = []
     columns = {name: [] for name in fields}
     try:
         with open(path, encoding="utf-8", newline="") as handle:
-            header = next(filter(None, csv.reader(_data_lines(handle, path, manifests))), [])
+            manifest, lines = read_manifest(handle, path)
+            lines = _data_lines(itertools.chain(lines, handle))
+            header = next(filter(None, csv.reader(lines)), [])
             missing = [column for column in RECORD_COLUMNS if column not in header]
             if missing:
                 raise RecordsError(f"{path}: missing record columns: {', '.join(missing)}")
@@ -256,10 +259,9 @@ def read_records_csv(
                     chunk.extend(itertools.islice(handle, CHUNK_ROWS))
                     rest = handle  # after a read error, csv reads no further
                 finally:  # a read error still has the lines before it checked
-                    count = _split_chunk(chunk, plan, len(header), path, manifests)
+                    count = _split_chunk(chunk, plan, len(header))
                     if count is None:  # csv reads the rest: a quoted field may span chunks
-                        lines = _data_lines(itertools.chain(chunk, rest), path, manifests)
-                        rows = filter(None, csv.reader(lines))
+                        rows = filter(None, csv.reader(_data_lines(itertools.chain(chunk, rest))))
                         while _read_chunk(rows, plan, path, first) == CHUNK_ROWS:
                             first += CHUNK_ROWS
                 if count is None or len(chunk) < CHUNK_ROWS:
@@ -267,4 +269,4 @@ def read_records_csv(
                 first += count
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise RecordsError(f"cannot read records file {path}: {exc}") from exc
-    return columns, manifests[-1] if manifests else None
+    return columns, manifest

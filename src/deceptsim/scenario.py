@@ -1,10 +1,11 @@
 """World model and deterministic scenario generation.
 
 A scenario is an immutable description of one simulated network: the hosts
-behind the target subnet (normal, sensitive, honeypot, plus empty address
-fillers), the attacker's exploit and privilege-escalation toolkit, and the
-initial host-to-address assignment. Generation is a pure function of the
-parameter set, so identical parameters always yield an identical world.
+behind the target subnet (normal, sensitive and honeypot), the attacker's
+exploit and privilege-escalation toolkit, and the initial assignment of
+target-subnet addresses, in which an address past the hosts' is empty.
+Generation is a pure function of the parameter set, so identical parameters
+always yield an identical world.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class HostKind(str, Enum):
     NORMAL = "normal"
     SENSITIVE = "sensitive"
     HONEYPOT = "honeypot"
-    EMPTY = "empty"
+    EMPTY = "empty"  # the kind the world JSON writes for an empty address
 
 
 # GeneratorParams fields the model does not use: no host-discovery reward, a
@@ -224,17 +225,16 @@ class PrivEscDef:
 class Scenario:
     """An immutable generated world, shared read-only across episodes.
 
-    Host ids are tuple indices. ``initial_addresses`` holds each host's
-    first address, indexed by host id as ``engine.NetworkState.addresses``
-    is: a bijection between all non-attacker hosts (empty fillers included)
-    and the target-subnet addresses ``range(params.target_capacity)``.
+    Host ids are tuple indices. ``initial_addresses`` is a permutation of
+    the target-subnet addresses ``range(params.target_capacity)``, laid out
+    as ``engine.NetworkState.addresses`` is: entry ``i < len(hosts)`` is
+    host ``i``'s first address, and the rest are the empty addresses.
     """
 
     params: GeneratorParams
     hosts: tuple[HostSpec, ...]
     exploits: tuple[ExploitDef, ...]
     privescs: tuple[PrivEscDef, ...]
-    subnets: tuple[int, ...]
     initial_addresses: tuple[Address, ...]
 
     @cached_property
@@ -246,13 +246,9 @@ class Scenario:
         return tuple(h.id for h in self.hosts if h.kind is HostKind.HONEYPOT)
 
     @cached_property
-    def non_empty_ids(self) -> tuple[int, ...]:
-        return tuple(h.id for h in self.hosts if h.kind is not HostKind.EMPTY)
-
-    @cached_property
     def scan_replies(self) -> dict:
         """The engine's immutable scan replies, keyed by (host id, scan
-        kind), with id None for every empty filler, and filled as hosts are
+        kind), with id None for every empty address, and filled as hosts are
         scanned. A reply depends only on the host, so every episode on this
         world shares them."""
         return {}
@@ -290,7 +286,7 @@ def draw_world(params: GeneratorParams) -> Scenario:
     distribution and then patched so each one can be taken to root access
     (a matching root exploit, or a matching user exploit plus a matching
     privilege escalation); without that guarantee a seed could produce an
-    unwinnable world. Leftover target-subnet addresses become empty hosts.
+    unwinnable world. Target-subnet addresses left over are empty.
     """
     rng = random.Random(params.seed)
 
@@ -331,10 +327,7 @@ def draw_world(params: GeneratorParams) -> Scenario:
                 rng, exploits, privescs, services, os_id, processes, vulns
             )
         hosts.append(HostSpec(host_id, kind, services, os_id, processes, vulns, values[kind]))
-    capacity = params.target_capacity
-    hosts += _empty_fillers(len(hosts), capacity)
-
-    addresses = list(range(capacity))
+    addresses = list(range(params.target_capacity))
     rng.shuffle(addresses)
 
     return Scenario(
@@ -342,17 +335,14 @@ def draw_world(params: GeneratorParams) -> Scenario:
         hosts=tuple(hosts),
         exploits=exploits,
         privescs=privescs,
-        subnets=(1, capacity),
         initial_addresses=tuple(addresses),
     )
 
 
-# Immutable parts that recur across worlds, built once per process. A
-# world's empty filler depends only on its host id, so _fillers[i] is host
-# i's. A subset depends only on its mask, whose set bits are its elements;
-# masks below SUBSET_MEMO_LIMIT are kept, which bounds the memo however
-# large a draw's range is.
-_fillers: list[HostSpec] = []
+# Subsets recur across worlds, so each is built once per process. A subset
+# depends only on its mask, whose set bits are its elements; masks below
+# SUBSET_MEMO_LIMIT are kept, which bounds the memo however large a draw's
+# range is.
 _subsets: dict[int, frozenset[int]] = {}
 SUBSET_MEMO_LIMIT = 1 << 12
 
@@ -360,15 +350,6 @@ SUBSET_MEMO_LIMIT = 1 << 12
 def _draw_grants(rng: random.Random, num_exploits: int):
     """Each exploit's grants, in id order, drawn lazily: a world's first draws."""
     return (rng.choice((AccessLevel.USER, AccessLevel.ROOT)) for _ in range(num_exploits))
-
-
-def _empty_fillers(start: int, stop: int) -> list[HostSpec]:
-    """The empty fillers of host ids ``start`` to ``stop - 1``."""
-    for host_id in range(len(_fillers), stop):
-        _fillers.append(
-            HostSpec(host_id, HostKind.EMPTY, frozenset(), 0, frozenset(), frozenset(), 0.0)
-        )
-    return _fillers[start:stop]
 
 
 def _draw_subset(rng: random.Random, n: int) -> frozenset[int]:
@@ -420,8 +401,16 @@ def _json_fields(pairs) -> dict:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
+    """The world as JSON values, with one host row per empty address, whose
+    id is its index in ``initial_addresses``, and the target subnet's span."""
     data = asdict(scenario, dict_factory=_json_fields)
     addresses = data.pop("initial_addresses")
+    data["hosts"] += tuple(
+        asdict(HostSpec(host_id, HostKind.EMPTY, frozenset(), 0, frozenset(), frozenset(), 0.0),
+               dict_factory=_json_fields)
+        for host_id in range(len(scenario.hosts), len(addresses))
+    )
+    data["subnets"] = [TARGET_SUBNET, scenario.params.target_capacity]
     data["address_map"] = [[host_id, *address_pair(a)] for host_id, a in enumerate(addresses)]
     return data
 

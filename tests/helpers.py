@@ -20,7 +20,7 @@ from deceptsim.scenario import (
     Scenario,
 )
 
-# Uniform configuration for every non-empty hand-built host.
+# Uniform configuration for every hand-built host.
 HOST_SERVICES = frozenset({0})
 HOST_OS = 0
 HOST_PROCESSES = frozenset({0})
@@ -30,7 +30,6 @@ KIND_VALUES = {
     HostKind.SENSITIVE: 1000.0,
     HostKind.NORMAL: 1.0,
     HostKind.HONEYPOT: -1000.0,
-    HostKind.EMPTY: 0.0,
 }
 
 
@@ -46,8 +45,9 @@ def build_world(
     one_goal=True,
     step_limit=3000,
 ):
-    """Fully explicit world: every non-empty host runs service 0, vuln 0,
-    process 0 on OS 0, and addresses are assigned in host-id order.
+    """Fully explicit world: every host runs service 0, vuln 0, process 0 on
+    OS 0, addresses are assigned in host-id order, and the ``num_empty``
+    addresses after the hosts' are empty.
 
     ``exploits`` rows are (service, vuln, os, grants, prob); ``privescs``
     rows are (process, prob).
@@ -56,26 +56,13 @@ def build_world(
         [HostKind.SENSITIVE] * num_sensitive
         + [HostKind.NORMAL] * num_normal
         + [HostKind.HONEYPOT] * num_honeypots
-        + [HostKind.EMPTY] * num_empty
     )
-    hosts = []
-    for host_id, kind in enumerate(kinds):
-        if kind is HostKind.EMPTY:
-            hosts.append(
-                HostSpec(host_id, kind, frozenset(), 0, frozenset(), frozenset(), 0.0)
-            )
-        else:
-            hosts.append(
-                HostSpec(
-                    host_id,
-                    kind,
-                    HOST_SERVICES,
-                    HOST_OS,
-                    HOST_PROCESSES,
-                    HOST_VULNS,
-                    KIND_VALUES[kind],
-                )
-            )
+    hosts = [
+        HostSpec(host_id, kind, HOST_SERVICES, HOST_OS, HOST_PROCESSES, HOST_VULNS,
+                 KIND_VALUES[kind])
+        for host_id, kind in enumerate(kinds)
+    ]
+    capacity = len(hosts) + num_empty
     params = GeneratorParams(
         num_hosts=num_normal,
         num_honeypots=num_honeypots,
@@ -85,7 +72,7 @@ def build_world(
         step_limit=step_limit,
         num_exploits=max(len(exploits), 1),
         num_privescs=len(privescs),
-        num_addresses=len(hosts) + 1,
+        num_addresses=capacity + 1,
     )
     return Scenario(
         params=params,
@@ -97,8 +84,7 @@ def build_world(
         privescs=tuple(
             PrivEscDef(i, process, prob) for i, (process, prob) in enumerate(privescs)
         ),
-        subnets=(1, len(hosts)),
-        initial_addresses=tuple(h.id for h in hosts),
+        initial_addresses=tuple(range(capacity)),
     )
 
 
@@ -124,7 +110,7 @@ def collect_trace(scenario, agent_kind, episode_seed):
         scenario,
         agent_kind,
         episode_seed,
-        trace_sink=lambda i, action, obs, state, reset: trace.append((action, obs)),
+        trace_sink=lambda action, obs, state, reset: trace.append((action, obs)),
     )
     return record, trace
 
@@ -146,15 +132,6 @@ _SCAN_FIELDS = {
     ActionKind.VULN_SCAN: "vulns",
     ActionKind.PROCESS_SCAN: "processes",
 }
-
-
-def _scan_value(kind, obs):
-    return {
-        ActionKind.SERVICE_SCAN: obs.services,
-        ActionKind.OS_SCAN: obs.os,
-        ActionKind.VULN_SCAN: obs.vulns,
-        ActionKind.PROCESS_SCAN: obs.processes,
-    }[kind]
 
 
 def _best_exploit_for(exploits, belief, failed, address):
@@ -267,7 +244,7 @@ def validate_careful_trace(scenario, trace):
                 fail("scan outside the owed scan cycle")
             owed.discard((kind, action.target))
             belief = beliefs.setdefault(action.target, {})
-            field, value = _SCAN_FIELDS[kind], _scan_value(kind, obs)
+            field, value = _SCAN_FIELDS[kind], obs.scanned
             if field in belief and belief[field] != value:
                 reset()
                 continue
@@ -280,7 +257,7 @@ def validate_careful_trace(scenario, trace):
                 fail("process scan on a host not at user access")
             if "processes" in belief:
                 fail("repeated process scan")
-            belief["processes"] = obs.processes
+            belief["processes"] = obs.scanned
             continue
 
         if owed:
@@ -291,8 +268,8 @@ def validate_careful_trace(scenario, trace):
             if belief is None or belief.get("access", AccessLevel.NONE) is not AccessLevel.NONE:
                 fail("exploit against an already-owned host")
             best = _best_exploit_for(exploits, belief, failed, action.target)
-            if best is None or action.exploit_id != best.id:
-                fail(f"exploit {action.exploit_id} is not the best untried match")
+            if best is None or action.ident != best.id:
+                fail(f"exploit {action.ident} is not the best untried match")
             if obs.success:
                 belief["access"] = obs.access_gained
                 if obs.access_gained is AccessLevel.ROOT:
@@ -300,20 +277,20 @@ def validate_careful_trace(scenario, trace):
                 else:
                     reaction = (ActionKind.PROCESS_SCAN, action.target)
             else:
-                failed.add((action.target, ActionKind.EXPLOIT, action.exploit_id))
+                failed.add((action.target, ActionKind.EXPLOIT, action.ident))
             continue
 
         if kind is ActionKind.PRIVESC:
             if belief is None or belief.get("access") is not AccessLevel.USER:
                 fail("privilege escalation without user access")
             expected = _next_privesc_for(privescs, belief, failed, action.target)
-            if expected is None or action.privesc_id != expected.id:
-                fail(f"privesc {action.privesc_id} is not the next untried applicable one")
+            if expected is None or action.ident != expected.id:
+                fail(f"privesc {action.ident} is not the next untried applicable one")
             if obs.success:
                 belief["access"] = AccessLevel.ROOT
                 reaction = (ActionKind.WIRETAP, action.target)
             else:
-                failed.add((action.target, ActionKind.PRIVESC, action.privesc_id))
+                failed.add((action.target, ActionKind.PRIVESC, action.ident))
             continue
 
         if kind is ActionKind.WIRETAP:
@@ -426,7 +403,7 @@ def validate_standard_trace(scenario, trace):
                     [ActionKind.OS_SCAN, ActionKind.VULN_SCAN, ActionKind.PROCESS_SCAN]
                 )
             belief = beliefs.setdefault(action.target, {})
-            field, value = _SCAN_FIELDS[kind], _scan_value(kind, obs)
+            field, value = _SCAN_FIELDS[kind], obs.scanned
             if field in belief and belief[field] != value:
                 reset()
                 continue
@@ -446,26 +423,26 @@ def validate_standard_trace(scenario, trace):
             if access is not AccessLevel.NONE:
                 fail("exploit at elevated access")
             best = _best_exploit_for(exploits, belief, failed, focus)
-            if best is None or action.exploit_id != best.id:
-                fail(f"exploit {action.exploit_id} is not the best untried match")
+            if best is None or action.ident != best.id:
+                fail(f"exploit {action.ident} is not the best untried match")
             if obs.success:
                 belief["access"] = obs.access_gained
                 if obs.access_gained is AccessLevel.USER:
                     focus = None  # success: move on, revisit later for privesc
             else:
-                failed.add((focus, ActionKind.EXPLOIT, action.exploit_id))
+                failed.add((focus, ActionKind.EXPLOIT, action.ident))
             continue
 
         if kind is ActionKind.PRIVESC:
             if access is not AccessLevel.USER:
                 fail("privilege escalation without user access")
             expected = _next_privesc_for(privescs, belief, failed, focus)
-            if expected is None or action.privesc_id != expected.id:
-                fail(f"privesc {action.privesc_id} is not the next untried applicable one")
+            if expected is None or action.ident != expected.id:
+                fail(f"privesc {action.ident} is not the next untried applicable one")
             if obs.success:
                 belief["access"] = AccessLevel.ROOT
             else:
-                failed.add((focus, ActionKind.PRIVESC, action.privesc_id))
+                failed.add((focus, ActionKind.PRIVESC, action.ident))
             continue
 
         if kind is ActionKind.WIRETAP:
@@ -533,9 +510,8 @@ def validate_aggressive_trace(scenario, trace):
 
         if action.target not in known:
             fail(f"clairvoyant target {action.target}")
-        ident = action.exploit_id if kind is ActionKind.EXPLOIT else action.privesc_id
-        spec = (kind, ident)
-        pair = (action.target, kind, ident)
+        spec = (kind, action.ident)
+        pair = (action.target, kind, action.ident)
         if pair in failed:
             fail("re-attempted a failed pair")
         if current is None:

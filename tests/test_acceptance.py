@@ -279,8 +279,7 @@ def random_walk_action(rng: random.Random, scenario) -> Action:
     if kind is ActionKind.EXPLOIT:
         return Action(ActionKind.EXPLOIT, target, rng.randrange(scenario.params.num_exploits))
     if kind is ActionKind.PRIVESC:
-        privesc_id = rng.randrange(scenario.params.num_privescs)
-        return Action(ActionKind.PRIVESC, target, privesc_id=privesc_id)
+        return Action(ActionKind.PRIVESC, target, rng.randrange(scenario.params.num_privescs))
     return Action(kind, target)
 
 

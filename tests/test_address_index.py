@@ -1,13 +1,14 @@
 """The engine's address index against the full inverse.
 
-``NetworkState.addr_to_host`` maps only the non-empty hosts' addresses, and
+``NetworkState.addr_to_host`` maps only the hosts' addresses, and
 ``_checked_host`` resolves any other address in the target subnet to an
-empty filler. The reference here is the straightforward path: the inverse
-of the whole address list, empty fillers included. After every mutation,
-every address's reply to every host scan and to a wiretap, through ``step``
-and through ``run_scans``, must be the one that inverse gives; the subnet
-scan must list the sorted non-empty addresses; and a malformed target must
-be rejected before any counter moves.
+empty one. The reference here is the straightforward path: the inverse of
+the whole address list, in which an id at or past ``len(hosts)`` is an
+empty address. After every mutation, every address's reply to every host
+scan and to a wiretap, through ``step`` and through ``run_scans``, must be
+the one that inverse gives; the subnet scan must list the sorted host
+addresses; and a malformed target must be rejected before any counter
+moves.
 """
 
 import random
@@ -31,14 +32,14 @@ from deceptsim.scenario import GeneratorParams, HostKind, generate_scenario
 HOST_ACTIONS = (*SCAN_FIELDS, ActionKind.WIRETAP)
 
 
-def expected_reply(host, kind):
-    """What the host behind an address answers, read off the host itself."""
-    if host.kind is HostKind.EMPTY:
+def expected_reply(scenario, host_id, kind):
+    """What the host behind an address answers, read off the host itself;
+    an id at or past ``len(hosts)`` is an empty address."""
+    if host_id >= len(scenario.hosts):
         return Observation(success=False, connection_failed=True)
     if kind is ActionKind.WIRETAP:
         return Observation(success=False)  # nothing is at root access
-    name = SCAN_FIELDS[kind]
-    return Observation(success=True, **{name: getattr(host, name)})
+    return Observation(success=True, scanned=getattr(scenario.hosts[host_id], SCAN_FIELDS[kind]))
 
 
 def malformed_targets(capacity):
@@ -50,7 +51,7 @@ def run_one_scan(state, kind, address):
     replies = []
     knowledge = Knowledge()
     run_scans(state, iter([(kind, address)]), knowledge, knowledge.clear,
-              trace_sink=lambda _step, _action, obs, _state, _reset: replies.append(obs))
+              trace_sink=lambda _action, obs, _state, _reset: replies.append(obs))
     return replies[0]
 
 
@@ -59,16 +60,13 @@ def check_against_full_inverse(state):
     inverse = {a: h for h, a in enumerate(state.addresses)}
     capacity = scenario.params.target_capacity
     assert sorted(inverse) == list(range(capacity))
-    assert state.addr_to_host == {
-        a: h for a, h in inverse.items() if scenario.hosts[h].kind is not HostKind.EMPTY
-    }
+    assert state.addr_to_host == {a: h for a, h in inverse.items() if h < len(scenario.hosts)}
     obs, _ = step(state, Action(ActionKind.SUBNET_SCAN))
     assert obs.discovered_addresses == tuple(sorted(
-        state.addresses[h] for h in scenario.non_empty_ids))
+        a for a, h in inverse.items() if h < len(scenario.hosts)))
     for address in range(capacity):
-        host = scenario.hosts[inverse[address]]
         for kind in HOST_ACTIONS:
-            expected = expected_reply(host, kind)
+            expected = expected_reply(scenario, inverse[address], kind)
             assert step(state, Action(kind, address))[0] == expected
             if kind in SCAN_FIELDS:
                 assert run_one_scan(state, kind, address) == expected
@@ -94,7 +92,7 @@ def test_index_matches_the_full_inverse_across_mutations():
             "num_hosts": draw(st.integers(0, 10)),
             "num_honeypots": draw(st.integers(0, 3)),
         }
-        # No spare address leaves the subnet without an empty filler.
+        # No spare address leaves the subnet without an empty address.
         spare = draw(st.sampled_from((0, 0, 1, 2, 30)))
         return GeneratorParams(
             **counts,
@@ -106,10 +104,15 @@ def test_index_matches_the_full_inverse_across_mutations():
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(params=worlds(), mutation_seeds=st.lists(st.integers(0, 2**32), max_size=4))
     def check(params, mutation_seeds):
-        state = new_network_state(generate_scenario(params), random.Random(0))
+        scenario = generate_scenario(params)
+        # The hosts are the real ones; the addresses are the whole subnet.
+        assert HostKind.EMPTY not in {host.kind for host in scenario.hosts}
+        assert sorted(scenario.initial_addresses) == list(range(params.target_capacity))
+        state = new_network_state(scenario, random.Random(0))
         check_against_full_inverse(state)
         for seed in mutation_seeds:
-            mutate_addresses(state, random.Random(seed))
+            state.rng = random.Random(seed)
+            mutate_addresses(state)
             check_against_full_inverse(state)
 
     check()
@@ -117,8 +120,8 @@ def test_index_matches_the_full_inverse_across_mutations():
 
 @pytest.mark.parametrize("spare", [0, 5], ids=["no_filler", "fillers"])
 def test_malformed_targets_are_rejected_in_every_world(spare):
-    # With no filler every address in the subnet is indexed, so a True or a
-    # 0.0 that hashed its way into the index would be played.
+    # With no empty address every address in the subnet is indexed, so a
+    # True or a 0.0 that hashed its way into the index would be played.
     params = GeneratorParams(num_hosts=4, num_sensitive=1, num_addresses=5 + spare + 1)
     state = new_network_state(generate_scenario(params), random.Random(0))
     assert (len(state.addr_to_host) == params.target_capacity) == (spare == 0)

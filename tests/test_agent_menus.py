@@ -83,7 +83,7 @@ def reference_attack_options(agent):
             else:
                 privesc = _untried_privesc(agent, address)
                 if privesc is not None:
-                    options.append(Action(ActionKind.PRIVESC, address, privesc_id=privesc.id))
+                    options.append(Action(ActionKind.PRIVESC, address, privesc.id))
     return options
 
 

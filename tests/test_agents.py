@@ -68,14 +68,14 @@ def test_careful_prefers_root_granting_exploit():
     scenario = build_world(num_sensitive=1, exploits=(USER_EXPLOIT, ROOT_EXPLOIT))
     _, trace = collect_trace(scenario, "careful", episode_seed=5)
     exploit = next(a for a, _ in trace if a.kind is ActionKind.EXPLOIT)
-    assert exploit.exploit_id == 1
+    assert exploit.ident == 1
 
 
 def test_careful_breaks_ties_by_lowest_exploit_id():
     scenario = build_world(num_sensitive=1, exploits=(ROOT_EXPLOIT, ROOT_EXPLOIT))
     _, trace = collect_trace(scenario, "careful", episode_seed=5)
     exploit = next(a for a, _ in trace if a.kind is ActionKind.EXPLOIT)
-    assert exploit.exploit_id == 0
+    assert exploit.ident == 0
 
 
 def test_careful_user_access_path_ends_in_privesc():
@@ -176,7 +176,7 @@ def test_standard_never_repeats_a_failed_attempt():
     scenario = build_world(num_sensitive=1, num_normal=2, exploits=zero_prob, step_limit=60)
     _, trace = collect_trace(scenario, "standard", episode_seed=8)
     attempts = [
-        (a.target, a.exploit_id) for a, _ in trace if a.kind is ActionKind.EXPLOIT
+        (a.target, a.ident) for a, _ in trace if a.kind is ActionKind.EXPLOIT
     ]
     assert len(attempts) == len(set(attempts)) == 6  # 3 hosts x 2 exploits, once each
 
@@ -196,7 +196,7 @@ def test_aggressive_never_scans_hosts_and_sweeps_one_action():
     }
     assert not host_scans & set(kinds_of(trace))
     sweeps = [
-        (a.kind, a.exploit_id, a.privesc_id)
+        (a.kind, a.ident)
         for a, _ in trace
         if a.kind in (ActionKind.EXPLOIT, ActionKind.PRIVESC)
     ]
@@ -274,11 +274,11 @@ def test_contradicting_scan_resets_knowledge(kind):
     )
     agent.observe(
         Action(ActionKind.SERVICE_SCAN, addr(0)),
-        Observation(success=True, services=frozenset({0})),
+        Observation(success=True, scanned=frozenset({0})),
     )
     agent.observe(
         Action(ActionKind.SERVICE_SCAN, addr(0)),
-        Observation(success=True, services=frozenset({3})),
+        Observation(success=True, scanned=frozenset({3})),
     )
     assert agent.resets == 1
     assert agent.next_action() == Action(ActionKind.SUBNET_SCAN)

@@ -2,10 +2,11 @@
 
 ``records.read_records_csv(path, fields)`` reads the header through ``csv``,
 then takes lines straight from the file a chunk of ``records.CHUNK_ROWS`` at a
-time; only a chunk that holds a ``#`` is searched for comment and manifest
-lines. A chunk with no quote, carriage return or NUL, with one comma fewer
-than the header has columns on each data line, with no line over
-``csv.field_size_limit()``, and whose tokens all parse, is split on commas;
+time; only a chunk that holds a ``#`` is searched for comment lines. The
+manifest is the first manifest line before the header. A chunk with no
+quote, carriage return or NUL, with one comma fewer than the header has
+columns on each data line, with no line over ``csv.field_size_limit()``,
+and whose tokens all parse, is split on commas;
 from the first chunk that fails any of these, ``csv`` reads the rest of the
 file. Either way each column of a chunk is taken with one call: a column in
 ``fields`` is parsed with one ``map`` into its list, each distinct token
@@ -89,14 +90,19 @@ def reference_read(path):
 
 
 def reference_rows(handle, path):
-    manifests = []
+    """The rows of a file read line by line. Its manifest is the first
+    manifest line met before any line that is neither blank nor a comment;
+    every other line that starts with "#" is a comment."""
+    manifest, data_met = None, False
 
     def data_lines():
+        nonlocal manifest, data_met
         for line in handle:
-            if line.startswith(MANIFEST_PREFIX):
-                manifests.append(_parse_manifest_json(line, path))
-            elif not line.startswith("#"):
+            if not line.startswith("#"):
+                data_met = data_met or bool(line.strip())
                 yield line
+            elif line.startswith(MANIFEST_PREFIX) and manifest is None and not data_met:
+                manifest = _parse_manifest_json(line, path)
 
     rows = filter(None, csv.reader(data_lines()))
     header = next(rows, [])
@@ -113,7 +119,7 @@ def reference_rows(handle, path):
             records.append(EpisodeRecord(*[parse(row[i]) for i, parse in plan]))
         except (IndexError, ValueError) as exc:
             raise RecordsError(f"{path}: bad record row {index}: {exc}") from exc
-    return records, manifests[-1] if manifests else None
+    return records, manifest
 
 
 def reference_field(record, name):
@@ -242,18 +248,19 @@ def test_golden_data_rows_never_reach_csv(monkeypatch):
 
 def test_comment_lines_keep_no_data_row_from_the_split(tmp_path, monkeypatch):
     # A chunk that holds comment lines drops them and is still split on
-    # commas: only the header reaches csv.
+    # commas: only the header reaches csv. A manifest line after the header
+    # is a comment too.
     header, *rows = golden_lines()
     rows[50:50] = ["# a comment", MANIFEST.replace(":3", ":5")]
-    rows[5:5] = [MANIFEST]
-    path = write(tmp_path, "\n".join(["# above", header, "#", *rows]) + "\n")
+    rows[5:5] = [MANIFEST.replace(":3", ":4")]
+    path = write(tmp_path, "\n".join(["# above", MANIFEST, header, "#", *rows]) + "\n")
     reader, handed = csv.reader, []
 
     def counting_reader(lines):
         return reader(handed.append(line) or line for line in lines)
 
     expected = result(reference_read, path)
-    assert expected[2] == {"command": "sweep", "config": {"master_seed": 5}}
+    assert expected[2] == {"command": "sweep", "config": {"master_seed": 3}}
     monkeypatch.setattr(csv, "reader", counting_reader)
     for size in CHUNK_SIZES:
         monkeypatch.setattr(records_module, "CHUNK_ROWS", size)
@@ -263,14 +270,17 @@ def test_comment_lines_keep_no_data_row_from_the_split(tmp_path, monkeypatch):
 
 
 def test_blank_comment_and_manifest_lines_anywhere(tmp_path):
+    # The manifest is the first manifest line before the header; one after
+    # the header, even one that is not JSON, is a comment.
     header, *rows = golden_lines()
     for blank in ([], [""]):
-        lines = [*blank, "# a comment", MANIFEST, *blank, header, "", "# note", *rows[:5],
-                 MANIFEST.replace(":3", ":4"), "", "\r", *rows[5:9], "#"]
+        lines = [*blank, "# a comment", MANIFEST, *blank, MANIFEST.replace(":3", ":2"), header,
+                 "", "# note", *rows[:5], MANIFEST.replace(":3", ":4"), "", "\r", *rows[5:9],
+                 MANIFEST[:-3], "#"]
         for ending in ("\n", "\r\n", "\r"):
             path = write(tmp_path, ending.join(lines) + ending)
             records, _, manifest = assert_reads_alike(path)
-            assert len(records) == 9 and manifest["config"] == {"master_seed": 4}
+            assert len(records) == 9 and manifest["config"] == {"master_seed": 3}
 
 
 def test_reordered_and_extra_columns(tmp_path):
@@ -291,16 +301,24 @@ def set_field(row, column, token):
     return ",".join(fields)
 
 
+def data_rows_edit(edit):
+    """An edit of a file's lines, the header and a blank line first, that
+    applies ``edit`` to its data rows."""
+    return lambda lines: lines[:2] + edit(lines[2:])
+
+
 @pytest.mark.parametrize("edit, row", [
-    (lambda rows: rows[:3] + [rows[3].rsplit(",", 2)[0]] + rows[4:], 4),  # short row
-    (lambda rows: rows[:6] + [set_field(rows[6], "outcome", "Win")] + rows[7:], 7),
-    (lambda rows: rows[:2] + [set_field(rows[2], "one_goal", "maybe")] + rows[3:], 3),
-    (lambda rows: rows + [set_field(rows[0], "seed", "12x4")] * 2, 97),
-    (lambda rows: [MANIFEST[:-3]] + rows, None),  # corrupted manifest
+    # A short row.
+    (data_rows_edit(lambda rows: rows[:3] + [rows[3].rsplit(",", 2)[0]] + rows[4:]), 4),
+    (data_rows_edit(lambda rows: rows[:6] + [set_field(rows[6], "outcome", "Win")] + rows[7:]), 7),
+    (data_rows_edit(lambda rows: rows[:2] + [set_field(rows[2], "one_goal", "maybe")]
+                    + rows[3:]), 3),
+    (data_rows_edit(lambda rows: rows + [set_field(rows[0], "seed", "12x4")] * 2), 97),
+    (lambda lines: [MANIFEST[:-3]] + lines, None),  # corrupted manifest
 ])
 def test_first_bad_row_is_named_alike(tmp_path, edit, row):
     header, *rows = golden_lines()
-    path = write(tmp_path, "\n".join([header, "", *edit(rows)]) + "\n")
+    path = write(tmp_path, "\n".join(edit([header, "", *rows])) + "\n")
     kind, message = assert_reads_alike(path)
     assert kind == "error"
     assert (f": bad record row {row}: " in message) is (row is not None)
@@ -352,9 +370,10 @@ def many_rows(count):
 
 def test_multi_chunk_file_reads_alike(tmp_path):
     header, rows = many_rows(2 * CHUNK_ROWS + 5)
-    rows[CHUNK_ROWS:CHUNK_ROWS] = ["", "# a comment", MANIFEST]
-    records, _, manifest = assert_reads_alike(write(tmp_path, "\n".join([header, *rows]) + "\n"))
-    assert len(records) == 2 * CHUNK_ROWS + 5 and manifest is not None
+    rows[CHUNK_ROWS:CHUNK_ROWS] = ["", "# a comment", MANIFEST.replace(":3", ":4")]
+    path = write(tmp_path, "\n".join([MANIFEST, header, *rows]) + "\n")
+    records, _, manifest = assert_reads_alike(path)
+    assert len(records) == 2 * CHUNK_ROWS + 5 and manifest["config"] == {"master_seed": 3}
 
 
 @pytest.mark.parametrize("row", [1, 4, 7, CHUNK_ROWS - 1])

@@ -12,7 +12,11 @@ import random
 import re
 import signal
 import stat
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +191,24 @@ def test_sweep_from_manifest_is_byte_identical(tmp_path, capsys):
     out = tmp_path / "records.csv"
     assert run_cli("sweep", "--out", str(out), *SMALL_SWEEP) == 0
     first = read_bytes(out)
+    assert run_cli("sweep", "--from-manifest", str(out)) == 0
+    assert read_bytes(out) == first
+
+
+def test_every_reader_takes_the_manifest_before_the_header(tmp_path, capsys):
+    # A records file with another file's manifest line appended: aggregate
+    # embeds, and a replay replays, the first file's own manifest.
+    out, other = tmp_path / "records.csv", tmp_path / "other.csv"
+    for path, master_seed in ((out, "3"), (other, "9")):
+        assert run_cli("sweep", "--out", str(path), *SMALL_SWEEP, "--master-seed", master_seed) == 0
+    first = read_bytes(out)
+    with open(out, "a", encoding="utf-8") as handle:
+        handle.write(other.read_text(encoding="utf-8").splitlines()[0] + "\n")
+    aggregates = tmp_path / "aggregates.csv"
+    assert run_cli("aggregate", "--records", str(out), "--out", str(aggregates)) == 0
+    line = aggregates.read_text(encoding="utf-8").splitlines()[0]
+    assert json.loads(line[len(MANIFEST_PREFIX):])["config"]["master_seed"] == 3
+    assert cli.load_manifest(str(out), "sweep")["config"]["master_seed"] == 3
     assert run_cli("sweep", "--from-manifest", str(out)) == 0
     assert read_bytes(out) == first
 
@@ -1361,7 +1383,8 @@ def test_a_sweep_that_fails_midway_leaves_nothing_behind(tmp_path, capsys, monke
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_a_sweep_interrupted_while_writing_leaves_nothing_behind(tmp_path, monkeypatch, workers):
+def test_a_sweep_interrupted_while_writing_leaves_nothing_behind(tmp_path, monkeypatch, capsys,
+                                                                 workers):
     # The interrupt lands in the writer, between two records the stream has
     # yielded, not in the stream itself; the sweep still stops its workers.
     out = tmp_path / "records.csv"
@@ -1374,14 +1397,38 @@ def test_a_sweep_interrupted_while_writing_leaves_nothing_behind(tmp_path, monke
         return format_value(value)
 
     monkeypatch.setattr("deceptsim.records.format_value", interrupt_on_twentieth_token)
-    # The traceback, held as an uncaught exception's is until exit, keeps
-    # the stream alive: only closing it stops the workers.
-    with pytest.raises(KeyboardInterrupt) as interrupted:
-        run_cli("sweep", "--out", str(out), "--workers", workers, *SMALL_SWEEP,
-                "--honeypots", "0,2,4,6", "--repetitions", "4")
-    assert interrupted.tb is not None
+    assert run_cli("sweep", "--out", str(out), "--workers", workers, *SMALL_SWEEP,
+                   "--honeypots", "0,2,4,6", "--repetitions", "4") == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
     assert os.listdir(tmp_path) == []
     assert multiprocessing.active_children() == []
+
+
+def test_a_parallel_sweep_interrupted_twice_exits_130_and_leaves_nothing_behind(tmp_path):
+    # Ctrl-C signals the whole process group: the sweep and its workers. The
+    # second interrupt lands while the pool shuts down, which it must not cut
+    # short. The default grid runs for about a minute, so it is still running.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(src), os.environ.get("PYTHONPATH")))))
+    sweep = subprocess.Popen(
+        [sys.executable, "-m", "deceptsim.cli", "sweep", "--out", "big.csv", "--workers", "2"],
+        cwd=tmp_path, env=env, start_new_session=True, text=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        time.sleep(2)
+        os.killpg(sweep.pid, signal.SIGINT)
+        time.sleep(0.5)
+        os.killpg(sweep.pid, signal.SIGINT)
+        _, err = sweep.communicate(timeout=30)
+        assert (sweep.returncode, err) == (130, "error: interrupted\n")
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(ProcessLookupError):  # no process of its group is left
+            os.killpg(sweep.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(sweep.pid, signal.SIGKILL)
+        sweep.wait(timeout=10)
 
 
 @pytest.mark.parametrize("one_goal", ["false", "true,false"])

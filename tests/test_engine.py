@@ -62,13 +62,13 @@ def test_scans_report_true_configuration():
     state = fresh(scenario)
     host = scenario.hosts[0]
     obs, _ = step(state, Action(ActionKind.SERVICE_SCAN, addr(0)))
-    assert obs.services == host.services
+    assert obs.scanned == host.services
     obs, _ = step(state, Action(ActionKind.OS_SCAN, addr(0)))
-    assert obs.os == host.os
+    assert obs.scanned == host.os
     obs, _ = step(state, Action(ActionKind.VULN_SCAN, addr(0)))
-    assert obs.vulns == host.vulns
+    assert obs.scanned == host.vulns
     obs, _ = step(state, Action(ActionKind.PROCESS_SCAN, addr(0)))
-    assert obs.processes == host.processes
+    assert obs.scanned == host.processes
 
 
 def test_empty_host_yields_connection_failed():
@@ -97,12 +97,12 @@ def test_invalid_target_rejected_before_accounting():
 
 MALFORMED = {
     "no_target": Action(ActionKind.SERVICE_SCAN),
-    "exploit_without_target": Action(ActionKind.EXPLOIT, exploit_id=0),
+    "exploit_without_target": Action(ActionKind.EXPLOIT, ident=0),
     "exploit_id_none": Action(ActionKind.EXPLOIT, addr(0)),
     "exploit_id_unknown": Action(ActionKind.EXPLOIT, addr(0), 7),
     "exploit_id_not_int": Action(ActionKind.EXPLOIT, addr(0), "0"),
     "privesc_id_none": Action(ActionKind.PRIVESC, addr(0)),
-    "privesc_id_unknown": Action(ActionKind.PRIVESC, addr(0), privesc_id=-1),
+    "privesc_id_unknown": Action(ActionKind.PRIVESC, addr(0), -1),
     "unknown_kind": Action("port_knock", addr(0)),
     "subnet_scan_target": Action(ActionKind.SUBNET_SCAN, addr(99)),
 }
@@ -149,7 +149,7 @@ def test_malformed_attack_run_rejected_before_accounting(kind, ident):
     state = fresh(scenario)
     sweep = deque([addr(0), addr(1)])
     with pytest.raises(InvalidActionError):
-        run_attacks(state, kind, ident, sweep)
+        run_attacks(state, (kind, ident, sweep), Knowledge())
     assert state.steps_taken == 0
     assert sweep == deque([addr(0), addr(1)])
     assert state.addresses == [addr(0), addr(1), addr(2)]
@@ -159,7 +159,7 @@ def test_attack_run_after_a_terminal_raises():
     state = fresh(build_world(num_normal=1, exploits=(MISMATCHED_EXPLOIT,), step_limit=1))
     _, state = step(state, Action(ActionKind.SUBNET_SCAN))
     with pytest.raises(EpisodeTerminatedError):
-        run_attacks(state, ActionKind.EXPLOIT, 0, deque([addr(0)]))
+        run_attacks(state, (ActionKind.EXPLOIT, 0, deque([addr(0)])), Knowledge())
     assert state.steps_taken == 1
 
 
@@ -168,16 +168,18 @@ def test_attack_run_stops_before_an_empty_filler():
     state = fresh(scenario)
     sweep = deque([addr(1), addr(2), addr(3), addr(0)])
     rows = []
-    failed = run_attacks(state, ActionKind.EXPLOIT, 0, sweep,
-                         lambda *args: rows.append(trace_record(*args)))
-    assert failed == [addr(1), addr(2)]
+    knowledge = Knowledge()
+    run_attacks(state, (ActionKind.EXPLOIT, 0, sweep), knowledge,
+                lambda *args: rows.append(trace_record(*args)))
+    assert knowledge.failed == {(ActionKind.EXPLOIT, 0): {addr(1), addr(2)}}
     assert sweep == deque([addr(3), addr(0)])
     assert state.steps_taken == 2
     assert [(row["step"], row["target"], row["exploit_id"], row["success"]) for row in rows] \
         == [(1, [1, 1], 0, False), (2, [1, 2], 0, False)]
     assert state.outcome is None
     # A head that is not an int address is left to the plain path to reject.
-    assert run_attacks(state, ActionKind.EXPLOIT, 0, deque([True])) == []
+    run_attacks(state, (ActionKind.EXPLOIT, 0, deque([True])), knowledge)
+    assert knowledge.failed == {(ActionKind.EXPLOIT, 0): {addr(1), addr(2)}}
     assert state.steps_taken == 2
 
 
@@ -186,9 +188,13 @@ def test_attack_run_stops_before_a_matching_exploit():
     state = fresh(scenario)
     rng_state = state.rng.getstate()
     sweep = deque([addr(1), addr(0)])
-    assert run_attacks(state, ActionKind.EXPLOIT, 0, sweep) == []
+    knowledge = Knowledge()
+    run_attacks(state, (ActionKind.EXPLOIT, 0, sweep), knowledge)
+    assert (ActionKind.EXPLOIT, 0) not in knowledge.failed
     assert sweep == deque([addr(1), addr(0)])
-    assert run_attacks(state, ActionKind.EXPLOIT, 1, sweep) == [addr(1), addr(0)]
+    run_attacks(state, (ActionKind.EXPLOIT, 1, sweep), knowledge)
+    assert knowledge.failed[ActionKind.EXPLOIT, 1] == {addr(1), addr(0)}
+    assert not sweep
     assert state.steps_taken == 2
     assert state.rng.getstate() == rng_state
     assert state.access == {}
@@ -199,11 +205,15 @@ def test_attack_run_stops_before_a_privesc_at_user_access():
     state = fresh(scenario)
     _, state = step(state, Action(ActionKind.EXPLOIT, addr(1), 0))
     sweep = deque([addr(0), addr(2), addr(1), addr(0)])
+    knowledge = Knowledge()
     # No access at hosts 0 and 2; host 1 is at user access and runs process 0.
-    assert run_attacks(state, ActionKind.PRIVESC, 0, sweep) == [addr(0), addr(2)]
+    run_attacks(state, (ActionKind.PRIVESC, 0, sweep), knowledge)
+    assert knowledge.failed[ActionKind.PRIVESC, 0] == {addr(0), addr(2)}
     assert sweep == deque([addr(1), addr(0)])
     # No host runs process 5.
-    assert run_attacks(state, ActionKind.PRIVESC, 1, sweep) == [addr(1), addr(0)]
+    run_attacks(state, (ActionKind.PRIVESC, 1, sweep), knowledge)
+    assert knowledge.failed[ActionKind.PRIVESC, 1] == {addr(1), addr(0)}
+    assert not sweep
     assert state.steps_taken == 5
     assert state.access == {1: AccessLevel.USER}
 
@@ -213,7 +223,9 @@ def test_attack_run_times_out_at_a_step_limit_inside_it():
     state = fresh(scenario)
     _, state = step(state, Action(ActionKind.SUBNET_SCAN))
     sweep = deque(map(addr, range(5)))
-    assert run_attacks(state, ActionKind.EXPLOIT, 0, sweep) == [addr(0), addr(1), addr(2)]
+    knowledge = Knowledge()
+    run_attacks(state, (ActionKind.EXPLOIT, 0, sweep), knowledge)
+    assert knowledge.failed[ActionKind.EXPLOIT, 0] == {addr(0), addr(1), addr(2)}
     assert sweep == deque([addr(3), addr(4)])
     assert state.outcome == EpisodeOutcome(OutcomeKind.TIMEOUT, 4, 0.0)
 
@@ -223,7 +235,7 @@ def test_unknown_exploit_and_privesc_ids_rejected():
     with pytest.raises(InvalidActionError):
         step(state, Action(ActionKind.EXPLOIT, addr(0), 7))
     with pytest.raises(InvalidActionError):
-        step(state, Action(ActionKind.PRIVESC, addr(0), privesc_id=-1))
+        step(state, Action(ActionKind.PRIVESC, addr(0), -1))
 
 
 def test_exploit_requires_matching_configuration():
@@ -262,12 +274,12 @@ def test_privesc_needs_user_access_and_matching_process():
         num_sensitive=1, exploits=(USER_EXPLOIT,), privescs=((0, 1.0), (5, 1.0)),
     )
     state = fresh(scenario)
-    obs, state = step(state, Action(ActionKind.PRIVESC, addr(0), privesc_id=0))
+    obs, state = step(state, Action(ActionKind.PRIVESC, addr(0), 0))
     assert not obs.success  # no access yet
     _, state = step(state, Action(ActionKind.EXPLOIT, addr(0), 0))
-    obs, state = step(state, Action(ActionKind.PRIVESC, addr(0), privesc_id=1))
+    obs, state = step(state, Action(ActionKind.PRIVESC, addr(0), 1))
     assert not obs.success  # process 5 not running
-    obs, state = step(state, Action(ActionKind.PRIVESC, addr(0), privesc_id=0))
+    obs, state = step(state, Action(ActionKind.PRIVESC, addr(0), 0))
     assert obs.success
     assert state.access[0] is AccessLevel.ROOT
 
@@ -415,7 +427,7 @@ def test_mutation_preserves_bijection_and_access():
         assert len(state.addresses) == len(set(state.addresses))
         assert state.access == accesses
         assert state.addr_to_host == {
-            a: h for h, a in enumerate(state.addresses) if h in scenario.non_empty_ids
+            a: h for h, a in enumerate(state.addresses) if h < len(scenario.hosts)
         }
 
 
@@ -432,20 +444,19 @@ def test_mutation_identity_for_single_address_subnet():
     scenario = build_world(num_sensitive=1, movement_time=1)
     state = fresh(scenario, seed=5)
     before = list(state.addresses)
-    mutate_addresses(state, random.Random(11))
+    mutate_addresses(state)
     assert state.addresses == before
 
 
 def test_mutation_marginal_keep_probability():
     # Uniform permutation of 255 addresses: P(host keeps its address) = 1/255.
     scenario = generate_scenario(GeneratorParams())
-    state = new_network_state(scenario, random.Random(0))
-    rng = random.Random(987)
+    state = new_network_state(scenario, random.Random(987))
     trials = 10_000
     kept = 0
     for _ in range(trials):
         before = state.addresses[0]
-        mutate_addresses(state, rng)
+        mutate_addresses(state)
         kept += state.addresses[0] == before
     assert abs(kept / trials - 1 / 255) <= 0.005
 
@@ -453,9 +464,9 @@ def test_mutation_marginal_keep_probability():
 def test_some_host_moves_in_every_seeded_mutation():
     scenario = generate_scenario(GeneratorParams())
     for seed in range(100):
-        state = new_network_state(scenario, random.Random(0))
+        state = new_network_state(scenario, random.Random(seed))
         before = list(state.addresses)
-        mutate_addresses(state, random.Random(seed))
+        mutate_addresses(state)
         assert state.addresses != before
 
 

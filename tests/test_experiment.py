@@ -123,7 +123,7 @@ def test_trace_sink_sees_every_step():
     steps = []
     record = run_episode(
         scenario, "aggressive", 5,
-        trace_sink=lambda i, action, obs, state, reset: steps.append(i),
+        trace_sink=lambda action, obs, state, reset: steps.append(state.steps_taken),
     )
     assert steps == list(range(1, record.steps + 1))
 

@@ -135,9 +135,9 @@ def test_skipped_termination_checks_never_hide_an_outcome():
     mismatches = []
     outcomes = set()
 
-    def sink(step_index, action, obs, state, knowledge_reset):
+    def sink(action, obs, state, knowledge_reset):
         if check_termination(state) != state.outcome:
-            mismatches.append((step_index, action, state.outcome))
+            mismatches.append((state.steps_taken, action, state.outcome))
 
     for cell in GOLDEN_GRID.cells():
         scenario = generate_scenario(scenario_params(GOLDEN_GRID.fixed, cell))

@@ -24,10 +24,10 @@ from deceptsim.scenario import GeneratorParams, generate_scenario
 from test_golden import GOLDEN_GRID
 
 
-def row(step_index, action, obs, state, knowledge_reset):
+def row(action, obs, state, knowledge_reset):
     """What one step leaves behind, for comparison."""
     return (
-        trace_record(step_index, action, obs, state),
+        trace_record(action, obs, state),
         knowledge_reset,
         tuple(state.addresses),
     )
@@ -47,7 +47,7 @@ def reference_episode(scenario, agent_kind, episode_seed):
             obs, state = step(state, action)
             agent.observe(action, obs)
             knowledge_reset = agent.resets > resets
-            rows.append(row(state.steps_taken, action, obs, state, knowledge_reset))
+            rows.append(row(action, obs, state, knowledge_reset))
             if knowledge_reset or state.outcome is not None:
                 break
     return rows, state.outcome, state.one_goal_win or state.outcome

@@ -55,14 +55,13 @@ def test_host_layout_counts_and_order():
     params = GeneratorParams(num_hosts=10, num_honeypots=4, num_sensitive=3)
     scenario = generate_scenario(params)
     kinds = [h.kind for h in scenario.hosts]
-    assert len(scenario.hosts) == params.target_capacity == 255
+    assert len(scenario.initial_addresses) == params.target_capacity == 255
     assert kinds[:3] == [HostKind.SENSITIVE] * 3
     assert kinds[3:13] == [HostKind.NORMAL] * 10
-    assert kinds[13:17] == [HostKind.HONEYPOT] * 4
-    assert kinds[17:] == [HostKind.EMPTY] * (255 - 17)
+    assert kinds[13:] == [HostKind.HONEYPOT] * 4
     assert scenario.sensitive_ids == (0, 1, 2)
     assert scenario.honeypot_ids == (13, 14, 15, 16)
-    assert [h.id for h in scenario.hosts] == list(range(255))
+    assert [h.id for h in scenario.hosts] == list(range(17))
 
 
 def test_host_values_by_kind():
@@ -73,23 +72,25 @@ def test_host_values_by_kind():
     assert by_kind[HostKind.SENSITIVE] == {1000.0}
     assert by_kind[HostKind.HONEYPOT] == {-1000.0}
     assert by_kind[HostKind.NORMAL] == {1.0}
-    assert by_kind[HostKind.EMPTY] == {0.0}
+    assert by_kind[HostKind.EMPTY] == set()  # an empty address is not a host
 
 
 def test_empty_hosts_have_blank_configuration():
+    # The world JSON writes a blank row for each address past the hosts'.
     scenario = generate_scenario(GeneratorParams())
-    for host in scenario.hosts:
-        if host.kind is HostKind.EMPTY:
-            assert host.services == frozenset()
-            assert host.processes == frozenset()
-            assert host.vulns == frozenset()
+    rows = scenario_to_dict(scenario)["hosts"]
+    assert len(rows) == 255
+    for row in rows[len(scenario.hosts):]:
+        assert row["kind"] == "empty"
+        assert row["services"] == row["processes"] == row["vulns"] == []
+        assert (row["os"], row["value"]) == (0, 0.0)
 
 
 def test_address_map_is_a_bijection():
     scenario = generate_scenario(GeneratorParams(num_honeypots=9, seed=24121997))
     addresses = scenario.initial_addresses
-    assert len(addresses) == len(scenario.hosts) == 255
-    assert len(set(addresses)) == 255
+    assert len(scenario.hosts) == 22
+    assert len(addresses) == len(set(addresses)) == 255
     assert sorted(addresses) == list(range(255))
 
 
@@ -126,12 +127,12 @@ def test_exploit_requirements_cover_all_services_and_vulns():
 def test_zero_honeypots():
     scenario = generate_scenario(GeneratorParams(num_honeypots=0))
     assert scenario.honeypot_ids == ()
-    assert len(scenario.non_empty_ids) == 13
+    assert len(scenario.hosts) == 13
 
 
 def test_fifty_hosts_fit():
     scenario = generate_scenario(GeneratorParams(num_hosts=50, num_honeypots=10))
-    assert len(scenario.non_empty_ids) == 63
+    assert len(scenario.hosts) == 63
 
 
 def test_capacity_error():
@@ -214,7 +215,13 @@ def test_golden_world_is_stable():
 
 def reference_scenario_dict(scenario: Scenario) -> dict:
     """The world JSON with every field written out by hand: the reference
-    the dataclass-derived ``scenario_to_dict`` is checked against."""
+    the dataclass-derived ``scenario_to_dict`` is checked against. Each
+    address past the hosts' gets a blank host row of kind empty."""
+    empty_rows = [
+        {"id": host_id, "kind": "empty", "services": [], "os": 0, "processes": [],
+         "vulns": [], "value": 0.0}
+        for host_id in range(len(scenario.hosts), scenario.params.target_capacity)
+    ]
     return {
         "params": dataclasses.asdict(scenario.params),
         "hosts": [
@@ -228,7 +235,7 @@ def reference_scenario_dict(scenario: Scenario) -> dict:
                 "value": h.value,
             }
             for h in scenario.hosts
-        ],
+        ] + empty_rows,
         "exploits": [
             {
                 "id": e.id,
@@ -244,7 +251,7 @@ def reference_scenario_dict(scenario: Scenario) -> dict:
             {"id": p.id, "required_process": p.required_process, "prob": p.prob}
             for p in scenario.privescs
         ],
-        "subnets": list(scenario.subnets),
+        "subnets": [TARGET_SUBNET, scenario.params.target_capacity],
         "address_map": [
             [host_id, TARGET_SUBNET, index]
             for host_id, index in enumerate(scenario.initial_addresses)

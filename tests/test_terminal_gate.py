@@ -26,14 +26,14 @@ def run_checked(scenario, agent_kind, episode_seed, seen):
         scenario, params=dataclasses.replace(scenario.params, one_goal=True))
     first_one_goal_win = None
 
-    def sink(step_index, action, obs, state, knowledge_reset):
+    def sink(action, obs, state, knowledge_reset):
         nonlocal first_one_goal_win
-        assert check_termination(state) == state.outcome, (step_index, action)
+        assert check_termination(state) == state.outcome, (state.steps_taken, action)
         if first_one_goal_win is None:
             outcome = check_termination(dataclasses.replace(state, scenario=one_goal))
             if outcome is not None and outcome.kind is OutcomeKind.WIN:
                 first_one_goal_win = outcome
-        assert state.one_goal_win == first_one_goal_win, (step_index, action)
+        assert state.one_goal_win == first_one_goal_win, (state.steps_taken, action)
         if state.outcome is not None:
             seen[state.outcome.kind, action.kind, obs.access_gained] += 1
 

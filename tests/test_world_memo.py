@@ -1,5 +1,5 @@
 """``generate_scenario``'s world memo, and ``draw_world``'s per-process
-caches, against drawing every world afresh.
+subset cache, against drawing every world afresh.
 
 ``generate_scenario`` keeps the last world it drew, keyed by its params
 with the movement time and the objective reset, and hands it to the next
@@ -8,10 +8,9 @@ is the straightforward path: validate the params, then ``draw_world``. For
 every call of a sequence, both must give the same world JSON, the caller's
 own params, and the same error text.
 
-``draw_world`` takes each empty filler from a cache by host id, and each
-drawn subset from a cache by its mask. A sequence of worlds drawn with the
-caches as earlier draws left them must match the same worlds each drawn
-with both caches emptied first.
+``draw_world`` takes each drawn subset from a cache by its mask. A sequence
+of worlds drawn with the cache as earlier draws left it must match the same
+worlds each drawn with the cache emptied first.
 """
 
 import dataclasses
@@ -117,14 +116,13 @@ def test_drawn_call_sequences_match_fresh_worlds():
 
 
 def cold(params):
-    """The reference drawn with the filler and subset caches emptied first."""
-    scenario_module._fillers.clear()
+    """The reference drawn with the subset cache emptied first."""
     scenario_module._subsets.clear()
     return reference(params)
 
 
 def check_caches(calls):
-    # Every warm draw first, so no cold draw refills the caches it reads.
+    # Every warm draw first, so no cold draw refills the cache it reads.
     calls = list(calls)
     warm = [result(generate_scenario, params) for params in calls]
     assert warm == [result(cold, params) for params in calls]
@@ -142,8 +140,7 @@ def test_drawn_worlds_match_cold_draws():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     # Subsets over ranges above and below the memo's 12 bits, and empty
-    # ones; subnets small enough to overflow, and big enough to grow the
-    # filler cache.
+    # ones; subnets small enough to overflow, and big ones.
     worlds = st.builds(
         GeneratorParams,
         seed=st.integers(0, 2**40),
