@@ -54,18 +54,28 @@ LIST_KEYS = dict(zip(("num_honeypots_options", "movement_time_options", "num_hos
                       "one_goal_options", "seed_options", "agents"), SWEPT_TYPES))
 
 # Fixed-parameter config keys (table names) -> GeneratorParams field: every
-# field that is not swept, under its own name except for four table names.
+# field that is not swept, under its own name except for three table names.
 _TABLE_NAMES = {
     "exploit_prob": "exploit_probs",
     "privesc_prob": "privesc_probs",
     "num_addresses": "addresses",
-    "num_subnets": "subnets",
 }
 FIXED_KEYS = {
     _TABLE_NAMES.get(spec.name, spec.name): spec
     for spec in dataclasses.fields(GeneratorParams)
     if spec.name not in CELL_FIELDS
 }
+
+# Paper-table keys the model ignores -> the name errors give the key, and the
+# one value it accepts: no credentials, no reward for discovering a host, one
+# step per action, uniform host configurations, and an attacker subnet plus
+# one target subnet. Manifests write all but num_creds under fixed.
+NOT_MODELLED = {"num_creds": ("num_creds", None),
+                "host_discovery_value": ("host_discovery_value", 1.0),
+                "action_cost": ("action_cost", 1), "uniform": ("uniform", True),
+                "subnets": ("num_subnets", 2)}
+_FIXED_NOT_MODELLED = {name: value for name, value in NOT_MODELLED.values()
+                       if name != "num_creds"}
 
 # Scalar config keys, each an integer. Only sweep takes repetitions and workers.
 SCALAR_KEYS = ("repetitions", "master_seed", "workers")
@@ -150,7 +160,7 @@ def parse_value(name: str, token: str, annotation: str):
 
 def read_config_file(path: str) -> dict[str, str]:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -186,15 +196,8 @@ def default_timestamp() -> str | None:
 
 def build_manifest(command: str, config, outputs: list[str],
                    timestamp: str | None, **extra) -> dict:
-    manifest = {
-        "command": command,
-        "config": config,
-        "outputs": outputs,
-        "timestamp": timestamp,
-        "version": __version__,
-    }
-    manifest.update(extra)
-    return manifest
+    return dict(command=command, config=config, outputs=outputs, timestamp=timestamp,
+                version=__version__, **extra)
 
 
 def _is_names(value) -> bool:
@@ -203,7 +206,7 @@ def _is_names(value) -> bool:
 
 def load_manifest(path: str, command: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             manifest, _ = read_manifest(handle, path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read manifest from {path}: {exc}") from exc
@@ -233,7 +236,7 @@ def load_manifest(path: str, command: str) -> dict:
 def sweep_config_to_dict(config: SweepConfig) -> dict:
     data = {key: list(getattr(config, name)) for key, name in LIST_KEYS.items()}
     data.update(repetitions=config.repetitions, master_seed=config.master_seed,
-                fixed=dataclasses.asdict(config.fixed))
+                fixed=dict(dataclasses.asdict(config.fixed), **_FIXED_NOT_MODELLED))
     return data
 
 
@@ -241,15 +244,19 @@ def sweep_config_to_dict(config: SweepConfig) -> dict:
 SWEEP_CONFIG_KEYS = (*LIST_KEYS, "repetitions", "master_seed", "fixed")
 RUN_CONFIG_KEYS = (*CELL_FIELDS, "master_seed", "repetition", "fixed")
 _PARAM_FIELDS = {spec.name: spec for spec in dataclasses.fields(GeneratorParams)}
+# The fixed entries nothing reads, each at the one value a manifest may hold:
+# the swept fields, which each cell sets, at their defaults, and the not-modelled ones.
+_UNREAD_FIXED = {**{name: _PARAM_FIELDS[name].default for name in CELL_FIELDS
+                    if name in _PARAM_FIELDS}, **_FIXED_NOT_MODELLED}
 
 
 def _checked_fixed(config: dict, keys: tuple[str, ...]) -> dict:
-    """A replayed config's ``fixed`` entries, once no key of the config
-    would be ignored and none would be filled in: every key is one of
-    ``keys``, and every key of ``fixed`` a GeneratorParams field, which
-    names every field that is not swept (``FIXED_KEYS``). Each cell sets the
-    swept fields, so ``fixed`` holds them only at their defaults, as the
-    writers write them."""
+    """A replayed config's GeneratorParams fields in ``fixed``, once no key
+    of the config would be ignored and none would be filled in: every key
+    is one of ``keys``, and ``fixed`` holds every field that is not swept,
+    the not-modelled ones included, and no other key but the swept fields.
+    Nothing reads the swept and the not-modelled fields, so ``fixed`` holds
+    each only at exactly the value the writers write (``_UNREAD_FIXED``)."""
     for key in config:
         if key not in keys:
             raise ConfigError(f"unknown manifest config key {key!r}")
@@ -257,18 +264,18 @@ def _checked_fixed(config: dict, keys: tuple[str, ...]) -> dict:
     if not isinstance(fixed, dict):
         raise ConfigError("manifest config is incomplete: fixed is not a JSON object")
     for key, value in fixed.items():
-        spec = _PARAM_FIELDS.get(key)
-        if spec is None:
+        if key not in _PARAM_FIELDS and key not in _FIXED_NOT_MODELLED:
             raise ConfigError(f"unknown manifest config key 'fixed.{key}'")
-        if key in CELL_FIELDS and (type(value) is not type(spec.default) or value != spec.default):
-            raise ConfigError(
-                f"manifest config key 'fixed.{key}': each cell sets this field, so only its "
-                f"default {spec.default!r} is accepted, got {value!r}"
-            )
-    missing = [f"fixed.{spec.name}" for spec in FIXED_KEYS.values() if spec.name not in fixed]
+        accepted = _UNREAD_FIXED.get(key, value)
+        if key in _UNREAD_FIXED and (type(value) is not type(accepted) or value != accepted):
+            reason = "not modelled" if key in _FIXED_NOT_MODELLED else "each cell sets this field"
+            raise ConfigError(f"manifest config key 'fixed.{key}': {reason}, so only its "
+                              f"default {accepted!r} is accepted, got {value!r}")
+    missing = [f"fixed.{name}" for name in (*(spec.name for spec in FIXED_KEYS.values()),
+                                            *_FIXED_NOT_MODELLED) if name not in fixed]
     if missing:
         raise ConfigError(f"manifest config is incomplete: it lacks {', '.join(missing)}")
-    return fixed
+    return {key: value for key, value in fixed.items() if key in _PARAM_FIELDS}
 
 
 def sweep_config_from_dict(data: dict) -> SweepConfig:
@@ -297,12 +304,15 @@ def _split_entries(entries: dict[str, str], args):
     fixed: dict[str, object] = {}
     scalars: dict[str, int] = {}
     for key, raw in {**entries, **flags}.items():
-        if key == "num_creds":
-            # Credentials are not modelled; the key is accepted for table
-            # compatibility but only with the value none.
-            if raw.strip().lower() == "none":
-                continue
-            raise ConfigError(f"num_creds: not modelled, only 'none' is accepted, got {raw!r}")
+        if key in NOT_MODELLED:
+            # Parsed by the type of the one value the key accepts.
+            name, accepted = NOT_MODELLED[key]
+            annotation = "int | None" if accepted is None else type(accepted).__name__
+            with contextlib.suppress(ValueError):
+                if FIELD_TYPES[annotation][0](raw.strip()) == accepted:
+                    continue
+            raise ConfigError(f"{name}: not modelled, only {format_value(accepted)!r} is "
+                              f"accepted, got {raw!r}")
         if key in LIST_KEYS:
             name = LIST_KEYS[key]
             lists[name] = tuple(
@@ -468,7 +478,7 @@ def write_text(path: str, text) -> None:
 def run_config_dict(cell: Cell, fixed: GeneratorParams, master_seed: int,
                     repetition: int) -> dict:
     return dict(dataclasses.asdict(cell), master_seed=master_seed, repetition=repetition,
-                fixed=dataclasses.asdict(fixed))
+                fixed=dict(dataclasses.asdict(fixed), **_FIXED_NOT_MODELLED))
 
 
 def _cell_from_run_config(config: dict) -> tuple[Cell, GeneratorParams, int, int]:

@@ -241,7 +241,7 @@ def read_records_csv(
     quoted field may span chunks, and names the first bad row."""
     columns = {name: [] for name in fields}
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             manifest, lines = read_manifest(handle, path)
             lines = _data_lines(itertools.chain(lines, handle))
             header = next(filter(None, csv.reader(lines)), [])

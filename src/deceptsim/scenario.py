@@ -5,7 +5,7 @@ behind the target subnet (normal, sensitive and honeypot), the attacker's
 exploit and privilege-escalation toolkit, and the initial assignment of
 target-subnet addresses, in which an address past the hosts' is empty.
 Generation is a pure function of the parameter set, so identical parameters
-always yield an identical world.
+always yield an identical world. The world JSON dumps these dataclasses.
 """
 
 from __future__ import annotations
@@ -80,13 +80,6 @@ class HostKind(str, Enum):
     NORMAL = "normal"
     SENSITIVE = "sensitive"
     HONEYPOT = "honeypot"
-    EMPTY = "empty"  # the kind the world JSON writes for an empty address
-
-
-# GeneratorParams fields the model does not use: no host-discovery reward, a
-# cost of one step per action, uniform host configurations, and exactly an
-# attacker subnet plus one target subnet.
-NOT_MODELLED = ("host_discovery_value", "action_cost", "uniform", "num_subnets")
 
 
 @dataclass(frozen=True)
@@ -95,9 +88,8 @@ class GeneratorParams:
 
     The first five fields are the ones experiments vary (counts, mutation
     interval, objective, seed); the rest pin the world size and action
-    economics and normally stay at their defaults. The fields named in
-    ``NOT_MODELLED`` exist so that paper-table configs load, and accept only
-    their defaults.
+    economics and normally stay at their defaults. Paper-table keys that
+    model nothing are not fields: ``cli.NOT_MODELLED`` checks them.
     """
 
     num_hosts: int = 10
@@ -115,14 +107,10 @@ class GeneratorParams:
     r_sensitive: float = 1000.0
     r_honeypot: float = -1000.0
     base_host_value: float = 1.0
-    host_discovery_value: float = 1.0
-    action_cost: int = 1
     exploit_prob: float = 1.0
     privesc_prob: float = 1.0
-    uniform: bool = True
     step_limit: int = 3000
     num_addresses: int = 256
-    num_subnets: int = 2
 
     @property
     def target_capacity(self) -> int:
@@ -131,13 +119,7 @@ class GeneratorParams:
 
     def validate(self) -> None:
         for spec in fields(self):
-            value = getattr(self, spec.name)
-            check_type(spec.name, value, spec.type)
-            if spec.name in NOT_MODELLED and value != spec.default:
-                raise ParameterError(
-                    f"{spec.name}: not modelled, only the default {spec.default!r} "
-                    f"is accepted, got {value!r}"
-                )
+            check_type(spec.name, getattr(self, spec.name), spec.type)
         # Every int field is a count, which must be non-negative, but three
         # with bounds of their own, checked below. The seed comes first: a
         # negative one would draw the world of its absolute value.
@@ -401,17 +383,10 @@ def _json_fields(pairs) -> dict:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """The world as JSON values, with one host row per empty address, whose
-    id is its index in ``initial_addresses``, and the target subnet's span."""
+    """The world's dataclasses as JSON values, each initial address as its
+    [subnet, index] pair."""
     data = asdict(scenario, dict_factory=_json_fields)
-    addresses = data.pop("initial_addresses")
-    data["hosts"] += tuple(
-        asdict(HostSpec(host_id, HostKind.EMPTY, frozenset(), 0, frozenset(), frozenset(), 0.0),
-               dict_factory=_json_fields)
-        for host_id in range(len(scenario.hosts), len(addresses))
-    )
-    data["subnets"] = [TARGET_SUBNET, scenario.params.target_capacity]
-    data["address_map"] = [[host_id, *address_pair(a)] for host_id, a in enumerate(addresses)]
+    data["initial_addresses"] = list(map(address_pair, scenario.initial_addresses))
     return data
 
 

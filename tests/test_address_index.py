@@ -27,7 +27,7 @@ from deceptsim.engine import (
     run_scans,
     step,
 )
-from deceptsim.scenario import GeneratorParams, HostKind, generate_scenario
+from deceptsim.scenario import GeneratorParams, generate_scenario
 
 HOST_ACTIONS = (*SCAN_FIELDS, ActionKind.WIRETAP)
 
@@ -106,7 +106,7 @@ def test_index_matches_the_full_inverse_across_mutations():
     def check(params, mutation_seeds):
         scenario = generate_scenario(params)
         # The hosts are the real ones; the addresses are the whole subnet.
-        assert HostKind.EMPTY not in {host.kind for host in scenario.hosts}
+        assert len(scenario.hosts) == params.num_sensitive + params.num_hosts + params.num_honeypots
         assert sorted(scenario.initial_addresses) == list(range(params.target_capacity))
         state = new_network_state(scenario, random.Random(0))
         check_against_full_inverse(state)

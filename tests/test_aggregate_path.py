@@ -22,10 +22,11 @@ per-field grouping they replaced, and the full read, which stores every
 column. The reference reader parses each row, field by field, as it is met
 in the file (so the first error in the file is the one named), takes its
 column parsers from ``records.RECORD_PARSERS`` (which checks outcomes), refuses
-a header that lacks or repeats a record column, skips blank rows before the
-header as after it, and reports an unreadable file as the streamed reader
-does. Every reader check runs at chunk sizes 1, 2, 3 and the default, so
-chunk boundaries, and the hand-off to ``csv``, fall everywhere. Drawn files
+a header that lacks or repeats a record column, skips a leading UTF-8
+byte-order mark, skips blank rows before the header as after it, and reports
+an unreadable file as the streamed reader does. Every reader check runs at
+chunk sizes 1, 2, 3 and the default, so chunk boundaries, and the hand-off
+to ``csv``, fall everywhere. Drawn files
 hold what only ``csv`` reads as meant (quoted fields, a quoted comma or line
 break, CRLF and CR line ends, NUL, lines over the field limit), often first
 after the first chunk, and episode seeds that only ``int()`` decides. Both
@@ -83,7 +84,7 @@ def reference_read(path):
     """Read the file line by line, and parse every field of every row with
     its column's parser as the row is met."""
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             return reference_rows(handle, path)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise RecordsError(f"cannot read records file {path}: {exc}") from exc
@@ -216,6 +217,18 @@ def test_record_parsers_follow_the_field_annotations():
 def test_golden_records_read_alike():
     records, _, manifest = assert_reads_alike(GOLDEN)
     assert len(records) == 96 and manifest is None
+
+
+def test_golden_records_after_a_byte_order_mark_read_alike(tmp_path):
+    # The mark that Excel's "CSV UTF-8" format writes first is skipped,
+    # before a manifest line as before the header.
+    for manifest in ("", MANIFEST + "\n"):
+        path = tmp_path / "records.csv"
+        path.write_bytes("\ufeff".encode("utf-8") + manifest.encode("utf-8") + GOLDEN.read_bytes())
+        records, _, read_manifest = assert_reads_alike(path)
+        assert records == column_read(str(GOLDEN))[0]
+        assert read_manifest == ({"command": "sweep", "config": {"master_seed": 3}}
+                                 if manifest else None)
 
 
 def write(tmp_path, text, name="records.csv"):

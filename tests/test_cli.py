@@ -321,6 +321,22 @@ def test_num_creds_other_than_none_is_not_modelled(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("line, message", [
+    ("uniform = false", "uniform: not modelled, only 'true' is accepted, got 'false'"),
+    ("host_discovery_value = 2",
+     "host_discovery_value: not modelled, only '1.0' is accepted, got '2'"),
+    ("action_cost = 1.0", "action_cost: not modelled, only '1' is accepted, got '1.0'"),
+    ("subnets = 3", "num_subnets: not modelled, only '2' is accepted, got '3'"),
+    ("num_creds = some", "num_creds: not modelled, only 'none' is accepted, got 'some'"),
+], ids=["uniform", "host_discovery_value", "action_cost", "subnets", "num_creds"])
+def test_not_modelled_key_names_its_one_value_in_file_order(tmp_path, capsys, line, message):
+    # The bad line is reported as it is parsed, before a later bad line.
+    config = tmp_path / "grid.cfg"
+    config.write_text(SMALL_SWEEP_CONFIG + line + "\nstep_limit = 1.5\n")
+    assert run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "r.csv")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_float_field_spelled_as_integer_writes_the_same_file(tmp_path, capsys):
     # Tokens are parsed by their field's type, so 1000 is the float 1000.0.
     outputs = []
@@ -332,6 +348,21 @@ def test_float_field_spelled_as_integer_writes_the_same_file(tmp_path, capsys):
         outputs.append(read_bytes(out))
     assert outputs[0] == outputs[1]
     assert b'"r_sensitive":1000.0' in outputs[0]
+
+
+def test_not_modelled_keys_at_their_values_write_the_same_file(tmp_path, capsys):
+    # Each is parsed by the type of the one value it accepts, in any spelling
+    # of that value, and changes nothing; the manifest records the --out path.
+    outputs = []
+    for lines in ("", "uniform = TRUE\nhost_discovery_value = 1\nsubnets = 2\n"
+                      "num_creds = NONE\naction_cost = 1\n"):
+        config = tmp_path / "grid.cfg"
+        config.write_text(SMALL_SWEEP_CONFIG + lines)
+        out = tmp_path / "records.csv"
+        assert run_cli("sweep", "--config", str(config), "--out", str(out)) == 0
+        outputs.append(read_bytes(out))
+    assert outputs[0] == outputs[1]
+    assert b'"uniform":true' in outputs[0] and b'"num_subnets":2' in outputs[0]
 
 
 @pytest.mark.parametrize("command, field, token, value", [
@@ -474,6 +505,12 @@ def _drop_fixed(*keys):
     pytest.param("sweep", _drop_fixed("step_limit", "num_sensitive"),
                  "fixed.num_sensitive, fixed.step_limit", id="sweep-missing-fixed"),
     pytest.param("run", _drop_fixed("exploit_prob"), "fixed.exploit_prob", id="run-missing-fixed"),
+    # The model ignores these fields; manifests hold each at exactly its one value.
+    pytest.param("sweep", _set_fixed(uniform=False), "fixed.uniform", id="sweep-not-modelled"),
+    pytest.param("run", _set_fixed(action_cost=1.0), "fixed.action_cost",
+                 id="run-not-modelled-type"),
+    pytest.param("sweep", _drop_fixed("num_subnets"), "fixed.num_subnets",
+                 id="sweep-missing-not-modelled"),
 ])
 def test_replay_refuses_what_it_would_ignore(tmp_path, capsys, command, edit, named):
     path = tmp_path / "output"
@@ -885,6 +922,48 @@ def test_file_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys, argv, reader)
     assert run_cli(*argv, str(path)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {reader} {path}: 'utf-8' codec can't decode")
+
+
+# Excel's "CSV UTF-8" format and some Windows editors start a file with a
+# UTF-8 byte-order mark; every reader skips it.
+BOM = "\ufeff".encode("utf-8")
+
+
+def test_config_file_with_a_byte_order_mark_reads_alike(tmp_path, capsys):
+    config = tmp_path / "episode.cfg"
+    outputs = []
+    for mark in (b"", BOM):
+        config.write_bytes(mark + b"agents = standard\r\nnum_honeypots_options = 2\r\n")
+        assert run_cli("run", "--config", str(config)) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "num_honeypots=2 " in outputs[0] and " agent=standard " in outputs[0]
+
+
+def test_records_file_with_a_byte_order_mark_aggregates_alike(tmp_path, capsys):
+    records, marked = tmp_path / "records.csv", tmp_path / "marked.csv"
+    assert run_cli("sweep", "--out", str(records), *SMALL_SWEEP) == 0
+    marked.write_bytes(BOM + read_bytes(records))
+    outputs = []
+    for path in (records, marked):
+        capsys.readouterr()
+        assert run_cli("aggregate", "--records", str(path), "--group-by", "agent,honeypots") == 0
+        line, body = capsys.readouterr().out.split("\n", 1)
+        manifest = json.loads(line[len(MANIFEST_PREFIX):])
+        assert manifest.pop("records") == str(path)
+        outputs.append((manifest, body))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0]["config"]["repetitions"] == 3
+
+
+def test_manifest_with_a_byte_order_mark_replays_alike(tmp_path, capsys):
+    records, marked = tmp_path / "records.csv", tmp_path / "marked.csv"
+    assert run_cli("sweep", "--out", str(records), *SMALL_SWEEP) == 0
+    original = read_bytes(records)
+    marked.write_bytes(BOM + original)
+    records.unlink()
+    assert run_cli("sweep", "--from-manifest", str(marked)) == 0
+    assert read_bytes(records) == original
 
 
 # ---------------------------------------------------------------------------

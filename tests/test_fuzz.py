@@ -13,7 +13,7 @@ from deceptsim.agents import AGENT_KINDS  # noqa: E402
 from deceptsim.experiment import Cell, SweepConfig, scenario_params  # noqa: E402
 from deceptsim.scenario import GeneratorParams, ParameterError  # noqa: E402
 
-KEYS = sorted({*cli.LIST_KEYS, *cli.FIXED_KEYS, *cli.SCALAR_KEYS, "num_creds"})
+KEYS = sorted({*cli.LIST_KEYS, *cli.FIXED_KEYS, *cli.SCALAR_KEYS, *cli.NOT_MODELLED})
 TOKENS = st.one_of(
     st.sampled_from(("none", "true", "false", "0", "1", "2", "-1", "25", "0.5", "",
                      "nan", "inf", "1e400", "9" * 5000, *AGENT_KINDS)),
@@ -53,9 +53,8 @@ INTS = st.integers(min_value=-(2**70), max_value=2**70)
 SEEDS = st.integers(min_value=0, max_value=2**70)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 PROBABILITIES = st.floats(min_value=0.0, max_value=1.0)
-# Fixed parameters that pass validation, the not-modelled ones and the
-# swept ones, which every cell sets, left at their defaults: a manifest only
-# ever holds those.
+# Fixed parameters that pass validation, the swept ones, which every cell
+# sets, left at their defaults: a manifest only ever holds those.
 PARAMS = st.builds(
     GeneratorParams,
     num_sensitive=st.integers(0, 10),

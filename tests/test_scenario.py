@@ -72,18 +72,6 @@ def test_host_values_by_kind():
     assert by_kind[HostKind.SENSITIVE] == {1000.0}
     assert by_kind[HostKind.HONEYPOT] == {-1000.0}
     assert by_kind[HostKind.NORMAL] == {1.0}
-    assert by_kind[HostKind.EMPTY] == set()  # an empty address is not a host
-
-
-def test_empty_hosts_have_blank_configuration():
-    # The world JSON writes a blank row for each address past the hosts'.
-    scenario = generate_scenario(GeneratorParams())
-    rows = scenario_to_dict(scenario)["hosts"]
-    assert len(rows) == 255
-    for row in rows[len(scenario.hosts):]:
-        assert row["kind"] == "empty"
-        assert row["services"] == row["processes"] == row["vulns"] == []
-        assert (row["os"], row["value"]) == (0, 0.0)
 
 
 def test_address_map_is_a_bijection():
@@ -149,14 +137,10 @@ def test_capacity_error():
         {"num_honeypots": -2},
         {"num_sensitive": -1},
         {"num_os": 0},
-        {"num_subnets": 3},
         {"movement_time": 0},
         {"movement_time": -25},
         {"exploit_prob": 1.5},
         {"privesc_prob": -0.1},
-        {"action_cost": 0},
-        {"uniform": False},
-        {"host_discovery_value": 2.0},
         {"step_limit": 0},
         {"num_exploits": 0},
         {"num_services": 0},
@@ -167,11 +151,24 @@ def test_capacity_error():
         {"num_sensitive": 0, "num_vulns": 0},
         # No privesc, and seed 1's one exploit grants only user access.
         {"num_exploits": 1, "num_privescs": 0, "seed": 1},
+        {"num_addresses": 0},
+        {"num_processes": 0},
+        {"r_sensitive": float("nan")},
+        # A value of another type than its field's.
+        {"one_goal": 1},
     ],
 )
 def test_invalid_parameters_rejected(overrides):
     with pytest.raises(ParameterError):
         generate_scenario(GeneratorParams(**overrides))
+
+
+@pytest.mark.parametrize("name", ["host_discovery_value", "action_cost", "uniform", "num_subnets"])
+def test_not_modelled_knobs_are_not_parameters(name):
+    # Paper-table keys the model ignores are checked where configs are read
+    # (cli.NOT_MODELLED); the world takes no such field, at any value.
+    with pytest.raises(TypeError, match=name):
+        GeneratorParams(**{name: 1})
 
 
 def test_a_world_without_exploits_needs_no_services():
@@ -215,15 +212,32 @@ def test_golden_world_is_stable():
 
 def reference_scenario_dict(scenario: Scenario) -> dict:
     """The world JSON with every field written out by hand: the reference
-    the dataclass-derived ``scenario_to_dict`` is checked against. Each
-    address past the hosts' gets a blank host row of kind empty."""
-    empty_rows = [
-        {"id": host_id, "kind": "empty", "services": [], "os": 0, "processes": [],
-         "vulns": [], "value": 0.0}
-        for host_id in range(len(scenario.hosts), scenario.params.target_capacity)
-    ]
+    the dataclass-derived ``scenario_to_dict`` is checked against. The
+    hosts are the real ones; the initial addresses, empty ones included,
+    are [subnet, index] pairs in ``Scenario.initial_addresses`` order."""
+    p = scenario.params
     return {
-        "params": dataclasses.asdict(scenario.params),
+        "params": {
+            "num_hosts": p.num_hosts,
+            "num_honeypots": p.num_honeypots,
+            "movement_time": p.movement_time,
+            "one_goal": p.one_goal,
+            "seed": p.seed,
+            "num_sensitive": p.num_sensitive,
+            "num_services": p.num_services,
+            "num_os": p.num_os,
+            "num_processes": p.num_processes,
+            "num_exploits": p.num_exploits,
+            "num_privescs": p.num_privescs,
+            "num_vulns": p.num_vulns,
+            "r_sensitive": p.r_sensitive,
+            "r_honeypot": p.r_honeypot,
+            "base_host_value": p.base_host_value,
+            "exploit_prob": p.exploit_prob,
+            "privesc_prob": p.privesc_prob,
+            "step_limit": p.step_limit,
+            "num_addresses": p.num_addresses,
+        },
         "hosts": [
             {
                 "id": h.id,
@@ -235,7 +249,7 @@ def reference_scenario_dict(scenario: Scenario) -> dict:
                 "value": h.value,
             }
             for h in scenario.hosts
-        ] + empty_rows,
+        ],
         "exploits": [
             {
                 "id": e.id,
@@ -251,11 +265,7 @@ def reference_scenario_dict(scenario: Scenario) -> dict:
             {"id": p.id, "required_process": p.required_process, "prob": p.prob}
             for p in scenario.privescs
         ],
-        "subnets": [TARGET_SUBNET, scenario.params.target_capacity],
-        "address_map": [
-            [host_id, TARGET_SUBNET, index]
-            for host_id, index in enumerate(scenario.initial_addresses)
-        ],
+        "initial_addresses": [[TARGET_SUBNET, index] for index in scenario.initial_addresses],
     }
 
 
