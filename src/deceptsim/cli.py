@@ -9,7 +9,8 @@ outputs.
 
 Every output starts with a manifest comment line recording the resolved
 configuration, tool version, timestamp, and output paths; ``--from-manifest``
-replays a manifest and reproduces the original file byte-for-byte.  The
+replays a manifest, whose config is accepted only if its writer writes it
+back unchanged, and reproduces the original file byte-for-byte.  The
 manifest timestamp is null unless SOURCE_DATE_EPOCH is set, so that repeated
 runs of the same configuration stay byte-identical.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import json
 import os
 import stat
 import sys
@@ -218,6 +220,8 @@ def load_manifest(path: str, command: str) -> dict:
         )
     # What a replay reads besides the config's own fields. Only run may
     # have written no output.
+    if not isinstance(manifest.get("timestamp"), (str, type(None))):
+        raise ConfigError(f"{path}: the manifest's timestamp must be null or a string")
     outputs = manifest.get("outputs")
     if not _is_names(outputs) or (command != "run" and not outputs):
         raise ConfigError(f"{path}: the manifest's outputs must list the written paths")
@@ -238,56 +242,6 @@ def sweep_config_to_dict(config: SweepConfig) -> dict:
     data.update(repetitions=config.repetitions, master_seed=config.master_seed,
                 fixed=dict(dataclasses.asdict(config.fixed), **_FIXED_NOT_MODELLED))
     return data
-
-
-# The keys each replayed manifest's config holds, as the writers write them.
-SWEEP_CONFIG_KEYS = (*LIST_KEYS, "repetitions", "master_seed", "fixed")
-RUN_CONFIG_KEYS = (*CELL_FIELDS, "master_seed", "repetition", "fixed")
-_PARAM_FIELDS = {spec.name: spec for spec in dataclasses.fields(GeneratorParams)}
-# The fixed entries nothing reads, each at the one value a manifest may hold:
-# the swept fields, which each cell sets, at their defaults, and the not-modelled ones.
-_UNREAD_FIXED = {**{name: _PARAM_FIELDS[name].default for name in CELL_FIELDS
-                    if name in _PARAM_FIELDS}, **_FIXED_NOT_MODELLED}
-
-
-def _checked_fixed(config: dict, keys: tuple[str, ...]) -> dict:
-    """A replayed config's GeneratorParams fields in ``fixed``, once no key
-    of the config would be ignored and none would be filled in: every key
-    is one of ``keys``, and ``fixed`` holds every field that is not swept,
-    the not-modelled ones included, and no other key but the swept fields.
-    Nothing reads the swept and the not-modelled fields, so ``fixed`` holds
-    each only at exactly the value the writers write (``_UNREAD_FIXED``)."""
-    for key in config:
-        if key not in keys:
-            raise ConfigError(f"unknown manifest config key {key!r}")
-    fixed = config["fixed"]
-    if not isinstance(fixed, dict):
-        raise ConfigError("manifest config is incomplete: fixed is not a JSON object")
-    for key, value in fixed.items():
-        if key not in _PARAM_FIELDS and key not in _FIXED_NOT_MODELLED:
-            raise ConfigError(f"unknown manifest config key 'fixed.{key}'")
-        accepted = _UNREAD_FIXED.get(key, value)
-        if key in _UNREAD_FIXED and (type(value) is not type(accepted) or value != accepted):
-            reason = "not modelled" if key in _FIXED_NOT_MODELLED else "each cell sets this field"
-            raise ConfigError(f"manifest config key 'fixed.{key}': {reason}, so only its "
-                              f"default {accepted!r} is accepted, got {value!r}")
-    missing = [f"fixed.{name}" for name in (*(spec.name for spec in FIXED_KEYS.values()),
-                                            *_FIXED_NOT_MODELLED) if name not in fixed]
-    if missing:
-        raise ConfigError(f"manifest config is incomplete: it lacks {', '.join(missing)}")
-    return {key: value for key, value in fixed.items() if key in _PARAM_FIELDS}
-
-
-def sweep_config_from_dict(data: dict) -> SweepConfig:
-    try:
-        return SweepConfig(
-            **{name: tuple(data[key]) for key, name in LIST_KEYS.items()},
-            repetitions=data["repetitions"],
-            master_seed=data["master_seed"],
-            fixed=GeneratorParams(**_checked_fixed(data, SWEEP_CONFIG_KEYS)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"manifest config is incomplete: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +379,15 @@ def normalize_group_by(spec: str | list[str] | None) -> tuple[str, ...]:
 
 
 def check_output_path(path: str, flag: str) -> None:
-    """Exit 1 if ``path``, the value of ``flag``, is ``-``, a directory, or
-    in a directory that is missing or not writable, before any record is
-    read or episode simulated."""
+    """Exit 1 if ``path``, the value of ``flag``, is ``-``, a directory, or a
+    file in a directory that is missing or not writable, before any record is
+    read or episode simulated. A pipe or a device is written in place."""
     if path == "-":
         raise ConfigError(f"{flag} cannot be -: only aggregate --out takes - for standard output")
     if os.path.isdir(path):
         raise ConfigError(f"cannot write {path}: it is a directory")
+    if os.path.exists(path) and not os.path.isfile(path):
+        return
     directory = os.path.dirname(path) or "."
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
         raise ConfigError(f"cannot write {path}: {directory} is not a writable directory")
@@ -481,15 +437,48 @@ def run_config_dict(cell: Cell, fixed: GeneratorParams, master_seed: int,
                 fixed=dict(dataclasses.asdict(fixed), **_FIXED_NOT_MODELLED))
 
 
-def _cell_from_run_config(config: dict) -> tuple[Cell, GeneratorParams, int, int]:
-    """A run manifest's episode, validated as the one-cell sweep it is."""
+def config_from_manifest(command: str, data: dict):
+    """The sweep, or the run's cell, fixed params, master seed and repetition,
+    that a replayed manifest's config records, accepted only if its writer
+    writes it back unchanged: no key is ignored or filled in. Of ``fixed``,
+    only the modelled fields that are not swept are read."""
+    fixed = data.get("fixed", {})
+    if not isinstance(fixed, dict):
+        raise ConfigError("manifest config is incomplete: fixed is not a JSON object")
+    params = {spec.name: fixed[spec.name] for spec in FIXED_KEYS.values() if spec.name in fixed}
     try:
-        lists = {name: (config[cell_field],) for name, cell_field in zip(SWEPT_TYPES, CELL_FIELDS)}
-        _checked(check_type, "repetition", config["repetition"], "int")
-        fixed = _checked_fixed(config, RUN_CONFIG_KEYS)
-        return _episode(lists, fixed, {"master_seed": config["master_seed"]}, config["repetition"])
-    except (KeyError, TypeError) as exc:
+        if command == "sweep":
+            lists = {name: tuple(data[key]) for key, name in LIST_KEYS.items() if key in data}
+            config = _sweep(lists, params, data)
+            written = sweep_config_to_dict(config)
+        else:
+            written = run_config_dict(Cell(*map(data.get, CELL_FIELDS)), GeneratorParams(**params),
+                                      data.get("master_seed"), data.get("repetition"))
+    except TypeError as exc:
         raise ConfigError(f"manifest config is incomplete: {exc}") from exc
+    _check_written_back(written, data)
+    if command == "sweep":
+        return config
+    _checked(check_type, "repetition", data["repetition"], "int")
+    lists = {name: (data[cell_field],) for name, cell_field in zip(SWEPT_TYPES, CELL_FIELDS)}
+    return _episode(lists, params, {"master_seed": data["master_seed"]}, data["repetition"])
+
+
+def _check_written_back(written: dict, data: dict, prefix: str = "") -> None:
+    """Refuse ``data`` unless it is ``written``: first a key it lacks, then,
+    in its own order, a key it adds or a value whose JSON text differs, which
+    tells 0 from false and 1 from 1.0. Only ``fixed`` is compared key by key."""
+    missing = [prefix + key for key in written if key not in data]
+    if missing:
+        raise ConfigError(f"manifest config is incomplete: it lacks {', '.join(missing)}")
+    for key, value in data.items():
+        if key not in written:
+            raise ConfigError(f"unknown manifest config key {prefix + key!r}")
+        if key == "fixed" and not prefix:
+            _check_written_back(written[key], value, "fixed.")
+        elif json.dumps(value) != json.dumps(written[key]):
+            raise ConfigError(f"manifest config key {prefix + key!r} holds {json.dumps(value)}, "
+                              f"which its replay would write as {json.dumps(written[key])}")
 
 
 def _timestamp_and_output(manifest: dict | None, given: str | None,
@@ -509,7 +498,7 @@ def cmd_run(args, manifest: dict | None) -> int:
         entries = read_config_file(args.config) if args.config else {}
         cell, fixed, master_seed, repetition = resolve_single_episode(entries, args)
     else:
-        cell, fixed, master_seed, repetition = _cell_from_run_config(manifest["config"])
+        cell, fixed, master_seed, repetition = config_from_manifest("run", manifest["config"])
     timestamp, trace_path = _timestamp_and_output(manifest, args.trace, None)
     if trace_path:
         check_output_path(trace_path, "--trace")
@@ -540,7 +529,7 @@ def cmd_sweep(args, manifest: dict | None) -> int:
         entries = read_config_file(args.config) if args.config else {}
         config, config_workers = resolve_sweep(entries, args)
     else:
-        config, config_workers = sweep_config_from_dict(manifest["config"]), None
+        config, config_workers = config_from_manifest("sweep", manifest["config"]), None
     timestamp, out_path = _timestamp_and_output(manifest, args.out, "records.csv")
     check_output_path(out_path, "--out")
     records = _checked(iter_sweep, config, resolve_workers(args.workers, config_workers))

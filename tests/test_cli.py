@@ -23,7 +23,7 @@ import pytest
 from deceptsim import cli, experiment
 from deceptsim.agents import make_agent
 from deceptsim.experiment import Cell, SweepConfig, derive_episode_seed, scenario_params
-from deceptsim.records import MANIFEST_PREFIX, RECORD_COLUMNS, format_value
+from deceptsim.records import MANIFEST_PREFIX, RECORD_COLUMNS, format_value, manifest_line
 from deceptsim.scenario import GeneratorParams, generate_scenario
 
 SMALL_SWEEP = (
@@ -511,6 +511,10 @@ def _drop_fixed(*keys):
                  id="run-not-modelled-type"),
     pytest.param("sweep", _drop_fixed("num_subnets"), "fixed.num_subnets",
                  id="sweep-missing-not-modelled"),
+    # The writers write every field, the swept ones included.
+    pytest.param("sweep", _drop_fixed("num_honeypots"),
+                 "manifest config is incomplete: it lacks fixed.num_honeypots",
+                 id="sweep-missing-swept-field"),
 ])
 def test_replay_refuses_what_it_would_ignore(tmp_path, capsys, command, edit, named):
     path = tmp_path / "output"
@@ -1102,6 +1106,23 @@ def test_the_flag_table_names_each_flag_once_and_only_known_keys():
     assert {key for _, key, *_ in cli.FLAGS} - {None} <= keys
 
 
+@pytest.mark.parametrize("timestamp, replays", [
+    (5, False), ([], False), (None, True), ("2025-08-15T00:00:00Z", True),
+])
+def test_replay_takes_a_timestamp_only_if_null_or_a_string(tmp_path, capsys, timestamp, replays):
+    out = tmp_path / "records.csv"
+    assert run_cli("sweep", "--out", str(out), *SMALL_SWEEP) == 0
+    line, rest = out.read_text().split("\n", 1)
+    manifest = json.loads(line[len(MANIFEST_PREFIX):])
+    manifest["timestamp"] = timestamp
+    out.write_text(manifest_line(manifest) + "\n" + rest)
+    before = read_bytes(out)
+    capsys.readouterr()
+    assert run_cli("sweep", "--from-manifest", str(out)) == (0 if replays else 1)
+    assert read_bytes(out) == before
+    assert ("timestamp" in capsys.readouterr().err) != replays
+
+
 def test_source_date_epoch_sets_manifest_timestamp(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.TIMESTAMP_ENV_VAR, "1755216000")
     out = tmp_path / "records.csv"
@@ -1564,6 +1585,27 @@ def test_a_symlinked_output_replaces_its_target_and_keeps_the_link(tmp_path):
     assert (data / "missing.csv").read_text() == "created\n"
     assert sorted(os.listdir(tmp_path)) == ["dangling.csv", "data", "link.csv"]
     assert sorted(os.listdir(data)) == ["missing.csv", "records.csv"]
+
+
+def test_a_pipe_needs_no_writable_directory(tmp_path, capsys, monkeypatch):
+    # As /dev/stdout, in a directory only root may write: a records file is
+    # refused there, but a pipe is written in place.
+    reference, pipe = tmp_path / "records.csv", tmp_path / "pipe"
+    assert run_cli("sweep", "--out", str(reference), "--workers", "1", *SMALL_SWEEP) == 0
+    os.mkfifo(pipe)
+    monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    # Open without blocking, so the sweep finds a reader; the pipe's buffer
+    # holds its few records, and a sweep that never writes reads as empty.
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli("sweep", "--out", str(pipe), "--workers", "1", *SMALL_SWEEP) == 0
+        received = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert received.split("\n", 1)[1] == reference.read_text().split("\n", 1)[1]
+    capsys.readouterr()
+    assert run_cli("sweep", "--out", str(reference), "--workers", "1", *SMALL_SWEEP) == 1
+    assert f"{tmp_path} is not a writable directory" in capsys.readouterr().err
 
 
 def test_a_pipe_is_written_in_place(tmp_path):

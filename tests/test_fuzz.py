@@ -1,5 +1,6 @@
-"""Property tests: config resolution fails only with ConfigError, and the
-sweep and run manifests round-trip through JSON."""
+"""Property tests: config resolution fails only with ConfigError, the sweep
+and run manifests round-trip through JSON, and a replay refuses any config
+its writer would not write back, naming the key."""
 
 import json
 
@@ -108,7 +109,8 @@ def through_json(data):
 @settings(max_examples=150, deadline=None)
 @given(config=SWEEPS)
 def test_sweep_manifest_config_round_trips(config):
-    assert cli.sweep_config_from_dict(through_json(cli.sweep_config_to_dict(config))) == config
+    data = through_json(cli.sweep_config_to_dict(config))
+    assert cli.config_from_manifest("sweep", data) == config
 
 
 @settings(max_examples=150, deadline=None)
@@ -120,6 +122,50 @@ def test_run_manifest_config_round_trips(cell, fixed, master_seed, repetition):
     except ParameterError:
         # A world with no path to root access: its replay is refused.
         with pytest.raises(cli.ConfigError, match="no path to root access"):
-            cli._cell_from_run_config(data)
+            cli.config_from_manifest("run", data)
         return
-    assert cli._cell_from_run_config(data) == (cell, fixed, master_seed, repetition)
+    assert cli.config_from_manifest("run", data) == (cell, fixed, master_seed, repetition)
+
+
+MANIFESTS = st.one_of(
+    SWEEPS.map(lambda config: ("sweep", cli.sweep_config_to_dict(config))),
+    st.builds(cli.run_config_dict, CELLS, PARAMS, INTS, st.integers(0, 2**70))
+    .map(lambda config: ("run", config)),
+)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=5,
+)
+# The fixed entries a replay never reads: the swept and the not-modelled fields.
+UNREAD_FIXED = sorted(set(cli.sweep_config_to_dict(SweepConfig())["fixed"])
+                      - {spec.name for spec in cli.FIXED_KEYS.values()})
+# Values equal under == to one of those entries' defaults, but of another type.
+LOOKALIKES = st.sampled_from((0, 1, 2, 0.0, 1.0, 2.0, 10.0, 1234.0, False, True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(manifest=MANIFESTS, data=st.data())
+def test_replay_refuses_an_edited_config_naming_the_key(manifest, data):
+    command, config = manifest
+    config = through_json(config)
+    edit = data.draw(st.sampled_from(("drop", "add", "retype")))
+    in_fixed = edit == "retype" or data.draw(st.booleans())
+    where, prefix = (config["fixed"], "fixed.") if in_fixed else (config, "")
+    if edit == "drop":
+        key = data.draw(st.sampled_from(sorted(where)))
+        del where[key]
+        named = f"manifest config is incomplete: it lacks {prefix}{key}"
+    elif edit == "add":
+        key = data.draw(st.text(max_size=8).filter(lambda key: key not in where))
+        where[key] = data.draw(JSON)
+        named = f"unknown manifest config key {prefix + key!r}"
+    else:
+        key = data.draw(st.sampled_from(UNREAD_FIXED))
+        unlike = type(where[key])
+        where[key] = data.draw((LOOKALIKES | JSON).filter(lambda value: type(value) is not unlike))
+        named = f"manifest config key {prefix + key!r} holds "
+    with pytest.raises(cli.ConfigError) as info:
+        cli.config_from_manifest(command, config)
+    assert str(info.value).startswith(named)
