@@ -41,20 +41,19 @@ list. ``exhausted`` counts the entries whose set reached that size: the
 aggressive agent's viable entries change only when it, the address count
 or the agent's ``resets`` (its wipes) does.
 
-``scan_run()`` hands over the host scans the agent is committed to next, as
-``(kind, address)`` pairs, or None. ``engine.run_scans`` plays them up to
-the first reset, folding each reply as ``observe`` would, so a run holds
-only scans that draw no random numbers and that a reset drops: careful's
-scan phase, set by the subnet scan that starts it (no follow-up, subnet
-known), and standard's focus scans after the first, which commits it to
-the focus. ``attack_run()`` hands over aggressive's entry and sweep (no
-follow-up, subnet known), or None. ``engine.run_attacks`` plays the draw-free
-failures at the sweep's head and folds them with one ``Knowledge.fail``.
+``scan_run()`` hands over the host scans the agent is committed to next,
+``(addresses, kinds)`` in address-major order, or None. ``engine.run_scans``
+plays them up to the first reset, folding each reply as ``observe`` would,
+so a run holds only scans that draw no random numbers and that a reset
+drops: careful's scan phase, set by the subnet scan that starts it (no
+follow-up, subnet known), and standard's focus scans after the first, which
+commits it to the focus. ``attack_run()`` hands over aggressive's entry and
+sweep (no follow-up, subnet known), or None. ``engine.run_attacks`` plays
+the draw-free failures at the sweep's head, folded with one ``Knowledge.fail``.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 import random
 from collections import defaultdict, deque
@@ -273,9 +272,7 @@ class CarefulAgent(ScriptedAgent):
         return [option for option in map(memo.get, addresses) if option is not None]
 
     def _after_subnet_scan(self) -> None:
-        # Lazy, as a reset usually drops most of the run unplayed.
-        pairs = itertools.product(self.knowledge.addresses, self.SCAN_KINDS)
-        self.scan_queue = ((kind, address) for address, kind in pairs)
+        self.scan_queue = (self.knowledge.addresses, self.SCAN_KINDS)
 
     def _after_gain(self, address: Address, access: AccessLevel) -> None:
         self.follow_up = Action(_WIRETAP if access is _ROOT else _PROCESS_SCAN, address)
@@ -319,9 +316,8 @@ class StandardAgent(ScriptedAgent):
         if not candidates:
             return None  # everything exhausted or owned
         self.focus = focus = candidates[self.rng.randrange(len(candidates))]
-        first, *rest = self.SCAN_KINDS
-        self.scan_queue = [(kind, focus) for kind in rest]
-        return Action(first, focus)
+        self.scan_queue = ((focus,), self.SCAN_KINDS[1:])
+        return Action(self.SCAN_KINDS[0], focus)
 
     def _after_gain(self, address: Address, access: AccessLevel) -> None:
         super()._after_gain(address, access)

@@ -448,6 +448,9 @@ def config_from_manifest(command: str, data: dict):
     params = {spec.name: fixed[spec.name] for spec in FIXED_KEYS.values() if spec.name in fixed}
     try:
         if command == "sweep":
+            for key in LIST_KEYS:
+                if key in data and not isinstance(data[key], list):
+                    raise ConfigError(f"manifest config key {key!r} is not a list")
             lists = {name: tuple(data[key]) for key, name in LIST_KEYS.items() if key in data}
             config = _sweep(lists, params, data)
             written = sweep_config_to_dict(config)

@@ -12,8 +12,10 @@ after each non-terminal step that brings it to 0.
 
 ``step`` plays one action; ``run_scans`` plays committed host scans and
 ``run_attacks`` an attack sweep's draw-free failures (``_draws``), each in
-one loop, and each run folds its replies into the agent's knowledge. Each
-rejects a malformed action or entry before any counter moves. An attack
+one loop, and each run folds its replies into the agent's knowledge. An
+untraced scan pass from wiped knowledge, which mutation mostly dooms, costs
+a lookup per address and a step sum per mutation interval (``_fresh_pass``).
+Each rejects a malformed action or entry before its step counts. An attack
 names its catalog entry by ``(kind, ident)``. The address index covers only
 the hosts: any other address in the target subnet is empty, and empty
 addresses, host id None, all answer alike.
@@ -197,39 +199,82 @@ def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState
 
 
 def run_scans(state: NetworkState, run, knowledge, reset, trace_sink=None) -> None:
-    """Play ``run``, ``(kind, address)`` host scans, until the first
-    knowledge reset, a terminal, or its end. ``Knowledge.learn`` folds each
-    reply, and ``reset`` wipes the agent on a failed connection or a
-    contradiction. A scan gains no access, so only the step limit can end
-    the episode. ``trace_sink`` is called as ``run_episode`` calls it."""
+    """Play ``run``, ``(addresses, kinds)``: each kind of host scan at each
+    distinct address, address by address, until the first knowledge reset,
+    a terminal, or its end. ``Knowledge.learn`` folds each reply, and
+    ``reset`` wipes the agent on a failed connection or a contradiction. Only
+    the step limit can end the episode. ``trace_sink`` is called as
+    ``run_episode`` calls it. An untraced run from wiped knowledge takes
+    ``_fresh_pass``; this loop, its reference in the tests, plays the rest."""
     if state.outcome is not None:
         _checked_host(state, None)  # raises EpisodeTerminatedError
+    addresses, kinds = run
+    for kind in kinds:  # the member, as step requires: its str value compares equal
+        if type(kind) is not ActionKind or kind not in SCAN_FIELDS:
+            raise InvalidActionError(f"a scan run holds {kind!r}, which is not a host scan")
+    if trace_sink is None and not knowledge.beliefs:
+        return _fresh_pass(state, addresses, kinds, knowledge.learn, reset)
     scenario = state.scenario
     replies = scenario.scan_replies
     step_limit = scenario.params.step_limit
     movement_time = scenario.params.movement_time
     learn = knowledge.learn
     addr_to_host = state.addr_to_host
-    for kind, address in run:
-        name = SCAN_FIELDS.get(kind)
-        host_id = addr_to_host.get(address) if type(address) is int else None
-        if name is None or host_id is None:
-            host_id = _checked_host(state, Action(kind, address))
-            if name is None:
-                raise InvalidActionError(f"a scan run holds {kind!r}, which is not a host scan")
-        state.steps_taken += 1
-        obs = replies.get((host_id, kind)) or _scan_reply(scenario, host_id, kind)
-        knowledge_reset = obs.connection_failed or not learn(address, name, obs.scanned)
-        if knowledge_reset:
+    for address in addresses:
+        for kind in kinds:
+            host_id = addr_to_host.get(address) if type(address) is int else None
+            if host_id is None:
+                host_id = _checked_host(state, Action(kind, address))
+            state.steps_taken += 1
+            obs = replies.get((host_id, kind)) or _scan_reply(scenario, host_id, kind)
+            knowledge_reset = obs.connection_failed or not learn(
+                address, SCAN_FIELDS[kind], obs.scanned)
+            if knowledge_reset:
+                reset()
+            if state.steps_taken >= step_limit:
+                state.outcome = check_termination(state)
+            elif movement_time is not None and state.steps_taken % movement_time == 0:
+                mutate_addresses(state)
+            if trace_sink is not None:
+                trace_sink(Action(kind, address), obs, state, knowledge_reset)
+            if knowledge_reset or state.outcome is not None:
+                return
+
+
+def _fresh_pass(state: NetworkState, addresses, kinds, learn, reset) -> None:
+    """``run_scans`` from wiped knowledge, a stretch at a time up to the next
+    mutation, the step limit or the end. Each (address, field) is new, so
+    only an empty address resets; no scan draws, and the address map holds
+    within a stretch: a lookup per address finds its first empty one. Unless
+    a reset wipes them, the replies are folded from the host ids found."""
+    params, addr_to_host = state.scenario.params, state.addr_to_host
+    period = params.movement_time or params.step_limit  # unmutated: the limit alone bounds
+    width, end = len(kinds), len(addresses) * len(kinds)
+    played, at = [], 0  # per stretch: its first scan, the scan after its last, its host ids
+    while at < end and state.outcome is None:
+        taken, first = state.steps_taken, at // width
+        stop = min(end, at + params.step_limit - taken, at + period - taken % period)
+        span = addresses[first:(stop - 1) // width + 1]
+        hosts = [addr_to_host.get(a) if type(a) is int else None for a in span]
+        if None in hosts:  # the scan at the first empty address fails and resets
+            stop = max(at, (first + hosts.index(None)) * width) + 1
+            state.steps_taken = taken + stop - 1 - at
+            _checked_host(state, Action(kinds[(stop - 1) % width], span[hosts.index(None)]))
             reset()
-        if state.steps_taken >= step_limit:
+        state.steps_taken = taken + stop - at
+        if state.steps_taken >= params.step_limit:
             state.outcome = check_termination(state)
-        elif movement_time is not None and state.steps_taken % movement_time == 0:
+        elif params.movement_time is not None and state.steps_taken % params.movement_time == 0:
             mutate_addresses(state)
-        if trace_sink is not None:
-            trace_sink(Action(kind, address), obs, state, knowledge_reset)
-        if knowledge_reset or state.outcome is not None:
+        if None in hosts:
             return
+        played.append((at, stop, hosts))
+        at = stop
+    for at, stop, hosts in played:
+        for index, host_id in enumerate(hosts, at // width):
+            host = state.scenario.hosts[host_id]
+            for kind in kinds[max(at - index * width, 0):stop - index * width]:
+                learn(addresses[index], SCAN_FIELDS[kind], getattr(host, SCAN_FIELDS[kind]))
 
 
 def run_attacks(state: NetworkState, run, knowledge, trace_sink=None) -> None:

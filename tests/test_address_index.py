@@ -50,7 +50,7 @@ def run_one_scan(state, kind, address):
     """The reply run_scans gives to a one-scan run."""
     replies = []
     knowledge = Knowledge()
-    run_scans(state, iter([(kind, address)]), knowledge, knowledge.clear,
+    run_scans(state, ((address,), (kind,)), knowledge, knowledge.clear,
               trace_sink=lambda _action, obs, _state, _reset: replies.append(obs))
     return replies[0]
 
@@ -77,7 +77,7 @@ def check_against_full_inverse(state):
                 step(state, Action(kind, target))
             assert (state.steps_taken, state.addresses) == counters
         with pytest.raises(InvalidActionError):
-            run_scans(state, iter([(ActionKind.SERVICE_SCAN, target)]), Knowledge(), None)
+            run_scans(state, ((target,), (ActionKind.SERVICE_SCAN,)), Knowledge(), None)
         assert (state.steps_taken, state.addresses) == counters
 
 

@@ -1123,6 +1123,22 @@ def test_replay_takes_a_timestamp_only_if_null_or_a_string(tmp_path, capsys, tim
     assert ("timestamp" in capsys.readouterr().err) != replays
 
 
+@pytest.mark.parametrize("value", [10, "10", {"10": 10}], ids=["number", "string", "object"])
+def test_sweep_manifest_swept_value_not_a_list_exits_1_naming_it(tmp_path, capsys, value):
+    out = tmp_path / "records.csv"
+    assert run_cli("sweep", "--out", str(out), *SMALL_SWEEP) == 0
+    line, rest = out.read_text().split("\n", 1)
+    manifest = json.loads(line[len(MANIFEST_PREFIX):])
+    assert manifest["config"]["num_hosts_options"] == [10]
+    manifest["config"]["num_hosts_options"] = value
+    out.write_text(manifest_line(manifest) + "\n" + rest)
+    before = read_bytes(out)
+    capsys.readouterr()
+    assert run_cli("sweep", "--from-manifest", str(out)) == 1
+    assert read_bytes(out) == before
+    assert "error: manifest config key 'num_hosts_options' is not a list" in capsys.readouterr().err
+
+
 def test_source_date_epoch_sets_manifest_timestamp(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.TIMESTAMP_ENV_VAR, "1755216000")
     out = tmp_path / "records.csv"

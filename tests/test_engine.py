@@ -117,21 +117,24 @@ def test_malformed_action_rejected_before_accounting(action):
     assert state.addresses == [addr(0)]
 
 
-@pytest.mark.parametrize("scan", [
-    (ActionKind.SERVICE_SCAN, (0, 0)),  # attacker subnet
-    (ActionKind.OS_SCAN, None),
-    (ActionKind.EXPLOIT, addr(0)),  # not a host scan
-    (ActionKind.SUBNET_SCAN, None),
-    ("port_knock", addr(0)),
-], ids=["target", "no_target", "exploit", "subnet_scan", "unknown_kind"])
-def test_malformed_run_scan_rejected_before_accounting(scan):
-    state = fresh(build_world(num_sensitive=1, num_normal=1))
-    knowledge = Knowledge()
-    run = iter([(ActionKind.SERVICE_SCAN, addr(0)), scan, (ActionKind.OS_SCAN, addr(0))])
-    with pytest.raises(InvalidActionError):
-        run_scans(state, run, knowledge, reset=None)
-    assert state.steps_taken == 1
-    assert knowledge.beliefs[addr(0)].os is None
+@pytest.mark.parametrize("addresses, kinds, steps", [
+    ((addr(0), (0, 0), addr(1)), (ActionKind.SERVICE_SCAN,), 1),  # attacker subnet
+    ((addr(0), None, addr(1)), (ActionKind.OS_SCAN,), 1),
+    ((addr(0), addr(1)), (ActionKind.SERVICE_SCAN, ActionKind.EXPLOIT), 0),  # not a host scan
+    ((addr(0), addr(1)), (ActionKind.SERVICE_SCAN, ActionKind.SUBNET_SCAN), 0),
+    ((addr(0), addr(1)), (ActionKind.SERVICE_SCAN, "port_knock"), 0),
+    ((addr(0), addr(1)), ("service_scan",), 0),  # a value, as step refuses it
+], ids=["target", "no_target", "exploit", "subnet_scan", "unknown_kind", "kind_value"])
+def test_malformed_run_scan_rejected_before_accounting(addresses, kinds, steps):
+    # A bad target raises in its turn, a bad kind before the first scan, in
+    # the untraced fresh pass and in the traced per-scan loop alike.
+    for trace_sink in (None, lambda *_: None):
+        state = fresh(build_world(num_sensitive=1, num_normal=1))
+        knowledge = Knowledge()
+        with pytest.raises(InvalidActionError):
+            run_scans(state, (addresses, kinds), knowledge, None, trace_sink)
+        assert state.steps_taken == steps
+        assert addr(1) not in knowledge.beliefs
 
 
 @pytest.mark.parametrize("kind, ident", [

@@ -9,14 +9,20 @@ sweep its own decision, stopping a scan run where the agent would drop it
 (at a knowledge reset) or the episode ends. Every step's trace row (whose
 step count gives the mutation clock), reset flag and address list, and
 every final record, must agree.
+
+A scan run from wiped knowledge that nothing traces takes ``engine._fresh_pass``,
+which plays it a stretch at a time. The tests of that path play each
+episode untraced and with a no-op trace sink, which forces the per-scan
+loop, and require the same records at the end.
 """
 
 import dataclasses
+import itertools
 from collections import Counter
 
 import pytest
 
-from deceptsim import experiment
+from deceptsim import engine, experiment
 from deceptsim.agents import AGENT_KINDS, make_agent
 from deceptsim.engine import Action, new_network_state, step, trace_record
 from deceptsim.experiment import derive_episode_seed, run_episode, scenario_params
@@ -41,7 +47,8 @@ def reference_episode(scenario, agent_kind, episode_seed):
     rows = []
     while state.outcome is None:
         run = agent.scan_run()
-        actions = [agent.next_action()] if run is None else (Action(*scan) for scan in run)
+        actions = [agent.next_action()] if run is None else (
+            Action(kind, address) for address, kind in itertools.product(*run))
         for action in actions:
             resets = agent.resets
             obs, state = step(state, action)
@@ -155,3 +162,98 @@ def test_random_worlds_runs_match_the_per_action_loop():
         assert counts[kind, "resets"] > 0
         assert counts[kind, "run_ends_episode"] > 0
     assert counts["aggressive", "attack_run_steps"] > 0
+
+
+def check_untraced_episode(scenario, agent_kind, episode_seed, made):
+    """Assert that the episode ends alike untraced and with a no-op trace
+    sink: its records, its one-goal twin's, the agent's resets and
+    knowledge, and the engine's addresses and generator state."""
+    ends = []
+    for trace_sink in (None, lambda *step: None):
+        twins = []
+        record = run_episode(scenario, agent_kind, episode_seed, trace_sink=trace_sink,
+                             one_goal_sink=twins.append)
+        agent, state = made[-2:]
+        ends.append((record, twins, agent.resets, agent.knowledge, state.addresses,
+                     state.rng.getstate()))
+    assert ends[0] == ends[1]
+
+
+@pytest.fixture
+def fresh_passes(monkeypatch):
+    """Count the fresh passes played, by how they end, and keep each
+    episode's agent and state, in the order run_episode makes them; returns
+    (counts, the made objects)."""
+    counts, made = Counter(), []
+    fresh_pass = engine._fresh_pass
+
+    def counted_pass(state, addresses, kinds, learn, reset):
+        before, resets = state.steps_taken, []
+        fresh_pass(state, addresses, kinds, learn, lambda: (resets.append(1), reset()))
+        after, movement_time = state.steps_taken, state.scenario.params.movement_time
+        counts["passes"] += 1
+        counts["reset"] += bool(resets)
+        counts["step_limit"] += state.outcome is not None
+        if not resets and state.outcome is None:
+            assert after - before == len(addresses) * len(kinds)
+            counts["completed"] += 1
+        # A mutation fired before the pass's last step.
+        counts["crossed_mutation"] += (
+            movement_time is not None and before // movement_time < (after - 1) // movement_time)
+
+    def keep(make):
+        return lambda *args: made.append(make(*args)) or made[-1]
+
+    monkeypatch.setattr(engine, "_fresh_pass", counted_pass)
+    monkeypatch.setattr(experiment, "make_agent", keep(make_agent))
+    monkeypatch.setattr(experiment, "new_network_state", keep(new_network_state))
+    return counts, made
+
+
+@pytest.mark.parametrize("movement_time", [None, 25], ids=["static", "mutation"])
+def test_golden_grid_untraced_runs_match_the_traced_loop(movement_time, fresh_passes):
+    counts, made = fresh_passes
+    config = dataclasses.replace(GOLDEN_GRID, movement_time=(movement_time,))
+    for cell in config.cells():
+        scenario = generate_scenario(scenario_params(config.fixed, cell))
+        for rep in range(config.repetitions):
+            check_untraced_episode(scenario, cell.agent,
+                                   derive_episode_seed(config.master_seed, cell, rep), made)
+    # Under mutation at 25 steps no careful pass of the golden grid completes.
+    if movement_time is None:
+        assert counts["completed"] > 0
+    else:
+        assert counts["reset"] > 0
+        assert counts["step_limit"] > 0
+        assert counts["crossed_mutation"] > 0
+
+
+def test_random_worlds_untraced_runs_match_the_traced_loop(fresh_passes):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    counts, made = fresh_passes
+    worlds = st.builds(
+        GeneratorParams,
+        num_hosts=st.integers(1, 12),
+        num_honeypots=st.integers(0, 3),
+        num_sensitive=st.integers(0, 3),
+        movement_time=st.sampled_from((1, 2, 7, 25)),
+        one_goal=st.booleans(),
+        seed=st.integers(0, 2**32),
+        exploit_prob=st.sampled_from((0.5, 1.0)),
+        privesc_prob=st.sampled_from((0.5, 1.0)),
+        # Limits of a few steps land inside the first scan passes.
+        step_limit=st.integers(2, 300),
+        num_addresses=st.sampled_from((24, 64, 256)),
+    )
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(params=worlds, episode_seed=st.integers(0, 2**64 - 1))
+    def check(params, episode_seed):
+        scenario = generate_scenario(params)
+        for kind in AGENT_KINDS:
+            check_untraced_episode(scenario, kind, episode_seed, made)
+
+    check()
+    for end in ("passes", "completed", "reset", "step_limit", "crossed_mutation"):
+        assert counts[end] > 0, end
