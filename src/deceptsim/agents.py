@@ -49,14 +49,16 @@ drops: careful's scan phase, set by the subnet scan that starts it (no
 follow-up, subnet known), and standard's focus scans after the first, which
 commits it to the focus. ``attack_run()`` hands over aggressive's entry and
 sweep (no follow-up, subnet known), or None. ``engine.run_attacks`` plays
-the draw-free failures at the sweep's head, folded with one ``Knowledge.fail``.
+every attack of it, skipping the addresses the entry failed at, up to the
+first gain or failed connection, which ``observe`` then folds as a plain
+reply; the failures before it are folded with one ``Knowledge.fail``.
 """
 
 from __future__ import annotations
 
 import operator
 import random
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .engine import SCAN_FIELDS, Action, ActionKind, Observation, same_stream_shuffle
@@ -346,29 +348,28 @@ class AggressiveAgent(ScriptedAgent):
         self.catalog = [(_EXPLOIT, e.id) for e in self.exploits]
         self.catalog += [(_PRIVESC, p.id) for p in self.privescs]
         self.current: tuple[ActionKind, int] | None = None
-        self.sweep: deque[Address] = deque()
+        self.sweep: list[Address] = []
         self.viable_memo: tuple[tuple[int, int, int], list] | None = None
 
     def _choose(self) -> Action | None:
-        if not self._aim():
-            return None  # only a mutation can make progress possible
-        kind, ident = self.current
-        return Action(kind, self.sweep.popleft(), ident)
+        # Attack runs play every attack, so a decision comes here only when
+        # no entry is viable, and only a mutation can make progress possible.
+        return None
 
     def attack_run(self):
-        committed = self.follow_up is None and self.knowledge.addresses and self._aim()
-        return (*self.current, self.sweep) if committed else None
-
-    def _aim(self) -> bool:
-        """Draw an entry and sweep while the sweep is empty; False if none is viable."""
-        while not self.sweep:
+        """Hand over the current entry and its sweep, drawing both if no
+        sweep is pending; None if no entry is viable."""
+        if self.follow_up is not None or not self.knowledge.addresses:
+            return None
+        if not self.sweep:
             viable = self._viable()
             if not viable:
                 self.current = None
-                return False
+                return None
             self.current = viable[self.rng.randrange(len(viable))]
             self._new_sweep()
-        return True
+        sweep, self.sweep = self.sweep, []
+        return (*self.current, sweep)
 
     def _viable(self) -> list[tuple[ActionKind, int]]:
         """Catalog entries with an untried known address: a failed set
@@ -386,12 +387,10 @@ class AggressiveAgent(ScriptedAgent):
         return memo[1]
 
     def _new_sweep(self) -> None:
-        """Shuffle the known addresses and drop those the entry failed at;
-        that set grows in a sweep only by its pops, so no pop is tested."""
-        order = list(self.knowledge.addresses)
-        same_stream_shuffle(order, self.rng)
-        tried = self.knowledge.failed.get(self.current)
-        self.sweep = deque([a for a in order if a not in tried] if tried else order)
+        """Shuffle the known addresses; the attack run skips those the
+        entry already failed at."""
+        self.sweep = list(self.knowledge.addresses)
+        same_stream_shuffle(self.sweep, self.rng)
 
     def _after_subnet_scan(self) -> None:
         if self.current is not None:
@@ -400,12 +399,6 @@ class AggressiveAgent(ScriptedAgent):
     def _after_gain(self, address: Address, access: AccessLevel) -> None:
         self.follow_up = Action(_WIRETAP, address)
         self.current = None
-        self.sweep.clear()
-
-    def mtd_reset(self) -> None:
-        # The chosen action survives; the sweep restarts over fresh addresses.
-        super().mtd_reset()
-        self.sweep.clear()
 
 
 _AGENT_CLASSES = {cls.kind: cls for cls in (CarefulAgent, StandardAgent, AggressiveAgent)}

@@ -11,8 +11,11 @@ mutation clock is ``steps_taken % movement_time``: the addresses mutate
 after each non-terminal step that brings it to 0.
 
 ``step`` plays one action; ``run_scans`` plays committed host scans and
-``run_attacks`` an attack sweep's draw-free failures (``_draws``), each in
-one loop, and each run folds its replies into the agent's knowledge. An
+``run_attacks`` an attack sweep up to the first reply the agent must act on
+(a gain or a failed connection), each in one loop, and each run folds its
+failures into the agent's knowledge. ``_draws`` is the one rule for which
+attacks draw; an attack that does, or one at an empty address, is played
+by ``_apply`` and ends with ``_settle``, the tail of every ``step``. An
 untraced scan pass from wiped knowledge, which mutation mostly dooms, costs
 a lookup per address and a step sum per mutation interval (``_fresh_pass``).
 Each rejects a malformed action or entry before its step counts. An attack
@@ -169,11 +172,15 @@ def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState
     other steps and episodes.
     """
     host_id = _checked_host(state, action)
-
     state.steps_taken += 1
-
     obs = _apply(state, action, host_id)
+    _settle(state, host_id, obs)
+    return obs, state
 
+
+def _settle(state: NetworkState, host_id: int | None, obs: Observation) -> None:
+    """The end of a step that ``obs`` answered: the one-goal note, the
+    terminal gate and the mutation tick, as ``step`` documents them."""
     scenario = state.scenario
     params = scenario.params
     gained = obs.access_gained
@@ -190,12 +197,11 @@ def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState
     if can_end or state.steps_taken >= params.step_limit:
         state.outcome = check_termination(state)
         if state.outcome is not None:
-            return obs, state
+            return
 
     movement_time = params.movement_time
     if movement_time is not None and state.steps_taken % movement_time == 0:
         mutate_addresses(state)
-    return obs, state
 
 
 def run_scans(state: NetworkState, run, knowledge, reset, trace_sink=None) -> None:
@@ -277,13 +283,16 @@ def _fresh_pass(state: NetworkState, addresses, kinds, learn, reset) -> None:
                 learn(addresses[index], SCAN_FIELDS[kind], getattr(host, SCAN_FIELDS[kind]))
 
 
-def run_attacks(state: NetworkState, run, knowledge, trace_sink=None) -> None:
-    """Play ``run``, ``(kind, ident, sweep)``: pop and play the attacks of
-    catalog entry ``(kind, ident)`` at the head of the deque ``sweep`` while
-    each fails without a draw, and fold the failures with one
-    ``Knowledge.fail``. It stops before an empty address or an attack that
-    draws, which the plain path plays, and at a terminal. Only the step
-    limit can end the episode. ``trace_sink`` is called as in ``run_episode``."""
+def run_attacks(state: NetworkState, run, knowledge, trace_sink=None):
+    """Play ``run``, ``(kind, ident, sweep)``: the attacks of catalog entry
+    ``(kind, ident)`` at the addresses of ``sweep`` in order, skipping
+    without a step each address in ``knowledge.failed[kind, ident]``, until
+    a reply the agent must act on (a gain or a failed connection), the
+    episode's end or the sweep's end. The failures, drawn or not, are
+    folded with one ``Knowledge.fail``. The ending attack is played as
+    ``step`` plays it and returned as ``(action, reply)`` for the caller to
+    observe and trace; None if no attack ends the run. ``trace_sink`` is
+    called for the failures as in ``run_episode``."""
     if state.outcome is not None:
         _checked_host(state, None)  # raises EpisodeTerminatedError
     kind, ident, sweep = run
@@ -294,14 +303,23 @@ def run_attacks(state: NetworkState, run, knowledge, trace_sink=None) -> None:
     hosts, access, addr_to_host = scenario.hosts, state.access, state.addr_to_host
     step_limit = scenario.params.step_limit
     movement_time = scenario.params.movement_time
-    failed = []
-    while sweep:
-        address = sweep[0]
+    tried = knowledge.failed.get((kind, ident), ())
+    failed, ending = [], None
+    for address in sweep:
+        if address in tried:
+            continue
         host_id = addr_to_host.get(address) if type(address) is int else None
-        if host_id is None or _draws(kind, entry, hosts[host_id], access):
-            break
-        failed.append(sweep.popleft())
+        if host_id is None:
+            _checked_host(state, Action(kind, address, ident))  # raises on a bad target
         state.steps_taken += 1
+        obs = _FAILURE
+        if host_id is None or _draws(kind, entry, hosts[host_id], access):
+            obs = _apply(state, Action(kind, address, ident), host_id)
+        if obs is not _FAILURE:
+            _settle(state, host_id, obs)
+            ending = Action(kind, address, ident), obs
+            break
+        failed.append(address)
         if state.steps_taken >= step_limit:
             state.outcome = check_termination(state)
         elif movement_time is not None and state.steps_taken % movement_time == 0:
@@ -312,6 +330,7 @@ def run_attacks(state: NetworkState, run, knowledge, trace_sink=None) -> None:
             break
     if failed:
         knowledge.fail(kind, ident, failed)
+    return ending
 
 
 def _checked_host(state: NetworkState, action: Action) -> int | None:

@@ -172,9 +172,11 @@ def run_episode(
     """Play one episode to termination; deterministic in all arguments.
 
     A run of host scans the agent hands over (``scan_run``) is played by
-    ``engine.run_scans``, and the head of an attack sweep (``attack_run``) by
+    ``engine.run_scans``, and an attack sweep (``attack_run``) by
     ``engine.run_attacks``, before the plain step; each run folds its own
-    replies into the agent's knowledge. ``trace_sink``, when given, is
+    replies into the agent's knowledge, except the attack that ends an
+    attack run (a gain or a failed connection), which is observed and
+    traced here as a plain step is. ``trace_sink``, when given, is
     called after every step with (action, observation, state,
     knowledge_reset flag); the state holds the step's index, ``steps_taken``.
     ``one_goal_sink``, when given, is called once with the record the same
@@ -192,13 +194,15 @@ def run_episode(
             run_scans(state, run, agent.knowledge, agent.mtd_reset, trace_sink)
             continue
         run = agent.attack_run()
-        if run is not None:
-            run_attacks(state, run, agent.knowledge, trace_sink)
-            if state.outcome is not None:
-                break
-        action = agent.next_action()
+        if run is None:
+            action = agent.next_action()
+            obs, state = engine_step(state, action)
+        else:
+            played = run_attacks(state, run, agent.knowledge, trace_sink)
+            if played is None:
+                continue
+            action, obs = played
         resets_before = agent.resets
-        obs, state = engine_step(state, action)
         agent.observe(action, obs)
         if trace_sink is not None:
             trace_sink(action, obs, state, agent.resets > resets_before)

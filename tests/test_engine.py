@@ -1,7 +1,6 @@
 """Engine tests: action semantics, terminal rules, mutation schedule and law."""
 
 import random
-from collections import deque
 
 import pytest
 from helpers import build_world
@@ -13,6 +12,7 @@ from deceptsim.engine import (
     EpisodeTerminatedError,
     InvalidActionError,
     NetworkState,
+    Observation,
     OutcomeKind,
     check_termination,
     episode_score,
@@ -150,11 +150,11 @@ def test_malformed_run_scan_rejected_before_accounting(addresses, kinds, steps):
 def test_malformed_attack_run_rejected_before_accounting(kind, ident):
     scenario = build_world(num_normal=2, exploits=(MISMATCHED_EXPLOIT,), movement_time=1)
     state = fresh(scenario)
-    sweep = deque([addr(0), addr(1)])
+    sweep = [addr(0), addr(1)]
     with pytest.raises(InvalidActionError):
         run_attacks(state, (kind, ident, sweep), Knowledge())
     assert state.steps_taken == 0
-    assert sweep == deque([addr(0), addr(1)])
+    assert sweep == [addr(0), addr(1)]
     assert state.addresses == [addr(0), addr(1), addr(2)]
 
 
@@ -162,74 +162,118 @@ def test_attack_run_after_a_terminal_raises():
     state = fresh(build_world(num_normal=1, exploits=(MISMATCHED_EXPLOIT,), step_limit=1))
     _, state = step(state, Action(ActionKind.SUBNET_SCAN))
     with pytest.raises(EpisodeTerminatedError):
-        run_attacks(state, (ActionKind.EXPLOIT, 0, deque([addr(0)])), Knowledge())
+        run_attacks(state, (ActionKind.EXPLOIT, 0, [addr(0)]), Knowledge())
     assert state.steps_taken == 1
 
 
-def test_attack_run_stops_before_an_empty_filler():
-    scenario = build_world(num_normal=2, num_empty=1, exploits=(MISMATCHED_EXPLOIT,))
+def test_attack_run_ends_at_an_empty_address():
+    scenario = build_world(num_normal=2, num_empty=1, exploits=(MISMATCHED_EXPLOIT,),
+                           movement_time=3)
     state = fresh(scenario)
-    sweep = deque([addr(1), addr(2), addr(3), addr(0)])
+    sweep = [addr(1), addr(2), addr(3), addr(0)]
     rows = []
     knowledge = Knowledge()
-    run_attacks(state, (ActionKind.EXPLOIT, 0, sweep), knowledge,
-                lambda *args: rows.append(trace_record(*args)))
+    ending = run_attacks(state, (ActionKind.EXPLOIT, 0, sweep), knowledge,
+                         lambda *args: rows.append(trace_record(*args)))
+    # The connection failure is returned for the caller to observe and
+    # trace; its step counts and, as the third, fires the mutation.
+    assert ending == (Action(ActionKind.EXPLOIT, addr(3), 0),
+                      Observation(success=False, connection_failed=True))
     assert knowledge.failed == {(ActionKind.EXPLOIT, 0): {addr(1), addr(2)}}
-    assert sweep == deque([addr(3), addr(0)])
-    assert state.steps_taken == 2
+    assert state.steps_taken == 3
     assert [(row["step"], row["target"], row["exploit_id"], row["success"]) for row in rows] \
         == [(1, [1, 1], 0, False), (2, [1, 2], 0, False)]
+    mutated = mutate_addresses(fresh(scenario))
+    assert (state.addresses, state.rng.getstate()) == (mutated.addresses, mutated.rng.getstate())
     assert state.outcome is None
-    # A head that is not an int address is left to the plain path to reject.
-    run_attacks(state, (ActionKind.EXPLOIT, 0, deque([True])), knowledge)
-    assert knowledge.failed == {(ActionKind.EXPLOIT, 0): {addr(1), addr(2)}}
-    assert state.steps_taken == 2
+    # An address that is not an int in the subnet is rejected before its step.
+    for target in (True, 99):
+        with pytest.raises(InvalidActionError):
+            run_attacks(state, (ActionKind.EXPLOIT, 0, [target]), Knowledge())
+        assert state.steps_taken == 3
 
 
-def test_attack_run_stops_before_a_matching_exploit():
+def test_attack_run_ends_at_a_matching_exploit():
     scenario = build_world(num_normal=1, exploits=(ROOT_EXPLOIT, MISMATCHED_EXPLOIT))
     state = fresh(scenario)
-    rng_state = state.rng.getstate()
-    sweep = deque([addr(1), addr(0)])
     knowledge = Knowledge()
-    run_attacks(state, (ActionKind.EXPLOIT, 0, sweep), knowledge)
-    assert (ActionKind.EXPLOIT, 0) not in knowledge.failed
-    assert sweep == deque([addr(1), addr(0)])
-    run_attacks(state, (ActionKind.EXPLOIT, 1, sweep), knowledge)
+    ending = run_attacks(state, (ActionKind.EXPLOIT, 0, [addr(1), addr(0)]), knowledge)
+    # The gain is applied, one engine draw consumed, and the attack returned.
+    assert ending == (Action(ActionKind.EXPLOIT, addr(1), 0),
+                      Observation(success=True, access_gained=AccessLevel.ROOT))
+    assert state.access == {1: AccessLevel.ROOT}
+    assert state.steps_taken == 1
+    drawn = random.Random(0)
+    drawn.random()
+    assert state.rng.getstate() == drawn.getstate()
+    assert not knowledge.failed
+    # An exploit that matches nothing fails at every address without a draw.
+    assert run_attacks(state, (ActionKind.EXPLOIT, 1, [addr(1), addr(0)]), knowledge) is None
     assert knowledge.failed[ActionKind.EXPLOIT, 1] == {addr(1), addr(0)}
-    assert not sweep
-    assert state.steps_taken == 2
-    assert state.rng.getstate() == rng_state
-    assert state.access == {}
+    assert state.steps_taken == 3
+    assert state.rng.getstate() == drawn.getstate()
 
 
-def test_attack_run_stops_before_a_privesc_at_user_access():
-    scenario = build_world(num_normal=2, exploits=(USER_EXPLOIT,), privescs=((0, 1.0), (5, 1.0)))
+def test_attack_run_folds_a_drawn_failure_and_goes_on():
+    scenario = build_world(num_normal=2, exploits=(USER_EXPLOIT,), privescs=((0, 0.0),))
     state = fresh(scenario)
     _, state = step(state, Action(ActionKind.EXPLOIT, addr(1), 0))
-    sweep = deque([addr(0), addr(2), addr(1), addr(0)])
+    drawn = random.Random()
+    drawn.setstate(state.rng.getstate())
+    drawn.random()
     knowledge = Knowledge()
-    # No access at hosts 0 and 2; host 1 is at user access and runs process 0.
-    run_attacks(state, (ActionKind.PRIVESC, 0, sweep), knowledge)
-    assert knowledge.failed[ActionKind.PRIVESC, 0] == {addr(0), addr(2)}
-    assert sweep == deque([addr(1), addr(0)])
-    # No host runs process 5.
-    run_attacks(state, (ActionKind.PRIVESC, 1, sweep), knowledge)
-    assert knowledge.failed[ActionKind.PRIVESC, 1] == {addr(1), addr(0)}
-    assert not sweep
-    assert state.steps_taken == 5
+    # Host 1 is at user access and runs process 0, so the escalation there
+    # draws, and at probability 0 fails; hosts 0 and 2 fail without a draw.
+    rows = []
+    ending = run_attacks(state, (ActionKind.PRIVESC, 0, [addr(0), addr(1), addr(2)]), knowledge,
+                         lambda *args: rows.append(trace_record(*args)))
+    assert ending is None
+    assert knowledge.failed[ActionKind.PRIVESC, 0] == {addr(0), addr(1), addr(2)}
+    assert [row["target"] for row in rows] == [[1, 0], [1, 1], [1, 2]]
+    assert state.steps_taken == 4
+    assert state.rng.getstate() == drawn.getstate()
     assert state.access == {1: AccessLevel.USER}
+
+
+def test_attack_run_skips_the_addresses_its_entry_failed_at():
+    scenario = build_world(num_normal=2, exploits=(MISMATCHED_EXPLOIT,))
+    state = fresh(scenario)
+    knowledge = Knowledge(addresses=[addr(0), addr(1), addr(2)])
+    knowledge.fail(ActionKind.EXPLOIT, 0, [addr(1)])
+    rows = []
+    run_attacks(state, (ActionKind.EXPLOIT, 0, [addr(1), addr(0), addr(2)]), knowledge,
+                lambda *args: rows.append(trace_record(*args)))
+    assert [(row["step"], row["target"]) for row in rows] == [(1, [1, 0]), (2, [1, 2])]
+    assert state.steps_taken == 2
+    assert knowledge.failed[ActionKind.EXPLOIT, 0] == {addr(0), addr(1), addr(2)}
+    assert knowledge.exhausted == 1
+
+
+@pytest.mark.parametrize("one_goal", [True, False])
+def test_attack_run_notes_a_sensitive_root_gain_inside_it(one_goal):
+    scenario = build_world(num_sensitive=2, num_normal=1, exploits=(USER_EXPLOIT,),
+                           one_goal=one_goal)
+    state = fresh(scenario)
+    _, state = step(state, Action(ActionKind.EXPLOIT, addr(0), 0))
+    # Hosts 1 and 2 are below user access; sensitive host 0 is rooted at step 4.
+    ending = run_attacks(state, (ActionKind.PRIVESC, 0, [addr(1), addr(2), addr(0)]),
+                         Knowledge())
+    assert ending == (Action(ActionKind.PRIVESC, addr(0), 0),
+                      Observation(success=True, access_gained=AccessLevel.ROOT))
+    win = EpisodeOutcome(OutcomeKind.WIN, 4, episode_score(state))
+    assert state.one_goal_win == win
+    # Under all goals, the other sensitive host is not rooted yet.
+    assert state.outcome == (win if one_goal else None)
 
 
 def test_attack_run_times_out_at_a_step_limit_inside_it():
     scenario = build_world(num_normal=4, exploits=(MISMATCHED_EXPLOIT,), step_limit=4)
     state = fresh(scenario)
     _, state = step(state, Action(ActionKind.SUBNET_SCAN))
-    sweep = deque(map(addr, range(5)))
+    sweep = list(map(addr, range(5)))
     knowledge = Knowledge()
-    run_attacks(state, (ActionKind.EXPLOIT, 0, sweep), knowledge)
+    assert run_attacks(state, (ActionKind.EXPLOIT, 0, sweep), knowledge) is None
     assert knowledge.failed[ActionKind.EXPLOIT, 0] == {addr(0), addr(1), addr(2)}
-    assert sweep == deque([addr(3), addr(4)])
     assert state.outcome == EpisodeOutcome(OutcomeKind.TIMEOUT, 4, 0.0)
 
 

@@ -1,14 +1,15 @@
 """Scan runs and attack runs against the per-action loop.
 
 ``run_episode`` hands each run of host scans an agent commits to
-(``scan_run``) to ``engine.run_scans``, and the head of each attack sweep
+(``scan_run``) to ``engine.run_scans``, and each attack sweep
 (``attack_run``) to ``engine.run_attacks``, each of which plays its run in
 one loop. The reference below plays the same episodes the plain way, one
-action at a time: ``step`` and then ``observe``, with every attack of a
-sweep its own decision, stopping a scan run where the agent would drop it
-(at a knowledge reset) or the episode ends. Every step's trace row (whose
-step count gives the mutation clock), reset flag and address list, and
-every final record, must agree.
+action at a time: ``step`` and then ``observe``. It takes the sweep's
+addresses one by one, passing over those the entry already failed at, and
+stops a run where the agent must act on a reply (a knowledge reset or a
+gain) or the episode ends. Every step's trace row (whose step count gives
+the mutation clock), reset flag and address list, and every final record,
+must agree.
 
 A scan run from wiped knowledge that nothing traces takes ``engine._fresh_pass``,
 which plays it a stretch at a time. The tests of that path play each
@@ -39,23 +40,35 @@ def row(action, obs, state, knowledge_reset):
     )
 
 
+def attacks(agent, kind, ident, sweep):
+    """An attack run's attacks, one at a time: each address of the sweep
+    that entry ``(kind, ident)`` has not failed at."""
+    for address in sweep:
+        if address not in agent.knowledge.failed.get((kind, ident), ()):
+            yield Action(kind, address, ident)
+
+
 def reference_episode(scenario, agent_kind, episode_seed):
     """Rows, outcome and one-goal win of the episode played one action at
-    a time: next_action (or the next scan of a run), step, observe."""
+    a time: next_action (or the next scan or attack of a run), step, observe."""
     agent = make_agent(agent_kind, scenario, experiment._substream(episode_seed, "agent"))
     state = new_network_state(scenario, experiment._substream(episode_seed, "engine"))
     rows = []
     while state.outcome is None:
         run = agent.scan_run()
-        actions = [agent.next_action()] if run is None else (
-            Action(kind, address) for address, kind in itertools.product(*run))
+        if run is not None:
+            actions = (Action(kind, address) for address, kind in itertools.product(*run))
+        elif (run := agent.attack_run()) is not None:
+            actions = attacks(agent, *run)
+        else:
+            actions = [agent.next_action()]
         for action in actions:
             resets = agent.resets
             obs, state = step(state, action)
             agent.observe(action, obs)
             knowledge_reset = agent.resets > resets
             rows.append(row(action, obs, state, knowledge_reset))
-            if knowledge_reset or state.outcome is not None:
+            if knowledge_reset or obs.access_gained or state.outcome is not None:
                 break
     return rows, state.outcome, state.one_goal_win or state.outcome
 
@@ -76,13 +89,52 @@ def counted(run, prefix, agent_kind, counts: Counter):
     return counted_run
 
 
+def ended(run_attacks, agent_kind, counts: Counter):
+    """``run_attacks``, counting into ``counts`` the runs by how they end
+    (a gain, a failed connection, the step limit or the sweep's end), the
+    runs that hold a drawn failure and the tried addresses skipped."""
+    def counted_run(state, run, knowledge, trace_sink):
+        kind, ident, sweep = run
+        order, tried = list(sweep), set(knowledge.failed.get((kind, ident), ()))
+        played, drawn, apply = [], [], engine._apply
+
+        def sink(action, *args):
+            played.append(action.target)
+            trace_sink(action, *args)
+
+        def counted_apply(*args):
+            obs = apply(*args)
+            drawn.append(not obs.success and not obs.connection_failed)
+            return obs
+
+        engine._apply = counted_apply
+        try:
+            ending = run_attacks(state, run, knowledge, sink)
+        finally:
+            engine._apply = apply
+        if ending is not None:
+            played.append(ending[0].target)
+            end = "gain" if ending[1].access_gained else "connection_failed"
+            assert ending[1].access_gained or ending[1].connection_failed
+        else:
+            end = "step_limit" if state.outcome is not None else "sweep_end"
+        counts[agent_kind, f"attack_run_{end}"] += 1
+        counts[agent_kind, "attack_run_drawn_failure"] += any(drawn)
+        counts[agent_kind, "attack_run_skipped"] += sum(
+            address in tried for address in order[:order.index(played[-1])])
+        return ending
+    return counted_run
+
+
 def check_episode(scenario, agent_kind, episode_seed, counts: Counter) -> None:
     """Assert that run_episode and the reference agree on one episode; count
-    the steps that scan runs and attack runs played into ``counts``."""
+    the steps that scan runs and attack runs played, and how attack runs
+    end, into ``counts``."""
     rows, twins = [], []
     originals = experiment.run_scans, experiment.run_attacks
     experiment.run_scans = counted(originals[0], "run", agent_kind, counts)
-    experiment.run_attacks = counted(originals[1], "attack_run", agent_kind, counts)
+    experiment.run_attacks = counted(
+        ended(originals[1], agent_kind, counts), "attack_run", agent_kind, counts)
     try:
         record = run_episode(
             scenario, agent_kind, episode_seed,
@@ -128,6 +180,19 @@ def test_golden_grid_runs_match_the_per_action_loop(movement_time):
         assert counts["aggressive", "attack_run_steps"] > counts["aggressive", "steps"] / 2
         assert counts["aggressive", "attack_run_ends_episode"] > 0
         assert counts["aggressive", "attack_run_crosses_mutation"] > 0
+    # Attack runs end at gains, at failed connections once addresses move,
+    # at the step limit under mutation (no static aggressive episode of the
+    # grid times out) and at sweeps' ends, and skip the addresses an entry
+    # failed at in an earlier sweep. Every attack that draws gains, since
+    # the grid's probabilities are 1.
+    ends = ["gain", "sweep_end", "skipped"]
+    if movement_time is not None:
+        ends += ["connection_failed", "step_limit"]
+    for end in ends:
+        assert counts["aggressive", f"attack_run_{end}"] > 0, end
+    assert counts["aggressive", "attack_run_drawn_failure"] == 0
+    if movement_time is None:
+        assert counts["aggressive", "attack_run_connection_failed"] == 0
 
 
 def test_random_worlds_runs_match_the_per_action_loop():
@@ -149,7 +214,7 @@ def test_random_worlds_runs_match_the_per_action_loop():
     )
     counts = Counter()
 
-    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(params=worlds, episode_seed=st.integers(0, 2**64 - 1))
     def check(params, episode_seed):
         scenario = generate_scenario(params)
@@ -162,6 +227,10 @@ def test_random_worlds_runs_match_the_per_action_loop():
         assert counts[kind, "resets"] > 0
         assert counts[kind, "run_ends_episode"] > 0
     assert counts["aggressive", "attack_run_steps"] > 0
+    # Probabilities of 0.5 also fail attacks that draw, inside a run.
+    for end in ("gain", "connection_failed", "step_limit", "sweep_end", "skipped",
+                "drawn_failure"):
+        assert counts["aggressive", f"attack_run_{end}"] > 0, end
 
 
 def check_untraced_episode(scenario, agent_kind, episode_seed, made):
