@@ -9,10 +9,10 @@ outputs.
 
 Every output starts with a manifest comment line recording the resolved
 configuration, tool version, timestamp, and output paths; ``--from-manifest``
-replays a manifest, whose config is accepted only if its writer writes it
-back unchanged, and reproduces the original file byte-for-byte.  The
-manifest timestamp is null unless SOURCE_DATE_EPOCH is set, so that repeated
-runs of the same configuration stay byte-identical.
+replays a manifest of this version, whose config is accepted only if its
+writer writes it back unchanged, and reproduces the original file
+byte-for-byte.  The manifest timestamp is null unless SOURCE_DATE_EPOCH is
+set, so that repeated runs of the same configuration stay byte-identical.
 """
 
 from __future__ import annotations
@@ -218,6 +218,9 @@ def load_manifest(path: str, command: str) -> dict:
         raise ConfigError(
             f"{path}: manifest was written by {manifest.get('command')!r}, expected {command!r}"
         )
+    if manifest.get("version") != __version__:  # another version may write other records
+        raise ConfigError(f"{path}: manifest was written by version "
+                          f"{manifest.get('version')!r}, this is {__version__!r}")
     # What a replay reads besides the config's own fields. Only run may
     # have written no output.
     if not isinstance(manifest.get("timestamp"), (str, type(None))):

@@ -15,9 +15,10 @@ after each non-terminal step that brings it to 0.
 (a gain or a failed connection), each in one loop, and each run folds its
 failures into the agent's knowledge. ``_draws`` is the one rule for which
 attacks draw; an attack that does, or one at an empty address, is played
-by ``_apply`` and ends with ``_settle``, the tail of every ``step``. An
-untraced scan pass from wiped knowledge, which mutation mostly dooms, costs
-a lookup per address and a step sum per mutation interval (``_fresh_pass``).
+by ``_apply``. An untraced scan pass from wiped knowledge, which mutation
+mostly dooms, costs a lookup per address and a step sum per mutation
+interval (``_fresh_pass``). Every step the engine plays ends with
+``_settle``: the one-goal note, the terminal gate and the mutation tick.
 Each rejects a malformed action or entry before its step counts. An attack
 names its catalog entry by ``(kind, ident)``. The address index covers only
 the hosts: any other address in the target subnet is empty, and empty
@@ -157,7 +158,7 @@ def new_network_state(scenario: Scenario, rng: random.Random) -> NetworkState:
 
 
 def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState]:
-    """Execute one action: count the step, apply semantics, check terminals.
+    """Execute one action: count the step, apply semantics, then ``_settle``.
 
     ``check_termination`` runs only after a gain that can end the episode,
     or once the step limit is reached. The outcome depends on nothing but
@@ -174,16 +175,16 @@ def step(state: NetworkState, action: Action) -> tuple[Observation, NetworkState
     host_id = _checked_host(state, action)
     state.steps_taken += 1
     obs = _apply(state, action, host_id)
-    _settle(state, host_id, obs)
+    _settle(state, host_id, obs.access_gained)
     return obs, state
 
 
-def _settle(state: NetworkState, host_id: int | None, obs: Observation) -> None:
-    """The end of a step that ``obs`` answered: the one-goal note, the
-    terminal gate and the mutation tick, as ``step`` documents them."""
+def _settle(state: NetworkState, host_id: int | None, gained: AccessLevel | None) -> None:
+    """The end of every step the engine plays: the one-goal note, the terminal
+    gate and the mutation tick, as ``step`` documents them. ``gained`` is the
+    reply's ``access_gained`` on ``host_id``; None for a scan, a failure or a stretch end."""
     scenario = state.scenario
     params = scenario.params
-    gained = obs.access_gained
     can_end = False
     if gained is not None:
         if host_id in scenario.honeypot_ids:
@@ -222,8 +223,6 @@ def run_scans(state: NetworkState, run, knowledge, reset, trace_sink=None) -> No
         return _fresh_pass(state, addresses, kinds, knowledge.learn, reset)
     scenario = state.scenario
     replies = scenario.scan_replies
-    step_limit = scenario.params.step_limit
-    movement_time = scenario.params.movement_time
     learn = knowledge.learn
     addr_to_host = state.addr_to_host
     for address in addresses:
@@ -237,10 +236,7 @@ def run_scans(state: NetworkState, run, knowledge, reset, trace_sink=None) -> No
                 address, SCAN_FIELDS[kind], obs.scanned)
             if knowledge_reset:
                 reset()
-            if state.steps_taken >= step_limit:
-                state.outcome = check_termination(state)
-            elif movement_time is not None and state.steps_taken % movement_time == 0:
-                mutate_addresses(state)
+            _settle(state, None, None)
             if trace_sink is not None:
                 trace_sink(Action(kind, address), obs, state, knowledge_reset)
             if knowledge_reset or state.outcome is not None:
@@ -268,10 +264,7 @@ def _fresh_pass(state: NetworkState, addresses, kinds, learn, reset) -> None:
             _checked_host(state, Action(kinds[(stop - 1) % width], span[hosts.index(None)]))
             reset()
         state.steps_taken = taken + stop - at
-        if state.steps_taken >= params.step_limit:
-            state.outcome = check_termination(state)
-        elif params.movement_time is not None and state.steps_taken % params.movement_time == 0:
-            mutate_addresses(state)
+        _settle(state, None, None)
         if None in hosts:
             return
         played.append((at, stop, hosts))
@@ -301,8 +294,6 @@ def run_attacks(state: NetworkState, run, knowledge, trace_sink=None):
     scenario = state.scenario
     entry = _catalog_entry(scenario, kind, ident)
     hosts, access, addr_to_host = scenario.hosts, state.access, state.addr_to_host
-    step_limit = scenario.params.step_limit
-    movement_time = scenario.params.movement_time
     tried = knowledge.failed.get((kind, ident), ())
     failed, ending = [], None
     for address in sweep:
@@ -315,15 +306,11 @@ def run_attacks(state: NetworkState, run, knowledge, trace_sink=None):
         obs = _FAILURE
         if host_id is None or _draws(kind, entry, hosts[host_id], access):
             obs = _apply(state, Action(kind, address, ident), host_id)
+        _settle(state, host_id, obs.access_gained)
         if obs is not _FAILURE:
-            _settle(state, host_id, obs)
             ending = Action(kind, address, ident), obs
             break
         failed.append(address)
-        if state.steps_taken >= step_limit:
-            state.outcome = check_termination(state)
-        elif movement_time is not None and state.steps_taken % movement_time == 0:
-            mutate_addresses(state)
         if trace_sink is not None:
             trace_sink(Action(kind, address, ident), _FAILURE, state, False)
         if state.outcome is not None:
@@ -337,7 +324,7 @@ def _checked_host(state: NetworkState, action: Action) -> int | None:
     """The targeted host's id, None for a subnet scan or an empty address.
     Raises on a terminal state, an unknown kind, a host action without a
     target in the target subnet, or an unknown exploit or privesc id.
-    run_scans asks only on a miss."""
+    run_scans and run_attacks ask only on a miss."""
     if state.outcome is not None:
         raise EpisodeTerminatedError(
             f"episode already ended with {state.outcome.kind.value} "

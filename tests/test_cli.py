@@ -475,6 +475,33 @@ def test_malformed_manifest_exits_1_naming_it(tmp_path, capsys, command, edit):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "aggregate"])
+def test_a_manifest_of_another_version_exits_1_naming_both(tmp_path, capsys, command):
+    # Another version may write other records for the same config, so its
+    # manifest is not replayed, and nothing is rewritten.
+    path = tmp_path / "output"
+    if command == "run":
+        assert run_cli("run", "--agent", "standard", "--trace", str(path)) == 0
+    else:
+        assert run_cli("sweep", "--out", str(path), *SMALL_SWEEP) == 0
+    if command == "aggregate":
+        records, path = path, tmp_path / "agg.csv"
+        assert run_cli("aggregate", "--records", str(records), "--group-by", "agent",
+                       "--out", str(path)) == 0
+    line, rest = path.read_text().split("\n", 1)
+    manifest = json.loads(line[len(MANIFEST_PREFIX):])
+    assert manifest["version"] == cli.__version__
+    manifest["version"] = "9.9.9"
+    path.write_text(MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
+    before = read_bytes(path)
+    capsys.readouterr()
+    assert run_cli(command, "--from-manifest", str(path)) == 1
+    err = capsys.readouterr().err
+    assert f"version '9.9.9', this is {cli.__version__!r}" in err
+    assert str(path) in err
+    assert read_bytes(path) == before
+
+
 def _set(**entries):
     return lambda config: config.update(entries)
 
@@ -1524,8 +1551,10 @@ def test_a_parallel_sweep_interrupted_twice_exits_130_and_leaves_nothing_behind(
     # Ctrl-C signals the whole process group: the sweep and its workers. The
     # second interrupt lands while the pool shuts down, which it must not cut
     # short. The default grid runs for about a minute, so it is still running.
+    # faulthandler dumps every thread of each process of the group on SIGABRT,
+    # so a sweep that hangs names where.
     src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+    env = dict(os.environ, PYTHONFAULTHANDLER="1", PYTHONPATH=os.pathsep.join(filter(None, (
         str(src), os.environ.get("PYTHONPATH")))))
     sweep = subprocess.Popen(
         [sys.executable, "-m", "deceptsim.cli", "sweep", "--out", "big.csv", "--workers", "2"],
@@ -1536,7 +1565,15 @@ def test_a_parallel_sweep_interrupted_twice_exits_130_and_leaves_nothing_behind(
         os.killpg(sweep.pid, signal.SIGINT)
         time.sleep(0.5)
         os.killpg(sweep.pid, signal.SIGINT)
-        _, err = sweep.communicate(timeout=30)
+        try:
+            _, err = sweep.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(sweep.pid, signal.SIGABRT)
+            time.sleep(5)  # for the dumps; then whatever still holds stderr is killed
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(sweep.pid, signal.SIGKILL)
+            _, err = sweep.communicate(timeout=10)
+            pytest.fail(f"the sweep still ran 30 s after the second interrupt:\n{err}")
         assert (sweep.returncode, err) == (130, "error: interrupted\n")
         assert os.listdir(tmp_path) == []
         with pytest.raises(ProcessLookupError):  # no process of its group is left

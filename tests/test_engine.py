@@ -3,8 +3,9 @@
 import random
 
 import pytest
-from helpers import build_world
+from helpers import HOST_OS, build_world
 
+from deceptsim import engine
 from deceptsim.engine import (
     Action,
     ActionKind,
@@ -485,6 +486,56 @@ def test_mutation_skipped_on_terminal_step():
     _, state = step(state, Action(ActionKind.EXPLOIT, addr(0), 0))
     assert state.outcome.kind is OutcomeKind.WIN
     assert state.addresses == initial
+
+
+def _no_reset():
+    raise AssertionError("a world without empty addresses reset a scan run")
+
+
+SCANS = ([addr(i) for i in range(4)], (ActionKind.SERVICE_SCAN, ActionKind.OS_SCAN,
+                                       ActionKind.VULN_SCAN))
+
+
+def _held_beliefs():
+    knowledge = Knowledge()
+    knowledge.learn(addr(0), "os", HOST_OS)
+    return knowledge
+
+
+# Each path the engine plays steps by, played until the episode ends: a
+# plain step, a scan run from held beliefs (the per-scan loop), an untraced
+# scan run from wiped knowledge (the fresh pass) and an attack run of an
+# exploit that matches no host, whose attacks fail without a draw.
+PATHS = {
+    "step": lambda state: step(state, Action(ActionKind.SERVICE_SCAN, addr(0))),
+    "scan_run": lambda state: run_scans(state, SCANS, _held_beliefs(), _no_reset),
+    "fresh_pass": lambda state: run_scans(state, SCANS, Knowledge(), _no_reset),
+    "attack_run": lambda state: run_attacks(state, (ActionKind.EXPLOIT, 0, SCANS[0]),
+                                            Knowledge()),
+}
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_mutation_skipped_on_terminal_step_at_the_limit(monkeypatch, path):
+    # A step limit on the mutation clock times the episode out there, and the
+    # mutation due at that step is never fired: one mutation fewer than a
+    # limit one step later, whichever path plays the steps. No address is
+    # empty, so no mutation can reset a scan run or end an attack run.
+    mutations = []
+    monkeypatch.setattr(engine, "mutate_addresses",
+                        lambda state: mutations.append(state.steps_taken) or
+                        mutate_addresses(state))
+    counts = {}
+    for step_limit in (8, 9):
+        scenario = build_world(num_normal=3, exploits=(MISMATCHED_EXPLOIT,), movement_time=4,
+                               step_limit=step_limit)
+        state = fresh(scenario, seed=3)
+        mutations.clear()
+        while state.outcome is None:
+            PATHS[path](state)
+        assert state.outcome == EpisodeOutcome(OutcomeKind.TIMEOUT, step_limit, 0.0)
+        counts[step_limit] = list(mutations)
+    assert counts == {8: [4], 9: [4, 8]}
 
 
 def test_mutation_identity_for_single_address_subnet():

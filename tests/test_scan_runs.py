@@ -92,26 +92,27 @@ def counted(run, prefix, agent_kind, counts: Counter):
 def ended(run_attacks, agent_kind, counts: Counter):
     """``run_attacks``, counting into ``counts`` the runs by how they end
     (a gain, a failed connection, the step limit or the sweep's end), the
-    runs that hold a drawn failure and the tried addresses skipped."""
+    runs that hold a drawn failure and the tried addresses skipped. A run's
+    drawn failures are its calls to the engine's ``rng.random``, less the
+    one draw of a gain that ends it."""
     def counted_run(state, run, knowledge, trace_sink):
         kind, ident, sweep = run
         order, tried = list(sweep), set(knowledge.failed.get((kind, ident), ()))
-        played, drawn, apply = [], [], engine._apply
+        played, draws, draw = [], [], state.rng.random
 
         def sink(action, *args):
             played.append(action.target)
             trace_sink(action, *args)
 
-        def counted_apply(*args):
-            obs = apply(*args)
-            drawn.append(not obs.success and not obs.connection_failed)
-            return obs
+        def counted_draw():
+            draws.append(None)
+            return draw()
 
-        engine._apply = counted_apply
+        state.rng.random = counted_draw
         try:
             ending = run_attacks(state, run, knowledge, sink)
         finally:
-            engine._apply = apply
+            del state.rng.random
         if ending is not None:
             played.append(ending[0].target)
             end = "gain" if ending[1].access_gained else "connection_failed"
@@ -119,7 +120,7 @@ def ended(run_attacks, agent_kind, counts: Counter):
         else:
             end = "step_limit" if state.outcome is not None else "sweep_end"
         counts[agent_kind, f"attack_run_{end}"] += 1
-        counts[agent_kind, "attack_run_drawn_failure"] += any(drawn)
+        counts[agent_kind, "attack_run_drawn_failure"] += len(draws) > (end == "gain")
         counts[agent_kind, "attack_run_skipped"] += sum(
             address in tried for address in order[:order.index(played[-1])])
         return ending
