@@ -230,41 +230,46 @@ def run_episode(
     return record
 
 
-def _run_cells(task: tuple[GeneratorParams, Cell, tuple[bool, ...], int, int]) -> dict:
-    """Every repetition of the cells that differ from ``cell`` only in
-    one_goal, one per objective in ``objectives``, keyed by objective.
+def _run_cells(task: tuple) -> dict:
+    """Every repetition of one world's cells, those that differ from ``world``
+    only in agent, one of ``agents``, and in one_goal, one per objective in
+    ``objectives``: keyed by objective, in agent then repetition order.
 
     Each episode is played once. When both objectives are wanted it is
     played under the all-goals objective, and its one-goal twin is derived
-    from it.
+    from it. Each agent's ``generate_scenario`` call after the first takes
+    the world from its memo.
     """
-    fixed, cell, objectives, repetitions, master_seed = task
-    cell = dataclasses.replace(cell, one_goal=False not in objectives)
-    scenario = generate_scenario(scenario_params(fixed, cell))
+    fixed, world, agents, objectives, repetitions, master_seed = task
     records = {objective: [] for objective in objectives}
     twins = records[True].append if len(objectives) == 2 else None
-    for repetition in range(repetitions):
-        records[cell.one_goal].append(
-            run_episode(
-                scenario,
-                cell.agent,
-                derive_episode_seed(master_seed, cell, repetition),
-                repetition,
-                one_goal_sink=twins,
+    for agent in agents:
+        cell = dataclasses.replace(world, agent=agent, one_goal=False not in objectives)
+        scenario = generate_scenario(scenario_params(fixed, cell))
+        for repetition in range(repetitions):
+            records[cell.one_goal].append(
+                run_episode(
+                    scenario,
+                    agent,
+                    derive_episode_seed(master_seed, cell, repetition),
+                    repetition,
+                    one_goal_sink=twins,
+                )
             )
-        )
     return records
 
 
 def iter_sweep(config: SweepConfig, workers: int | None = None) -> Iterator[EpisodeRecord]:
     """All cells x repetitions, by cell then repetition, once ``config`` is
     valid, as each (num_honeypots, movement_time, num_hosts) block of tasks
-    is done. Cells differing only in one_goal form one task (``_run_cells``);
-    ``workers`` > 1 spreads tasks over at most one process each. Closing the
-    iterator, or a failure, cancels the tasks not started."""
+    is done. A task is one world: the cells that differ only in agent and
+    one_goal (``_run_cells``). ``workers`` > 1 spreads tasks over at most one
+    process each, which ignore interrupts; closing the iterator, a failure
+    or an interrupt ends them at once."""
     config.validate()
-    tasks = [(config.fixed, cell, config.one_goal, config.repetitions, config.master_seed)
-             for cell in dataclasses.replace(config, one_goal=(False,)).cells()]
+    worlds = dataclasses.replace(config, one_goal=(False,), agents=config.agents[:1]).cells()
+    tasks = [(config.fixed, world, config.agents, config.one_goal, config.repetitions,
+              config.master_seed) for world in worlds]
     # A pool starts all its workers at once, so idle ones would be forked.
     return _ordered_records(config, tasks, min(workers or 1, len(tasks)))
 
@@ -274,26 +279,34 @@ def _ordered_records(config: SweepConfig, tasks: list, workers: int) -> Iterator
     try:
         if workers > 1:
             # Imported here: a serial sweep, run and aggregate load no multiprocessing.
+            import multiprocessing
             import signal
-            import threading
-            from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=workers)
-            # Tasks that differ only by agent are consecutive and share a
-            # world; one chunk per world lets a worker draw it once.
-            batches = pool.map(_run_cells, tasks, chunksize=len(config.agents))
-        block = len(config.seeds) * len(config.agents)
-        for batch_block in iter(lambda: list(itertools.islice(batches, block)), []):
+            # The workers ignore interrupts: the parent acts on one and ends them.
+            pool = multiprocessing.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+            batches = _watched(pool.imap(_run_cells, tasks), multiprocessing.active_children())
+        for batch_block in iter(lambda: list(itertools.islice(batches, len(config.seeds))), []):
             for objective in config.one_goal:
                 for batch in batch_block:
                     yield from batch[objective]
     finally:
-        if pool is not None:  # a second interrupt must not cut the pool's shutdown short
-            main = threading.current_thread() is threading.main_thread()
-            handler = signal.signal(signal.SIGINT, signal.SIG_IGN) if main else None
-            pool.shutdown(cancel_futures=True)
-            if main:
-                signal.signal(signal.SIGINT, handler)
+        if pool is not None:
+            pool.terminate()
+
+
+def _watched(results, workers: list) -> Iterator[dict]:
+    """``results``, a pool's ``imap``, checking ``workers`` each second it
+    waits: a pool replaces a killed worker, whose task never returns."""
+    import multiprocessing
+    while True:
+        try:
+            yield results.next(timeout=1)
+        except StopIteration:
+            return
+        except multiprocessing.TimeoutError:
+            for worker in workers:
+                if worker.exitcode is not None:
+                    raise RuntimeError(f"worker {worker.pid} died, exit code {worker.exitcode}")
 
 
 def run_sweep(config: SweepConfig, workers: int | None = None) -> list[EpisodeRecord]:

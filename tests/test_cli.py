@@ -1547,20 +1547,41 @@ def test_a_sweep_interrupted_while_writing_leaves_nothing_behind(tmp_path, monke
     assert multiprocessing.active_children() == []
 
 
-def test_a_parallel_sweep_interrupted_twice_exits_130_and_leaves_nothing_behind(tmp_path):
-    # Ctrl-C signals the whole process group: the sweep and its workers. The
-    # second interrupt lands while the pool shuts down, which it must not cut
-    # short. The default grid runs for about a minute, so it is still running.
-    # faulthandler dumps every thread of each process of the group on SIGABRT,
-    # so a sweep that hangs names where.
+def start_default_sweep(directory):
+    """A ``--workers 2`` sweep of the default grid, which runs for about a
+    minute, writing big.csv in ``directory``, in its own session and process
+    group; its stderr is piped. faulthandler dumps every thread of a process
+    of the group on SIGABRT, so a sweep that hangs names where."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONFAULTHANDLER="1", PYTHONPATH=os.pathsep.join(filter(None, (
         str(src), os.environ.get("PYTHONPATH")))))
-    sweep = subprocess.Popen(
+    return subprocess.Popen(
         [sys.executable, "-m", "deceptsim.cli", "sweep", "--out", "big.csv", "--workers", "2"],
-        cwd=tmp_path, env=env, start_new_session=True, text=True,
+        cwd=directory, env=env, start_new_session=True, text=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+
+
+@contextlib.contextmanager
+def killed_at_the_end(sweep):
+    """Whatever is left of ``sweep``'s process group is killed on leaving."""
     try:
+        yield sweep
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(sweep.pid, signal.SIGKILL)
+        sweep.wait(timeout=10)
+
+
+def assert_no_process_of_the_group_is_left(sweep):
+    with pytest.raises(ProcessLookupError):
+        os.killpg(sweep.pid, 0)
+
+
+def test_a_parallel_sweep_interrupted_twice_exits_130_and_leaves_nothing_behind(tmp_path):
+    # Ctrl-C signals the whole process group: the sweep and its workers. The
+    # workers ignore it, and the second interrupt lands while the sweep ends
+    # them, which it must not cut short.
+    with killed_at_the_end(start_default_sweep(tmp_path)) as sweep:
         time.sleep(2)
         os.killpg(sweep.pid, signal.SIGINT)
         time.sleep(0.5)
@@ -1568,7 +1589,11 @@ def test_a_parallel_sweep_interrupted_twice_exits_130_and_leaves_nothing_behind(
         try:
             _, err = sweep.communicate(timeout=30)
         except subprocess.TimeoutExpired:
-            os.killpg(sweep.pid, signal.SIGABRT)
+            # The sweep dumps first and its workers after, so each dump is whole.
+            os.kill(sweep.pid, signal.SIGABRT)
+            time.sleep(1)
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(sweep.pid, signal.SIGABRT)
             time.sleep(5)  # for the dumps; then whatever still holds stderr is killed
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(sweep.pid, signal.SIGKILL)
@@ -1576,12 +1601,35 @@ def test_a_parallel_sweep_interrupted_twice_exits_130_and_leaves_nothing_behind(
             pytest.fail(f"the sweep still ran 30 s after the second interrupt:\n{err}")
         assert (sweep.returncode, err) == (130, "error: interrupted\n")
         assert os.listdir(tmp_path) == []
-        with pytest.raises(ProcessLookupError):  # no process of its group is left
-            os.killpg(sweep.pid, 0)
-    finally:
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(sweep.pid, signal.SIGKILL)
-        sweep.wait(timeout=10)
+        assert_no_process_of_the_group_is_left(sweep)
+
+
+def test_a_parallel_sweep_interrupted_in_its_parent_alone_stops_at_once(tmp_path):
+    # As `timeout --foreground -s INT` does, only the sweep's own process is
+    # signalled; it ends its busy workers rather than wait out their tasks.
+    with killed_at_the_end(start_default_sweep(tmp_path)) as sweep:
+        time.sleep(2)
+        os.kill(sweep.pid, signal.SIGINT)
+        signalled = time.monotonic()
+        _, err = sweep.communicate(timeout=30)
+        assert time.monotonic() - signalled < 2
+        assert (sweep.returncode, err) == (130, "error: interrupted\n")
+        assert os.listdir(tmp_path) == []
+        assert_no_process_of_the_group_is_left(sweep)
+
+
+def test_a_parallel_sweep_whose_worker_is_killed_exits_2_naming_it(tmp_path):
+    # A process pool replaces a worker killed by a signal, and the task that
+    # worker held never returns: the sweep must say so, not wait forever.
+    with killed_at_the_end(start_default_sweep(tmp_path)) as sweep:
+        time.sleep(2)
+        workers = subprocess.run(["pgrep", "-P", str(sweep.pid)], capture_output=True,
+                                 text=True, check=True).stdout.split()
+        os.kill(int(workers[0]), signal.SIGKILL)
+        _, err = sweep.communicate(timeout=10)
+        assert (sweep.returncode, err) == (2, f"error: worker {workers[0]} died, exit code -9\n")
+        assert os.listdir(tmp_path) == []
+        assert_no_process_of_the_group_is_left(sweep)
 
 
 @pytest.mark.parametrize("one_goal", ["false", "true,false"])

@@ -1,6 +1,5 @@
 """Harness tests: grid expansion, seed pairing, parallel determinism, stats."""
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -9,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -149,59 +149,54 @@ def test_run_sweep_parallel_matches_serial():
     assert run_sweep(config, workers=3) == run_sweep(config, workers=1)
 
 
+class InProcessPool:
+    """Stands in for ``multiprocessing.Pool``: runs each task in process and
+    records the pool sizes asked for and the tasks handed to ``imap``."""
+
+    sizes, tasks = [], []
+
+    def __init__(self, processes, initializer, initargs):
+        self.sizes.append(processes)
+
+    def imap(self, fn, tasks):
+        self.tasks.extend(tasks)
+        results = map(fn, tasks)
+        return types.SimpleNamespace(next=lambda timeout: next(results))
+
+    def terminate(self):
+        pass
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    monkeypatch.setattr(InProcessPool, "tasks", [])
+    return InProcessPool
+
+
 @pytest.mark.parametrize("workers, pool_sizes", [(8, [2]), (2, [2]), (1, []), (None, [])])
-def test_run_sweep_asks_for_no_more_workers_than_tasks(monkeypatch, workers, pool_sizes):
-    # Two tasks: the cells of one seed pair up across the objectives.
+def test_run_sweep_asks_for_no_more_workers_than_tasks(in_process_pool, workers, pool_sizes):
+    # Two tasks: one world per seed, its objectives together.
     config = small_config(num_honeypots=(2,), repetitions=2)
     serial = run_sweep(config)
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert run_sweep(config, workers=workers) == serial
-    assert sizes == pool_sizes
+    assert in_process_pool.sizes == pool_sizes
     assert run_sweep(small_config(num_honeypots=(2,), seeds=(42,)), workers=4)
-    assert sizes == pool_sizes  # one task runs serially
+    assert in_process_pool.sizes == pool_sizes  # one task runs serially
 
 
 @pytest.mark.parametrize("agents", [("aggressive",), ("careful", "standard", "aggressive")])
-def test_parallel_sweep_hands_each_world_to_one_worker(monkeypatch, agents):
-    # The tasks of one world differ only by agent; each chunk that the pool
-    # hands a worker must hold exactly those, so the worker draws it once.
+def test_parallel_sweep_hands_each_world_to_one_worker(in_process_pool, agents):
+    # Each task that the pool hands a worker must hold one world and every
+    # agent, so the worker draws the world once.
     config = small_config(movement_time=(None, 25), agents=agents, repetitions=1)
     serial = run_sweep(config)
-    chunks = []
-
-    class ChunkRecordingPool:
-        """Runs in process; records the chunks a process pool would hand out."""
-
-        def __init__(self, max_workers):
-            pass
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-        def map(self, fn, tasks, chunksize=1):
-            tasks = list(tasks)
-            chunks.extend(tasks[start:start + chunksize]
-                          for start in range(0, len(tasks), chunksize))
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ChunkRecordingPool)
     assert run_sweep(config, workers=2) == serial
-    worlds = [{dataclasses.replace(cell, agent="") for _, cell, *_ in chunk} for chunk in chunks]
-    assert all(len(world) == 1 for world in worlds)
-    assert len(set().union(*worlds)) == len(chunks) == 2 * 2 * 2
-    assert all(tuple(cell.agent for _, cell, *_ in chunk) == agents for chunk in chunks)
+    assert in_process_pool.sizes == [2]
+    worlds = [dataclasses.replace(world, agent="") for _, world, *_ in in_process_pool.tasks]
+    assert len(set(worlds)) == len(worlds) == 2 * 2 * 2
+    assert all(task_agents == agents for _, _, task_agents, *_ in in_process_pool.tasks)
 
 
 # The file that each task appends a line to, set before the pool forks; and
@@ -221,20 +216,20 @@ def logged_slow_run_cells(task):
 
 
 def test_serial_stream_yields_a_block_before_the_next_block_runs(monkeypatch):
-    # Blocks of 2 seeds x 2 agents tasks, each yielding 2 objectives x 3
-    # repetitions of records per task.
+    # Blocks of 2 worlds, one per seed, each yielding 2 agents x 2 objectives
+    # x 3 repetitions of records per world.
     config = small_config(agents=("standard", "aggressive"), repetitions=3)
     calls = []
     monkeypatch.setattr(experiment, "_run_cells", lambda task: calls.append(task) or run_cells(task))
     records = iter_sweep(config)
     assert calls == []
     block = [next(records)]
-    assert len(calls) == 4
-    block.extend(itertools.islice(records, 4 * 2 * 3 - 1))
-    assert len(calls) == 4
+    assert len(calls) == 2
+    block.extend(itertools.islice(records, 2 * 2 * 2 * 3 - 1))
+    assert len(calls) == 2
     assert {record.num_honeypots for record in block} == {0}
     assert next(records).num_honeypots == 2
-    assert len(calls) == 8
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -250,7 +245,8 @@ def test_iter_sweep_matches_run_sweep_in_cell_order(workers, one_goal):
 def test_closing_a_parallel_stream_cancels_the_tasks_not_started(tmp_path, monkeypatch):
     config = small_config(num_honeypots=(0, 2, 4, 6, 9, 10), movement_time=(None, 25),
                           repetitions=1)
-    tasks = len(config.cells()) // 2  # the two objectives of a cell share a task
+    # One task per world: its agents and objectives share it.
+    tasks = len(config.cells()) // len(config.agents) // len(config.one_goal)
     monkeypatch.setattr(sys.modules[__name__], "TASK_LOG", str(tmp_path / "tasks.log"))
     monkeypatch.setattr(experiment, "_run_cells", logged_slow_run_cells)
     records = iter_sweep(config, workers=2)
