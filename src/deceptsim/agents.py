@@ -15,18 +15,19 @@ invalidates their beliefs. Mutation is inferred only from observations: a
 connection failure on a known address, a scan that contradicts an earlier
 one, or a subnet scan listing a different address set.
 
-``ScriptedAgent`` holds the decision skeleton the three share. A decision
-is the committed ``follow_up`` if there is one, else the subclass's
-``_choose()`` once the address list is known, else a subnet scan.
-``observe`` folds every reply: scans into beliefs, attack replies through
-``Knowledge.gain`` and ``Knowledge.fail``. After a gain it calls
-``_after_gain``, which commits the follow-up (a wiretap after root; careful
-also commits a process scan after user access, and aggressive wiretaps
-after any gain); after a wiretap reply it calls ``_after_wiretap``. A
-detected mutation clears the follow-up and the address list, so the next
-decision is a subnet scan. ``_attack_option`` is the per-address attack
-rule: the best untried matching exploit below user access, a process scan
-or the lowest untried matching escalation at user access.
+``ScriptedAgent`` holds the decision skeleton the three share. An agent
+decides once per turn: ``next_action`` hands over the move in its one
+``committed`` slot if there is one, else the subclass's ``_choose()`` once
+the address list is known, else a subnet scan. ``observe`` folds every
+reply: scans into beliefs, attack replies through ``Knowledge.gain`` and
+``Knowledge.fail``. After a gain it calls ``_after_gain``, which commits the
+follow-up (a wiretap after root; careful also commits a process scan after
+user access, and aggressive wiretaps after any gain); after a wiretap reply
+it calls ``_after_wiretap``. A detected mutation empties the slot and the
+address list, so the next decision is a subnet scan. ``_attack_option`` is
+the per-address attack rule: the best untried matching exploit below user
+access, a process scan or the lowest untried matching escalation at user
+access.
 
 A decision pays only for what changed. ``Knowledge`` owns each write to a
 belief and to ``failed``, which maps a catalog entry ``(kind, id)`` to the
@@ -41,17 +42,19 @@ list. ``exhausted`` counts the entries whose set reached that size: the
 aggressive agent's viable entries change only when it, the address count
 or the agent's ``resets`` (its wipes) does.
 
-``scan_run()`` hands over the host scans the agent is committed to next,
-``(addresses, kinds)`` in address-major order, or None. ``engine.run_scans``
-plays them up to the first reset, folding each reply as ``observe`` would,
-so a run holds only scans that draw no random numbers and that a reset
-drops: careful's scan phase, set by the subnet scan that starts it (no
-follow-up, subnet known), and standard's focus scans after the first, which
-commits it to the focus. ``attack_run()`` hands over aggressive's entry and
-sweep (no follow-up, subnet known), or None. ``engine.run_attacks`` plays
-every attack of it, skipping the addresses the entry failed at, up to the
-first gain or failed connection, which ``observe`` then folds as a plain
-reply; the failures before it are folded with one ``Knowledge.fail``.
+A move is an ``Action``, a scan run ``(addresses, kinds)`` or an attack run
+``(kind, ident, sweep)``. ``engine.run_scans`` plays a scan run in
+address-major order up to the first reset, folding each reply as ``observe``
+would, so a run holds only scans that draw no random numbers and that a
+reset drops: careful's scan phase, committed by the subnet scan that starts
+it, and standard's whole focus, one 4-scan run. Aggressive's ``_choose``
+draws an entry and its sweep; the subnet scan after a reset commits the
+current entry's run over a fresh sweep. ``engine.run_attacks`` plays every
+attack of a run, skipping the addresses the entry failed at, up to the first
+gain or failed connection, which ``observe`` then folds as a plain reply;
+the failures before it are folded with one ``Knowledge.fail``. One slot is
+enough: only a move handed over from an empty slot commits (a subnet scan,
+or an attack that gains), and a reset empties it.
 """
 
 from __future__ import annotations
@@ -143,36 +146,27 @@ class ScriptedAgent:
         self.privescs = scenario.privescs
         self.rng = rng
         self.knowledge = Knowledge()
-        self.scan_queue = None  # the next scan run, until scan_run hands it over
-        self.follow_up: Action | None = None  # the move a reply committed to
+        self.committed = None  # the move a reply committed to, until handed over
         self.resets = 0  # completed knowledge wipes after detected mutations
 
-    def next_action(self) -> Action:
-        follow_up = self.follow_up
-        if follow_up is not None:
-            self.follow_up = None
-            return follow_up
+    def next_action(self) -> Action | tuple:
+        """The next move: an ``Action``, a scan run or an attack run; see the
+        module docstring."""
+        move = self.committed
+        if move is not None:
+            self.committed = None
+            return move
         if self.knowledge.addresses:
-            choice = self._choose()
-            if choice is not None:
-                return choice
+            move = self._choose()
+            if move is not None:
+                return move
         # Nothing to do under current knowledge: re-discover, which also
         # gives mutation a chance to be noticed.
         return Action(_SUBNET_SCAN)
 
-    def _choose(self) -> Action | None:
+    def _choose(self) -> Action | tuple | None:
         """The next move once the address list is known; None for a subnet scan."""
         raise NotImplementedError
-
-    def scan_run(self):
-        """The host scans the agent is committed to next, or None; see the
-        module docstring."""
-        run, self.scan_queue = self.scan_queue, None
-        return run
-
-    def attack_run(self):
-        """``(kind, id, sweep)``, the attacks committed to next, or None."""
-        return None
 
     def observe(self, action: Action, obs: Observation) -> None:
         """Fold one reply into the knowledge. A subnet scan listing a new
@@ -205,7 +199,7 @@ class ScriptedAgent:
     def _after_gain(self, address: Address, access: AccessLevel) -> None:
         """Hook: an attack at ``address`` gained ``access``; root commits a wiretap."""
         if access is _ROOT:
-            self.follow_up = Action(_WIRETAP, address)
+            self.committed = Action(_WIRETAP, address)
 
     def _after_wiretap(self) -> None:
         """Hook: a wiretap was answered."""
@@ -215,8 +209,7 @@ class ScriptedAgent:
         it to drop their plans too."""
         self.resets += 1
         self.knowledge.clear()
-        self.scan_queue = None
-        self.follow_up = None
+        self.committed = None
 
     def _attack_option(self, address: Address) -> Action | None:
         """The attack rule at one address: below user access, the untried
@@ -274,10 +267,10 @@ class CarefulAgent(ScriptedAgent):
         return [option for option in map(memo.get, addresses) if option is not None]
 
     def _after_subnet_scan(self) -> None:
-        self.scan_queue = (self.knowledge.addresses, self.SCAN_KINDS)
+        self.committed = (self.knowledge.addresses, self.SCAN_KINDS)
 
     def _after_gain(self, address: Address, access: AccessLevel) -> None:
-        self.follow_up = Action(_WIRETAP if access is _ROOT else _PROCESS_SCAN, address)
+        self.committed = Action(_WIRETAP if access is _ROOT else _PROCESS_SCAN, address)
 
 
 class StandardAgent(ScriptedAgent):
@@ -298,7 +291,7 @@ class StandardAgent(ScriptedAgent):
         self.focus: Address | None = None
         self.exhausted: set[Address] = set()
 
-    def _choose(self) -> Action | None:
+    def _choose(self) -> Action | tuple | None:
         # A focus reached here is fully scanned and below root: a root gain
         # commits the wiretap, whose reply clears the focus, and a user gain
         # clears it at once.
@@ -318,8 +311,7 @@ class StandardAgent(ScriptedAgent):
         if not candidates:
             return None  # everything exhausted or owned
         self.focus = focus = candidates[self.rng.randrange(len(candidates))]
-        self.scan_queue = ((focus,), self.SCAN_KINDS[1:])
-        return Action(self.SCAN_KINDS[0], focus)
+        return (focus,), self.SCAN_KINDS
 
     def _after_gain(self, address: Address, access: AccessLevel) -> None:
         super()._after_gain(address, access)
@@ -348,28 +340,18 @@ class AggressiveAgent(ScriptedAgent):
         self.catalog = [(_EXPLOIT, e.id) for e in self.exploits]
         self.catalog += [(_PRIVESC, p.id) for p in self.privescs]
         self.current: tuple[ActionKind, int] | None = None
-        self.sweep: list[Address] = []
         self.viable_memo: tuple[tuple[int, int, int], list] | None = None
 
-    def _choose(self) -> Action | None:
-        # Attack runs play every attack, so a decision comes here only when
-        # no entry is viable, and only a mutation can make progress possible.
-        return None
-
-    def attack_run(self):
-        """Hand over the current entry and its sweep, drawing both if no
-        sweep is pending; None if no entry is viable."""
-        if self.follow_up is not None or not self.knowledge.addresses:
+    def _choose(self) -> tuple | None:
+        """A viable entry and a shuffled sweep of the known addresses, which
+        the attack run plays skipping those the entry already failed at;
+        None if no entry is viable."""
+        viable = self._viable()
+        if not viable:
+            self.current = None
             return None
-        if not self.sweep:
-            viable = self._viable()
-            if not viable:
-                self.current = None
-                return None
-            self.current = viable[self.rng.randrange(len(viable))]
-            self._new_sweep()
-        sweep, self.sweep = self.sweep, []
-        return (*self.current, sweep)
+        self.current = viable[self.rng.randrange(len(viable))]
+        return self._sweep()
 
     def _viable(self) -> list[tuple[ActionKind, int]]:
         """Catalog entries with an untried known address: a failed set
@@ -386,18 +368,19 @@ class AggressiveAgent(ScriptedAgent):
                 spec for spec in self.catalog if len(failed.get(spec, ())) < known]
         return memo[1]
 
-    def _new_sweep(self) -> None:
-        """Shuffle the known addresses; the attack run skips those the
-        entry already failed at."""
-        self.sweep = list(self.knowledge.addresses)
-        same_stream_shuffle(self.sweep, self.rng)
+    def _sweep(self) -> tuple:
+        """The current entry's attack run over the known addresses in a
+        fresh random order."""
+        sweep = list(self.knowledge.addresses)
+        same_stream_shuffle(sweep, self.rng)
+        return (*self.current, sweep)
 
     def _after_subnet_scan(self) -> None:
         if self.current is not None:
-            self._new_sweep()
+            self.committed = self._sweep()
 
     def _after_gain(self, address: Address, access: AccessLevel) -> None:
-        self.follow_up = Action(_WIRETAP, address)
+        self.committed = Action(_WIRETAP, address)
         self.current = None
 
 

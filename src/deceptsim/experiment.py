@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .agents import AGENT_KINDS, agent_class, make_agent
-from .engine import new_network_state, run_attacks, run_scans, step as engine_step
+from .engine import Action, new_network_state, run_attacks, run_scans, step as engine_step
 from .scenario import GeneratorParams, Scenario, check_type, generate_scenario
 
 # hashlib loads OpenSSL's libcrypto; take SHA-256 from CPython's built-in
@@ -171,9 +171,9 @@ def run_episode(
 ) -> EpisodeRecord:
     """Play one episode to termination; deterministic in all arguments.
 
-    A run of host scans the agent hands over (``scan_run``) is played by
-    ``engine.run_scans``, and an attack sweep (``attack_run``) by
-    ``engine.run_attacks``, before the plain step; each run folds its own
+    The agent hands over one move per turn (``next_action``): an action is
+    played by ``engine.step``, a run of host scans by ``engine.run_scans``
+    and an attack sweep by ``engine.run_attacks``. Each run folds its own
     replies into the agent's knowledge, except the attack that ends an
     attack run (a gain or a failed connection), which is observed and
     traced here as a plain step is. ``trace_sink``, when given, is
@@ -189,16 +189,15 @@ def run_episode(
     agent = make_agent(agent_kind, scenario, agent_rng)
     state = new_network_state(scenario, engine_rng)
     while state.outcome is None:
-        run = agent.scan_run()
-        if run is not None:
-            run_scans(state, run, agent.knowledge, agent.mtd_reset, trace_sink)
-            continue
-        run = agent.attack_run()
-        if run is None:
-            action = agent.next_action()
+        move = agent.next_action()
+        if type(move) is Action:
+            action = move
             obs, state = engine_step(state, action)
+        elif len(move) == 2:
+            run_scans(state, move, agent.knowledge, agent.mtd_reset, trace_sink)
+            continue
         else:
-            played = run_attacks(state, run, agent.knowledge, trace_sink)
+            played = run_attacks(state, move, agent.knowledge, trace_sink)
             if played is None:
                 continue
             action, obs = played

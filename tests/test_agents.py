@@ -1,5 +1,6 @@
 """Agent tests: phase scripts, best-exploit choice, mutation restarts."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,9 +9,19 @@ from helpers import (
     build_world,
     collect_trace,
 )
+from test_golden import GOLDEN_GRID
+from test_scan_runs import random_worlds
 
-from deceptsim.agents import AGENT_KINDS, Knowledge, make_agent
+from deceptsim.agents import (
+    AGENT_KINDS,
+    CarefulAgent,
+    Knowledge,
+    ScriptedAgent,
+    StandardAgent,
+    make_agent,
+)
 from deceptsim.engine import Action, ActionKind, Observation
+from deceptsim.experiment import derive_episode_seed, run_episode, scenario_params
 from deceptsim.scenario import AccessLevel, GeneratorParams, generate_scenario
 
 USER_EXPLOIT = (0, 0, 0, AccessLevel.USER, 1.0)
@@ -45,6 +56,64 @@ def test_make_agent_rejects_unknown_kind():
 def test_first_action_is_subnet_scan(kind):
     agent = new_agent(kind, build_world(num_sensitive=1))
     assert agent.next_action() == Action(ActionKind.SUBNET_SCAN)
+
+
+def test_next_action_hands_over_each_kind_of_move():
+    scenario = build_world(num_sensitive=1, num_normal=2)
+    known = [addr(0), addr(1), addr(2)]
+    agents = {kind: new_agent(kind, scenario) for kind in AGENT_KINDS}
+    for agent in agents.values():
+        agent.observe(
+            Action(ActionKind.SUBNET_SCAN),
+            Observation(success=True, discovered_addresses=tuple(known)),
+        )
+    # Careful's scan phase, which its subnet scan committed; standard's
+    # whole focus; aggressive's entry and a shuffled sweep of every address.
+    assert agents["careful"].next_action() == (known, CarefulAgent.SCAN_KINDS)
+    standard = agents["standard"]
+    assert standard.next_action() == ((standard.focus,), StandardAgent.SCAN_KINDS)
+    assert standard.focus in known
+    kind, ident, sweep = agents["aggressive"].next_action()
+    assert (kind, ident) in agents["aggressive"].catalog
+    assert sorted(sweep) == known
+
+
+@pytest.fixture
+def one_commitment(monkeypatch):
+    """Make ``ScriptedAgent.committed`` fail on a write that would replace
+    one committed move with another."""
+    def get(agent):
+        return vars(agent).get("_committed")
+
+    def set_(agent, move):
+        held = get(agent)
+        assert held is None or move is None, f"{move!r} would overwrite {held!r}"
+        vars(agent)["_committed"] = move
+
+    monkeypatch.setattr(ScriptedAgent, "committed", property(get, set_), raising=False)
+
+
+@pytest.mark.parametrize("movement_time", [None, 25], ids=["static", "mutation"])
+def test_golden_grid_never_overwrites_a_commitment(movement_time, one_commitment):
+    config = dataclasses.replace(GOLDEN_GRID, movement_time=(movement_time,))
+    for cell in config.cells():
+        scenario = generate_scenario(scenario_params(config.fixed, cell))
+        for rep in range(config.repetitions):
+            run_episode(scenario, cell.agent, derive_episode_seed(config.master_seed, cell, rep))
+
+
+def test_random_worlds_never_overwrite_a_commitment(one_commitment):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(params=random_worlds(st), episode_seed=st.integers(0, 2**64 - 1))
+    def check(params, episode_seed):
+        scenario = generate_scenario(params)
+        for kind in AGENT_KINDS:
+            run_episode(scenario, kind, episode_seed)
+
+    check()
 
 
 def test_careful_completes_all_scans_before_attacking():

@@ -1,9 +1,9 @@
 """Scan runs and attack runs against the per-action loop.
 
-``run_episode`` hands each run of host scans an agent commits to
-(``scan_run``) to ``engine.run_scans``, and each attack sweep
-(``attack_run``) to ``engine.run_attacks``, each of which plays its run in
-one loop. The reference below plays the same episodes the plain way, one
+An agent hands over one move per turn (``next_action``). ``run_episode``
+hands each run of host scans among them to ``engine.run_scans``, and each
+attack sweep to ``engine.run_attacks``, each of which plays its run in one
+loop. The reference below plays the same episodes the plain way, one
 action at a time: ``step`` and then ``observe``. It takes the sweep's
 addresses one by one, passing over those the entry already failed at, and
 stops a run where the agent must act on a reply (a knowledge reset or a
@@ -12,9 +12,10 @@ the mutation clock), reset flag and address list, and every final record,
 must agree.
 
 A scan run from wiped knowledge that nothing traces takes ``engine._fresh_pass``,
-which plays it a stretch at a time. The tests of that path play each
-episode untraced and with a no-op trace sink, which forces the per-scan
-loop, and require the same records at the end.
+which plays it a stretch at a time: careful's scan phase after each subnet
+scan that starts it, and standard's first focus after each. The tests of
+that path play each episode untraced and with a no-op trace sink, which
+forces the per-scan loop, and require the same records at the end.
 """
 
 import dataclasses
@@ -50,18 +51,19 @@ def attacks(agent, kind, ident, sweep):
 
 def reference_episode(scenario, agent_kind, episode_seed):
     """Rows, outcome and one-goal win of the episode played one action at
-    a time: next_action (or the next scan or attack of a run), step, observe."""
+    a time: next_action's action (or the next scan or attack of its run),
+    step, observe."""
     agent = make_agent(agent_kind, scenario, experiment._substream(episode_seed, "agent"))
     state = new_network_state(scenario, experiment._substream(episode_seed, "engine"))
     rows = []
     while state.outcome is None:
-        run = agent.scan_run()
-        if run is not None:
-            actions = (Action(kind, address) for address, kind in itertools.product(*run))
-        elif (run := agent.attack_run()) is not None:
-            actions = attacks(agent, *run)
+        move = agent.next_action()
+        if type(move) is Action:
+            actions = [move]
+        elif len(move) == 2:
+            actions = (Action(kind, address) for address, kind in itertools.product(*move))
         else:
-            actions = [agent.next_action()]
+            actions = attacks(agent, *move)
         for action in actions:
             resets = agent.resets
             obs, state = step(state, action)
@@ -196,27 +198,31 @@ def test_golden_grid_runs_match_the_per_action_loop(movement_time):
         assert counts["aggressive", "attack_run_connection_failed"] == 0
 
 
-def test_random_worlds_runs_match_the_per_action_loop():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    worlds = st.builds(
+def random_worlds(st, movement_times=(None, 1, 2, 7, 25)):
+    """A hypothesis strategy of small worlds, with probabilities that fail
+    attacks which draw and step limits that land inside the first runs."""
+    return st.builds(
         GeneratorParams,
         num_hosts=st.integers(1, 12),
         num_honeypots=st.integers(0, 3),
         num_sensitive=st.integers(0, 3),
-        movement_time=st.sampled_from((None, 1, 2, 7, 25)),
+        movement_time=st.sampled_from(movement_times),
         one_goal=st.booleans(),
         seed=st.integers(0, 2**32),
         exploit_prob=st.sampled_from((0.5, 1.0)),
         privesc_prob=st.sampled_from((0.5, 1.0)),
-        # Limits of a few steps land inside the first scan runs.
         step_limit=st.integers(2, 300),
         num_addresses=st.sampled_from((24, 64, 256)),
     )
+
+
+def test_random_worlds_runs_match_the_per_action_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
     counts = Counter()
 
     @hypothesis.settings(max_examples=200, deadline=None)
-    @hypothesis.given(params=worlds, episode_seed=st.integers(0, 2**64 - 1))
+    @hypothesis.given(params=random_worlds(st), episode_seed=st.integers(0, 2**64 - 1))
     def check(params, episode_seed):
         scenario = generate_scenario(params)
         for kind in AGENT_KINDS:
@@ -251,9 +257,9 @@ def check_untraced_episode(scenario, agent_kind, episode_seed, made):
 
 @pytest.fixture
 def fresh_passes(monkeypatch):
-    """Count the fresh passes played, by how they end, and keep each
-    episode's agent and state, in the order run_episode makes them; returns
-    (counts, the made objects)."""
+    """Count the fresh passes played, by agent kind and by how they end,
+    and keep each episode's agent and state, in the order run_episode makes
+    them; returns (counts, the made objects)."""
     counts, made = Counter(), []
     fresh_pass = engine._fresh_pass
 
@@ -261,7 +267,7 @@ def fresh_passes(monkeypatch):
         before, resets = state.steps_taken, []
         fresh_pass(state, addresses, kinds, learn, lambda: (resets.append(1), reset()))
         after, movement_time = state.steps_taken, state.scenario.params.movement_time
-        counts["passes"] += 1
+        counts["passes", made[-2].kind] += 1
         counts["reset"] += bool(resets)
         counts["step_limit"] += state.outcome is not None
         if not resets and state.outcome is None:
@@ -280,6 +286,14 @@ def fresh_passes(monkeypatch):
     return counts, made
 
 
+def assert_passes_by_agent(counts: Counter) -> None:
+    """Careful's scan phases and standard's first focus scans took fresh
+    passes; aggressive, which never scans a host, took none."""
+    for kind in ("careful", "standard"):
+        assert counts["passes", kind] > 0, kind
+    assert counts["passes", "aggressive"] == 0
+
+
 @pytest.mark.parametrize("movement_time", [None, 25], ids=["static", "mutation"])
 def test_golden_grid_untraced_runs_match_the_traced_loop(movement_time, fresh_passes):
     counts, made = fresh_passes
@@ -289,6 +303,7 @@ def test_golden_grid_untraced_runs_match_the_traced_loop(movement_time, fresh_pa
         for rep in range(config.repetitions):
             check_untraced_episode(scenario, cell.agent,
                                    derive_episode_seed(config.master_seed, cell, rep), made)
+    assert_passes_by_agent(counts)
     # Under mutation at 25 steps no careful pass of the golden grid completes.
     if movement_time is None:
         assert counts["completed"] > 0
@@ -302,28 +317,16 @@ def test_random_worlds_untraced_runs_match_the_traced_loop(fresh_passes):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     counts, made = fresh_passes
-    worlds = st.builds(
-        GeneratorParams,
-        num_hosts=st.integers(1, 12),
-        num_honeypots=st.integers(0, 3),
-        num_sensitive=st.integers(0, 3),
-        movement_time=st.sampled_from((1, 2, 7, 25)),
-        one_goal=st.booleans(),
-        seed=st.integers(0, 2**32),
-        exploit_prob=st.sampled_from((0.5, 1.0)),
-        privesc_prob=st.sampled_from((0.5, 1.0)),
-        # Limits of a few steps land inside the first scan passes.
-        step_limit=st.integers(2, 300),
-        num_addresses=st.sampled_from((24, 64, 256)),
-    )
 
     @hypothesis.settings(max_examples=80, deadline=None)
-    @hypothesis.given(params=worlds, episode_seed=st.integers(0, 2**64 - 1))
+    @hypothesis.given(params=random_worlds(st, (1, 2, 7, 25)),
+                      episode_seed=st.integers(0, 2**64 - 1))
     def check(params, episode_seed):
         scenario = generate_scenario(params)
         for kind in AGENT_KINDS:
             check_untraced_episode(scenario, kind, episode_seed, made)
 
     check()
-    for end in ("passes", "completed", "reset", "step_limit", "crossed_mutation"):
+    assert_passes_by_agent(counts)
+    for end in ("completed", "reset", "step_limit", "crossed_mutation"):
         assert counts[end] > 0, end
